@@ -55,8 +55,8 @@ class BaseDomain:
         if self.kind == KIND_ELLIPSOID:
             if len(self.exponents) != self.dim:
                 raise SpecError("ellipsoid needs one exponent per coordinate")
-            if any(p <= 0 for p in self.exponents):
-                raise SpecError("ellipsoid exponents must be positive")
+            if not all(math.isfinite(p) and p > 0 for p in self.exponents):
+                raise SpecError("ellipsoid exponents must be positive and finite")
             for j in range(self.n_star, self.dim):
                 if self.exponents[j] != 1.0:
                     raise SpecError("passive coordinates must carry exponent 1")
@@ -78,8 +78,8 @@ class LiftStep:
         if self.kind not in ("U", "V"):
             raise SpecError(f"lift kind must be 'U' or 'V', got {self.kind!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if any(w < 0 for w in self.weights):
-            raise SpecError("lift weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise SpecError("lift weights must be nonnegative and finite")
         if not any(w > 0 for w in self.weights):
             raise SpecError("a lift needs at least one positive weight")
         if self.w_dim < 1:
@@ -153,38 +153,39 @@ CPoint = tuple  # a point is a tuple of complex coordinates
 # shadow (squared-modulus) geometry
 
 
-def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Vectorised membership of shadow points X (shape (N, dim), entries
-    |coord|^2 >= 0).  Lifts unwind outermost-in."""
+def _unwind_lifts(spec: DomainSpec, X: np.ndarray):
+    """Undo the lift substitutions on shadow points X, outermost lift
+    first.  Returns (x, valid): x holds the rescaled base coordinates in
+    its first base.dim columns; rows where a U-step has ||w||^2 >= 1 are
+    marked invalid (their x entries are then meaningless)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.dim:
         raise SpecError("shadow dimension mismatch")
-    ok = np.all(np.isfinite(X), axis=1) & np.all(X >= 0.0, axis=1)
     x = X.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(spec.lifts) - 1, -1, -1):
-            step = spec.lifts[i]
-            stars = spec.star_indices(i)
-            t = x[:, spec.w_slice(i)].sum(axis=1)
-            if step.kind == "U":
-                ok &= t < 1.0
-                safe = np.where(ok, 1.0 - t, 1.0)
-                for j, a in zip(stars, step.weights):
-                    if a:
-                        x[:, j] = x[:, j] / safe ** a
-            else:
-                for j, a in zip(stars, step.weights):
-                    if a:
-                        x[:, j] = x[:, j] * np.exp(a * t)
-        d = spec.base.dim
-        if spec.base.kind == KIND_ELLIPSOID:
-            s = np.zeros(len(x))
-            for j, pj in enumerate(spec.base.exponents):
-                s += x[:, j] ** pj
-            ok &= s < 1.0
+    valid = np.ones(len(x), dtype=bool)
+    for i in range(len(spec.lifts) - 1, -1, -1):
+        step = spec.lifts[i]
+        stars = spec.star_indices(i)
+        t = x[:, spec.w_slice(i)].sum(axis=1)
+        if step.kind == "U":
+            valid &= t < 1.0
+            safe = np.where(valid, 1.0 - t, 1.0)
+            for j, a in zip(stars, step.weights):
+                if a:
+                    x[:, j] = x[:, j] / safe ** a
         else:
-            ok &= np.all(x[:, :d] < 1.0, axis=1)
-    return ok
+            for j, a in zip(stars, step.weights):
+                if a:
+                    x[:, j] = x[:, j] * np.exp(a * t)
+    return x, valid
+
+
+def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """Vectorised membership of shadow points X (shape (N, dim), entries
+    |coord|^2 >= 0)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    r, valid = shadow_defining(spec, X)
+    return np.all(np.isfinite(X) & (X >= 0.0), axis=1) & valid & (r < 0.0)
 
 
 def contains(spec: DomainSpec, p) -> bool:
@@ -202,24 +203,8 @@ def shadow_defining(spec: DomainSpec, X: np.ndarray):
     Returns (r, valid):  rows where a U-step hits ||w|| >= 1 are marked
     invalid (the expression is singular there).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    x = X.copy()
-    valid = np.ones(len(x), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(spec.lifts) - 1, -1, -1):
-            step = spec.lifts[i]
-            stars = spec.star_indices(i)
-            t = x[:, spec.w_slice(i)].sum(axis=1)
-            if step.kind == "U":
-                valid &= t < 1.0
-                safe = np.where(valid, 1.0 - t, 1.0)
-                for j, a in zip(stars, step.weights):
-                    if a:
-                        x[:, j] = x[:, j] / safe ** a
-            else:
-                for j, a in zip(stars, step.weights):
-                    if a:
-                        x[:, j] = x[:, j] * np.exp(a * t)
+        x, valid = _unwind_lifts(spec, X)
         d = spec.base.dim
         if spec.base.kind == KIND_ELLIPSOID:
             r = np.zeros(len(x))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from math import factorial
 
 import numpy as np
@@ -64,30 +65,17 @@ def pochhammer(a: float, b: int) -> float:
 
 
 def compensated_sum(terms) -> complex:
-    """Neumaier-compensated sum of a finite stream of complex numbers.
+    """Correctly rounded sum of a finite stream of complex numbers
+    (``math.fsum`` on the real and imaginary parts).
 
-    Deterministic for a fixed term order; the compensation keeps
-    cancellation errors at one ulp of the true total.
+    Deterministic and independent of the term order.
     """
-    sr = cr = si = ci = 0.0
-    for term in terms:
-        z = complex(term)
-        for val, idx in ((z.real, 0), (z.imag, 1)):
-            if idx == 0:
-                t = sr + val
-                if abs(sr) >= abs(val):
-                    cr += (sr - t) + val
-                else:
-                    cr += (val - t) + sr
-                sr = t
-            else:
-                t = si + val
-                if abs(si) >= abs(val):
-                    ci += (si - t) + val
-                else:
-                    ci += (val - t) + si
-                si = t
-    total = complex(sr + cr, si + ci)
+    zs = [complex(t) for t in terms]
+    try:
+        total = complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs))
+    except (OverflowError, ValueError):
+        # fsum raises on an overflowed partial sum and on inf - inf
+        raise NonFiniteError("compensated_sum overflowed") from None
     if not cmath.isfinite(total):
         raise NonFiniteError("compensated_sum overflowed")
     return total

@@ -4,10 +4,13 @@ Monomials form a complete orthogonal system on every constructible domain
 (they are all complete Reinhardt), so the kernel is the monomial series
 with squared-norm denominators.  Norms are computed by polar reduction to
 the shadow (each coordinate contributes pi and a radial factor) and honest
-quadrature of the reduced integrals; the weighted-simplex blocks coming
-from disk-fibered lift steps are integrated numerically, never through the
-rising-factorial identity those lifts are proved with.  (Weighted phi
-systems for non-Reinhardt bases are not needed here and are not modelled.)
+quadrature of the reduced integrals.  Every reduced integral (the weighted
+simplex blocks of disk-fibered lift steps, the ellipsoid base, each
+polydisk factor) separates into one-dimensional Beta-type integrals
+int_0^1 u^c (1-u)^e du, each done by the same cached tanh-sinh rule and
+never through the rising-factorial identity those lifts are proved with.
+(Weighted phi systems for non-Reinhardt bases are not needed here and are
+not modelled.)
 
 The reproducing-property integral is done in polar form as well: trapezoid
 (FFT-binned) angular quadrature, which is spectrally exact for the kernel's
@@ -24,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import (DEFAULT_W_RADIUS, DomainSpec, SpecError, box_radii,
-                      contains, sample_interior, shadow_contains)
+from .domains import (DomainSpec, SpecError, box_radii, contains,
+                      sample_interior, shadow_contains)
 from .jets import compensated_sum, pochhammer
 
 DEFAULT_QUAD_W_RADIUS = 4.5
@@ -62,7 +65,11 @@ def _de_rule(level: int):
 
 
 def _de_integrate(f, rel_tol: float = 1e-11, max_level: int = 8):
-    """Adaptive tanh-sinh integral of f over (0,1); f(u, 1-u) vectorised."""
+    """Adaptive tanh-sinh integral of f over (0,1); f(u, 1-u) vectorised.
+
+    Raises IntegrationError when two successive levels still disagree by
+    more than rel_tol at max_level.
+    """
     prev = None
     for level in range(3, max_level + 1):
         u, um1, w = _de_rule(level)
@@ -72,7 +79,9 @@ def _de_integrate(f, rel_tol: float = 1e-11, max_level: int = 8):
             if err <= rel_tol * max(abs(val), 1e-300):
                 return val, err
         prev = val
-    return val, abs(val - prev) if prev is not None else abs(val)
+    raise IntegrationError(
+        f"tanh-sinh rule did not converge by level {max_level} "
+        f"(last two levels differ by {err:.2e})")
 
 
 @lru_cache(maxsize=64)
@@ -81,94 +90,40 @@ def _gl_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def adaptive_gl(f, lo: float, hi: float, rel_tol: float = 1e-9,
-                n0: int = 16, max_nodes: int = 1 << 14):
-    """Gauss-Legendre integral of a vectorised f on [lo, hi] with node
-    doubling until the last refinement moves the value below rel_tol."""
-    span = hi - lo
-    prev = None
-    n = n0
-    while True:
-        x, w = _gl_rule(n)
-        val = span * float(np.sum(w * f(lo + span * x)))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return val, abs(val - prev)
-        if 2 * n > max_nodes:
-            return val, abs(val - prev) if prev is not None else abs(val)
-        prev = val
-        n *= 2
-
-
 # ---------------------------------------------------------------------------
 # weighted simplex blocks
 
 
-def _fast_pow(base, e: float):
-    if e == 0.0:
-        return None                      # multiplicative identity
-    if e == 1.0:
-        return base
-    if e == 2.0:
-        return base * base
-    if e == 3.0:
-        return base * base * base
-    return base ** e
-
-
-def _simplex_nested(s: float, cs, level: int) -> float:
-    """Nested tanh-sinh evaluation of the weighted simplex integral
-    int_{sum r_j < 1, r >= 0} (1 - sum r)^s prod r_j^{c_j} dr."""
-    u, um1, w = _de_rule(level)
-
-    def rec(j, budgets):
-        if j == len(cs):
-            out = _fast_pow(budgets, s)
-            return np.ones_like(budgets) if out is None else out
-        rest = rec(j + 1, budgets[..., None] * um1)
-        rc = _fast_pow(budgets[..., None] * u, cs[j])
-        term = w * rest if rc is None else w * rc * rest
-        return budgets * np.sum(term, axis=-1)
-
-    return float(rec(0, np.asarray(1.0)))
-
-
-def simplex_weighted_integral(s: float, c, rel_tol: float = 1e-10):
-    """Quadrature value of int_{B^k_+} (1-sum r)^s r^c dV with an error
-    estimate.  Fully nested for k <= 3; k = 4 peels one coordinate with the
-    exact scaling substitution r_j -> (1-r_k) t_j first.  Cached: norm
-    tables reuse the same factor integrals across monomials."""
-    return _simplex_weighted_cached(float(s), tuple(float(x) for x in c),
-                                    float(rel_tol))
-
-
 @lru_cache(maxsize=65536)
-def _simplex_weighted_cached(s: float, c, rel_tol: float):
-    k = len(c)
-    if k == 0:
-        return 1.0, 0.0
+def _beta_factor(c: float, e: float):
+    """int_0^1 u^c (1-u)^e du by the tanh-sinh rule, with its error."""
+    return _de_integrate(lambda u, um1: u ** c * um1 ** e)
+
+
+def simplex_weighted_integral(s: float, c):
+    """Quadrature value of int_{B^k_+} (1-sum r)^s r^c dV with an error
+    estimate, for any k.
+
+    The scaling substitution r_j -> (1-r_k) t_j, applied recursively,
+    separates the integral into k one-dimensional factors
+    int_0^1 u^{c_j} (1-u)^{e_j} du with e_1 = s and e_{j+1} = e_j + c_j + 1;
+    each factor is a cached tanh-sinh integral and the relative error
+    estimates add across the factors.
+    """
+    s = float(s)
+    c = tuple(float(x) for x in c)
     if any(x <= -1.0 for x in c):
         raise IntegrationError("non-integrable radial exponent")
     if s < 0:
         raise IntegrationError("negative simplex weight exponent")
-    if k <= 3:
-        # tensor size grows like nodes^k: cap the refinement for k = 3
-        # (level 5 reaches machine precision on every block family here)
-        top = 8 if k <= 2 else 6
-        prev = None
-        for level in range(4, top):
-            val = _simplex_nested(s, c, level)
-            if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-                return val, abs(val - prev)
-            prev = val
-        return val, abs(val - prev)
-    if k > 4:
-        raise IntegrationError("weighted simplex supported up to dimension 4")
-    inner, ie = simplex_weighted_integral(s, c[:-1], rel_tol)
-    # outer factor: int_0^1 r^{c_k} (1-r)^{s + sum_{j<k}(c_j+1)} dr
-    e = s + sum(x + 1.0 for x in c[:-1])
-    outer, oe = _de_integrate(lambda u, um1: u ** c[-1] * um1 ** e)
-    val = inner * outer
-    return val, abs(val) * (ie / max(abs(inner), 1e-300) + oe / max(abs(outer), 1e-300))
+    val, rel_err = 1.0, 0.0
+    e = s
+    for cj in c:
+        v, err = _beta_factor(cj, e)
+        val *= v
+        rel_err += err / max(abs(v), 1e-300)
+        e += cj + 1.0
+    return val, abs(val) * rel_err
 
 
 def dirichlet_identity_check(s: float, c, k: int):
@@ -199,56 +154,26 @@ class NormEntry:
     method: str
 
 
-@lru_cache(maxsize=65536)
-def _monomial_1d(a: float):
-    return adaptive_gl(lambda u: u ** a, 0.0, 1.0)
-
-
-def _base_shadow_integral(spec: DomainSpec, a, rel_tol: float = 1e-10,
-                          mc_samples: int = 10 ** 6, seed: int = 0):
+def _base_shadow_integral(spec: DomainSpec, a):
     """int over the base shadow of prod x^{a_j} dx (no pi factors)."""
     base = spec.base
     if base.kind == "Polydisk":
         val, err = 1.0, 0.0
         for aj in a:
-            v, e = _monomial_1d(float(aj))
+            v, e = simplex_weighted_integral(0.0, (aj,))
             err = abs(val * v) * (err / max(abs(val), 1e-300) + e / max(abs(v), 1e-300))
             val *= v
-        return val, err, "quadrature"
-    if base.dim <= 3:
-        cs = tuple((aj + 1.0) / pj - 1.0 for aj, pj in zip(a, base.exponents))
-        val, err = simplex_weighted_integral(0.0, cs, rel_tol)
-        scale = 1.0
-        for pj in base.exponents:
-            scale /= pj
-        return scale * val, scale * err, "quadrature"
-    val, err = _stratified_mc_shadow(spec.truncated(0), a, mc_samples, seed)
-    return val, err, "monte-carlo"
+        return val, err
+    # x_j = r_j^{1/p_j} maps the ellipsoid shadow onto the unit simplex
+    cs = tuple((aj + 1.0) / pj - 1.0 for aj, pj in zip(a, base.exponents))
+    val, err = simplex_weighted_integral(0.0, cs)
+    scale = 1.0
+    for pj in base.exponents:
+        scale /= pj
+    return scale * val, scale * err
 
 
-def _stratified_mc_shadow(spec: DomainSpec, a, samples: int, seed: int):
-    """Stratified MC estimate of the shadow moment integral; strata are
-    equal slabs of the first shadow coordinate."""
-    dim = spec.dim
-    caps = np.array([r * r for r in box_radii(spec, DEFAULT_W_RADIUS)])
-    strata = 8
-    per = max(1, samples // strata)
-    total = 0.0
-    var = 0.0
-    for sidx in range(strata):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed),
-                                                   counter=(sidx + 1) * (1 << 70)))
-        x = rng.uniform(0.0, 1.0, size=(per, dim)) * caps
-        x[:, 0] = caps[0] * (sidx + rng.uniform(0.0, 1.0, size=per)) / strata
-        inside = shadow_contains(spec, x)
-        f = np.prod(x ** np.asarray(a, dtype=float), axis=1) * inside
-        slab_vol = float(np.prod(caps)) / strata
-        total += slab_vol * float(np.mean(f))
-        var += (slab_vol ** 2) * float(np.var(f)) / per
-    return total, math.sqrt(var)
-
-
-def monomial_norm_full(spec: DomainSpec, idx, rel_tol: float = 1e-10) -> NormEntry:
+def monomial_norm_full(spec: DomainSpec, idx) -> NormEntry:
     """Squared L2 norm of the monomial with exponent vector idx, with an
     error estimate and the method tag."""
     idx = tuple(int(i) for i in idx)
@@ -258,14 +183,13 @@ def monomial_norm_full(spec: DomainSpec, idx, rel_tol: float = 1e-10) -> NormEnt
         raise SpecError("monomial exponents must be nonnegative")
     value = math.pi ** spec.dim
     rel_err = 0.0
-    method = "quadrature"
     for i in range(len(spec.lifts) - 1, -1, -1):
         step = spec.lifts[i]
         stars = spec.star_indices(i)
         c = tuple(idx[j] for j in range(spec.w_slice(i).start, spec.w_slice(i).stop))
         s = sum(wt * (idx[j] + 1.0) for j, wt in zip(stars, step.weights))
         if step.kind == "U":
-            f, fe = simplex_weighted_integral(s, c, rel_tol)
+            f, fe = simplex_weighted_integral(s, c)
             value *= f
             rel_err += fe / max(abs(f), 1e-300)
         else:
@@ -275,16 +199,12 @@ def monomial_norm_full(spec: DomainSpec, idx, rel_tol: float = 1e-10) -> NormEnt
             for cj in c:
                 value *= math.factorial(cj) / s ** (cj + 1)
     a = idx[: spec.base.dim]
-    f, fe, method = _base_shadow_integral(spec, a, rel_tol)
+    f, fe = _base_shadow_integral(spec, a)
     value *= f
     rel_err += fe / max(abs(f), 1e-300)
     if value <= 0.0 or not math.isfinite(value):
         raise IntegrationError(f"norm integral collapsed for index {idx}")
-    if method == "monte-carlo" and rel_err > 0.1:
-        raise IntegrationError(
-            f"Monte Carlo variance above tolerance for index {idx} "
-            f"(relative standard error {rel_err:.2e})")
-    return NormEntry(value=value, error=abs(value) * rel_err, method=method)
+    return NormEntry(value=value, error=abs(value) * rel_err, method="quadrature")
 
 
 def monomial_norm(spec: DomainSpec, idx) -> float:

@@ -212,3 +212,14 @@ def test_bad_spec_file_exits_2(tmp_path, capsys):
     unknown.write_text(json.dumps({"base": {"kind": "Polydisk", "n_star": 1,
                                             "m_passive": 0}, "weird": 1}))
     assert main(["eval", "--spec", str(unknown), "--points", str(pts)]) == 2
+
+
+def test_non_finite_spec_exponent_exits_2(tmp_path, capsys):
+    spec = tmp_path / "nan.json"
+    spec.write_text('{"base": {"kind": "GeneralizedComplexEllipsoid", '
+                    '"n_star": 1, "m_passive": 0, "exponents": [NaN]}}')
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps([[[0.1, 0.0]]]))
+    assert main(["eval", "--spec", str(spec), "--points", str(pts),
+                 "--mode", "series"]) == 2
+    assert "finite" in capsys.readouterr().err

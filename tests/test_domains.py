@@ -196,8 +196,11 @@ def test_json_round_trip_and_strictness():
 def test_lift_step_weight_validation():
     with pytest.raises(SpecError):
         LiftStep("U", (0.0,), 1)          # all-zero weights degenerate
-    with pytest.raises(SpecError):
-        LiftStep("U", (-1.0,), 1)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecError):
+            LiftStep("U", (bad,), 1)
+        with pytest.raises(SpecError):
+            LiftStep("V", (1.0, bad), 1)
     with pytest.raises(SpecError):
         DomainSpec(BaseDomain("Polydisk", 1, 0),
                    (LiftStep("U", (1.0, 1.0), 1),))   # wrong weight count
@@ -206,6 +209,11 @@ def test_lift_step_weight_validation():
 def test_passive_exponent_must_be_one():
     with pytest.raises(SpecError):
         BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (1.0, 2.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecError):
+            BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (bad, 1.0))
+        with pytest.raises(SpecError):
+            BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (2.0, bad))
 
 
 def test_stage5_stage6_membership_formulas():

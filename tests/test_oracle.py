@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bergman.catalog import (ball_spec, closed_form_families, egg_spec,
@@ -7,10 +8,12 @@ from bergman.catalog import (ball_spec, closed_form_families, egg_spec,
                              polydisk_spec)
 from bergman.domains import SpecError
 from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
-from bergman.oracle import (ConvergenceError, NormTable,
-                            dirichlet_identity_check, get_norm_table,
-                            monomial_norm, monomial_norm_full,
+from bergman.jets import pochhammer
+from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
+                            _de_integrate, dirichlet_identity_check,
+                            get_norm_table, monomial_norm, monomial_norm_full,
                             reproducing_check, series_kernel,
+                            simplex_weighted_integral,
                             stratified_mc_reproducing)
 
 PI = math.pi
@@ -64,14 +67,30 @@ def test_norm_positive_and_errors_reported():
 
 
 def test_mc_norm_for_high_dimension():
-    # ball in C^4 exceeds the nested-quadrature budget: stratified MC,
-    # checked against the factorial oracle within a loose band
+    # ball in C^4: the separable rule covers any base dimension, checked
+    # against the factorial oracle
     spec = ball_spec(4)
     idx = (1, 0, 2, 0)
     entry = monomial_norm_full(spec, idx)
-    assert entry.method == "monte-carlo"
+    assert entry.method == "quadrature"
     want = PI ** 4 * 1 * 2 / math.factorial(4 + 3)
-    assert entry.value == pytest.approx(want, rel=0.05)
+    assert entry.value == pytest.approx(want, rel=1e-9)
+
+
+def test_simplex_integral_high_dimension_against_factorial_oracle():
+    # int_{B^k_+} (1 - sum r)^s r^c dV = prod c_j! / (1+s)_{sum c + k}
+    for k in range(5, 9):
+        for s in (0.0, 1.5, 3.0):
+            c = tuple((3 * j) % 5 for j in range(k))
+            want = math.prod(math.factorial(cj) for cj in c) / pochhammer(1.0 + s, sum(c) + k)
+            got, err = simplex_weighted_integral(s, c)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert err <= 1e-9 * got
+
+
+def test_de_integrate_raises_when_not_converged():
+    with pytest.raises(IntegrationError):
+        _de_integrate(lambda u, um1: np.cos(1e4 * u))
 
 
 def test_series_disk_value():
