@@ -10,8 +10,7 @@ from .domains import (BaseDomain, DomainSpec, LiftStep, contains,
                       defining_function, load_spec, sample_interior,
                       save_spec, slice_map, spec_from_dict, spec_to_dict,
                       star_shape_check)
-from .jets import (Jet, compensated_sum, fresh_tag, pochhammer,
-                   principal_power)
+from .jets import Jet, fresh_tag, pochhammer, principal_power
 from .kernels import (Kernel, closed_form_for, kernel_ball, kernel_egg,
                       kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
                       kernel_chain_stage3, kernel_polydisk, kernel_product)
@@ -25,7 +24,7 @@ __all__ = [
     "BaseDomain", "DomainSpec", "LiftStep", "contains", "defining_function",
     "load_spec", "sample_interior", "save_spec", "slice_map",
     "spec_from_dict", "spec_to_dict", "star_shape_check",
-    "Jet", "compensated_sum", "fresh_tag", "pochhammer", "principal_power",
+    "Jet", "fresh_tag", "pochhammer", "principal_power",
     "Kernel", "closed_form_for", "kernel_ball", "kernel_egg",
     "kernel_egg_inflated", "kernel_ball_disk_lift", "kernel_ball_exp_lift",
     "kernel_chain_stage3", "kernel_polydisk", "kernel_product",

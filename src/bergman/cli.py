@@ -25,7 +25,7 @@ from .domains import (SamplingError, SpecError, contains, load_spec,
 from .jets import NonFiniteError
 from .kernels import closed_form_for
 from .lifting import LiftError, compose_pipeline
-from .oracle import (ConvergenceError, IntegrationError,
+from .oracle import (ConvergenceError, IntegrationError, compositions,
                      dirichlet_identity_check, get_norm_table,
                      reproducing_integral, series_kernel)
 
@@ -65,18 +65,33 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _wire_point(value, i):
+    """A point from its JSON form, a list of [re, im] number pairs."""
+    if not isinstance(value, list) or not all(
+            isinstance(c, list) and len(c) == 2
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in c)
+            for c in value):
+        raise SpecError(f"point {i} must be a list of [re, im] number pairs")
+    try:
+        return tuple(complex(re, im) for re, im in value)
+    except OverflowError:
+        raise SpecError(f"point {i} is out of range") from None
+
+
 def _load_points(path, dim):
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, list):
+        raise SpecError("points file must hold a JSON list")
     pairs = []
     for i, entry in enumerate(data):
         if isinstance(entry, dict):
-            p = entry["p"]
-            q = entry.get("q", p)
+            if "p" not in entry:
+                raise SpecError(f"point {i} is missing field 'p'")
+            p = _wire_point(entry["p"], i)
+            q = _wire_point(entry.get("q", entry["p"]), i)
         else:
-            p = q = entry
-        p = tuple(complex(re, im) for re, im in p)
-        q = tuple(complex(re, im) for re, im in q)
+            p = q = _wire_point(entry, i)
         if len(p) != dim or len(q) != dim:
             raise SpecError(f"point {i} has the wrong dimension")
         pairs.append((p, q))
@@ -249,7 +264,7 @@ def _suite_reproducing(tol, seed):
         ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
         ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,))),
     ]
-    idxs = [idx for d in range(3) for idx in _compositions3(d)]
+    idxs = [idx for d in range(3) for idx in compositions(d, 3)]
     cases = []
     for name, K in fixtures:
         spec = K.domain
@@ -268,14 +283,6 @@ def _suite_reproducing(tol, seed):
                         "tolerance": tol, "passed": worst < tol}
             cases.append(case)
     return cases
-
-
-def _compositions3(total):
-    out = []
-    for a in range(total + 1):
-        for b in range(total - a + 1):
-            out.append((a, b, total - a - b))
-    return out
 
 
 def _suite_levi(tol, seed):

@@ -386,34 +386,62 @@ def spec_to_dict(spec: DomainSpec) -> dict:
                       for s in spec.lifts]}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
+def _reject_unknown(d, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise SpecError(f"{where} must be a JSON object")
     extra = set(d) - allowed
     if extra:
         raise SpecError(f"unknown field(s) {sorted(extra)} in {where}")
 
 
-def spec_from_dict(data: dict) -> DomainSpec:
-    if not isinstance(data, dict):
-        raise SpecError("domain spec must be a JSON object")
-    _reject_unknown(data, {"base", "lifts"}, "domain spec")
-    if "base" not in data:
-        raise SpecError("domain spec needs a 'base'")
-    b = data["base"]
-    _reject_unknown(b, {"kind", "exponents", "n_star", "m_passive"}, "base")
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, where: str, default=_REQUIRED):
+    if key in d:
+        return d[key]
+    if default is _REQUIRED:
+        raise SpecError(f"{where} is missing field '{key}'")
+    return default
+
+
+def _int_field(d: dict, key: str, where: str) -> int:
+    v = _field(d, key, where)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SpecError(f"{where} field '{key}' must be an integer")
+    return v
+
+
+def _numbers_field(d: dict, key: str, where: str, default=_REQUIRED) -> tuple:
+    v = _field(d, key, where, default)
+    if not isinstance(v, list) or any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
+        raise SpecError(f"{where} field '{key}' must be a list of numbers")
     try:
-        base = BaseDomain(kind=b["kind"], n_star=int(b["n_star"]),
-                          m_passive=int(b["m_passive"]),
-                          exponents=tuple(b.get("exponents", ())))
-    except KeyError as e:
-        raise SpecError(f"base is missing field {e}") from None
+        return tuple(float(x) for x in v)
+    except OverflowError:
+        raise SpecError(f"{where} field '{key}' is out of range") from None
+
+
+def spec_from_dict(data: dict) -> DomainSpec:
+    """DomainSpec from its JSON form; SpecError for any malformed input."""
+    _reject_unknown(data, {"base", "lifts"}, "domain spec")
+    b = _field(data, "base", "domain spec")
+    _reject_unknown(b, {"kind", "exponents", "n_star", "m_passive"}, "base")
+    base = BaseDomain(kind=_field(b, "kind", "base"),
+                      n_star=_int_field(b, "n_star", "base"),
+                      m_passive=_int_field(b, "m_passive", "base"),
+                      exponents=_numbers_field(b, "exponents", "base", []))
+    items = _field(data, "lifts", "domain spec", default=[])
+    if not isinstance(items, list):
+        raise SpecError("domain spec field 'lifts' must be a list")
     lifts = []
-    for i, item in enumerate(data.get("lifts", [])):
-        _reject_unknown(item, {"kind", "weights", "w_dim"}, f"lift {i}")
-        try:
-            lifts.append(LiftStep(kind=item["kind"], weights=tuple(item["weights"]),
-                                  w_dim=int(item["w_dim"])))
-        except KeyError as e:
-            raise SpecError(f"lift {i} is missing field {e}") from None
+    for i, item in enumerate(items):
+        where = f"lift {i}"
+        _reject_unknown(item, {"kind", "weights", "w_dim"}, where)
+        lifts.append(LiftStep(kind=_field(item, "kind", where),
+                              weights=_numbers_field(item, "weights", where),
+                              w_dim=_int_field(item, "w_dim", where)))
     return DomainSpec(base, tuple(lifts))
 
 

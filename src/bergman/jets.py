@@ -64,29 +64,8 @@ def pochhammer(a: float, b: int) -> float:
     return out
 
 
-def compensated_sum(terms) -> complex:
-    """Correctly rounded sum of a finite stream of complex numbers
-    (``math.fsum`` on the real and imaginary parts).
-
-    Deterministic and independent of the term order.
-    """
-    zs = [complex(t) for t in terms]
-    try:
-        total = complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs))
-    except (OverflowError, ValueError):
-        # fsum raises on an overflowed partial sum and on inf - inf
-        raise NonFiniteError("compensated_sum overflowed") from None
-    if not cmath.isfinite(total):
-        raise NonFiniteError("compensated_sum overflowed")
-    return total
-
-
 # ---------------------------------------------------------------------------
 # generic scalar helpers: dispatch between complex, numpy arrays and jets
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, float, complex, np.integer, np.floating, np.complexfloating))
 
 
 def principal_power(base, exponent: float):

@@ -75,10 +75,10 @@ class Kernel:
             raise NonFiniteError(f"{self.name} overflowed (value not finite)")
         return val
 
-    def diagonal(self, p) -> float:
-        """K(p; p-bar); real and positive on the interior."""
+    def diagonal(self, p):
+        """K(p; p-bar), real and positive on the interior; an array on panels."""
         v = self(p, p)
-        return float(np.real(v)) if isinstance(v, np.ndarray) else complex(v).real
+        return np.real(v) if isinstance(v, np.ndarray) and v.ndim else complex(v).real
 
     def with_arity(self, n: int, m: int, w_dims=()) -> "Kernel":
         k = Kernel(self.fn, n, m, w_dims, domain=self.domain, name=self.name)

@@ -15,11 +15,13 @@ not modelled.)
 The reproducing-property integral is done in polar form as well: trapezoid
 (FFT-binned) angular quadrature, which is spectrally exact for the kernel's
 truncated angular spectrum, times nested Gauss-Legendre radial quadrature
-over the shadow; stratified Monte Carlo covers higher dimensions.
+over the shadow; a plain Monte Carlo mean over one rejection sample covers
+higher dimensions.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ import numpy as np
 
 from .domains import (DomainSpec, SpecError, box_radii, contains,
                       sample_interior, shadow_contains)
-from .jets import compensated_sum, pochhammer
+from .jets import NonFiniteError, pochhammer
 
 DEFAULT_QUAD_W_RADIUS = 4.5
 
@@ -132,8 +134,8 @@ def dirichlet_identity_check(s: float, c, k: int):
     c = tuple(int(x) for x in c)
     if len(c) != k:
         raise ValueError("need one exponent per coordinate")
-    if k < 1 or k > 4:
-        raise ValueError("k must be 1..4")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     quad, _ = simplex_weighted_integral(float(s), c)
     quad *= math.pi ** k
     closed = math.pi ** k
@@ -211,35 +213,47 @@ def monomial_norm(spec: DomainSpec, idx) -> float:
     return monomial_norm_full(spec, idx).value
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
+    """Exponent vectors of ``parts`` entries summing to ``total``, ascending."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+        for rest in compositions(total - head, parts - 1):
             yield (head,) + rest
 
 
 class NormTable:
-    """Monomial squared norms for one spec, lexicographically assembled."""
+    """Monomial squared norms for one spec: the ``entries`` dict, and the
+    same index set as a degree-sorted exponent matrix with its norm vector
+    and the first row ``offsets[d]`` of each degree shell d."""
 
     def __init__(self, spec: DomainSpec | None, entries: dict):
         self.spec = spec
         self.entries = entries
+        exps = np.array(list(entries), dtype=np.intp, ndmin=2)
+        if exps.size == 0 or exps.min() < 0:
+            raise SpecError("norm table needs nonnegative monomial indices")
+        degrees = exps.sum(axis=1)
+        order = np.argsort(degrees, kind="stable")
+        self.exponents, degrees = exps[order], degrees[order]
+        self.norms = np.array([e.value for e in entries.values()])[order]
+        self.offsets = np.searchsorted(degrees, np.arange(degrees[-1] + 2)).tolist()
+        dim = exps.shape[1]
+        if any(b - a != math.comb(d + dim - 1, dim - 1)
+               for d, (a, b) in enumerate(zip(self.offsets, self.offsets[1:]))):
+            raise SpecError("norm table misses monomials below its largest degree")
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
         entries = {}
         for deg in range(degree_cap + 1):
-            for idx in _compositions(deg, spec.dim):
+            for idx in compositions(deg, spec.dim):
                 entries[idx] = monomial_norm_full(spec, idx)
         return cls(spec, entries)
 
-    def norm(self, idx) -> float:
-        return self.entries[tuple(idx)].value
-
     def degree_cap(self) -> int:
-        return max(sum(i) for i in self.entries)
+        return len(self.offsets) - 2
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:
@@ -284,15 +298,27 @@ class SeriesValue:
         return complex(self.value)
 
 
+def _fsum(re, im) -> complex:
+    """math.fsum of the real and imaginary parts; NonFiniteError on overflow."""
+    try:
+        total = complex(math.fsum(re), math.fsum(im))
+    except (OverflowError, ValueError):     # overflowed partial sum, inf - inf
+        total = complex(math.inf)
+    if not cmath.isfinite(total):
+        raise NonFiniteError("series sum overflowed")
+    return total
+
+
 def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                   table: NormTable | None = None,
                   shell_tol: float = 1e-9) -> SeriesValue:
-    """Kernel value as the monomial series sum (p q-bar)^a / ||.||^2.
+    """Kernel value as the monomial series sum (p q-bar)^a / ||z^a||^2.
 
-    Shells are grouped by total degree and accumulated with compensated
-    summation; the reported tail bound extrapolates the last two shells
-    geometrically.  Points whose shells stop decaying raise
-    ConvergenceError.
+    All terms of degree <= degree_cap come from one numpy pass over the
+    table's exponent matrix; each degree shell is summed with math.fsum,
+    up to two shells in a row below shell_tol of the running sum.  The tail
+    bound extrapolates the last two shells geometrically.  Shells that stop
+    decaying raise ConvergenceError, an overflowing sum NonFiniteError.
     """
     p = tuple(complex(c) for c in p)
     q = tuple(complex(c) for c in q)
@@ -302,22 +328,24 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
         raise SpecError("degree cap must be nonnegative")
     if table is None:
         table = get_norm_table(spec, degree_cap)
-    zq = [pj * qj.conjugate() for pj, qj in zip(p, q)]
-    pows = [[1.0 + 0j] for _ in zq]
-    for j, b in enumerate(zq):
-        for _ in range(degree_cap):
-            pows[j].append(pows[j][-1] * b)
+    if table.exponents.shape[1] != spec.dim or table.degree_cap() < degree_cap:
+        raise SpecError(f"norm table (dimension {table.exponents.shape[1]}, degree "
+                        f"cap {table.degree_cap()}) does not cover this series")
+    n = table.offsets[degree_cap + 1]
+    pows = np.ones((spec.dim, degree_cap + 1), dtype=complex)
+    pows[:, 1:] = np.array([pj * qj.conjugate() for pj, qj in zip(p, q)])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pows = np.cumprod(pows, axis=1)
+        terms = pows[np.arange(spec.dim), table.exponents[:n]].prod(axis=1)
+        # memoryview slices give fsum Python floats without a list copy
+        re = memoryview(terms.real / table.norms[:n])
+        im = memoryview(terms.imag / table.norms[:n])
     shells = []
     running = 0j
     cap_used = degree_cap
     for deg in range(degree_cap + 1):
-        terms = []
-        for idx in _compositions(deg, spec.dim):
-            t = 1.0 + 0j
-            for j, e in enumerate(idx):
-                t *= pows[j][e]
-            terms.append(t / table.norm(idx))
-        shell = compensated_sum(terms)
+        a, b = table.offsets[deg], table.offsets[deg + 1]
+        shell = _fsum(re[a:b], im[a:b])
         shells.append(shell)
         running += shell
         if deg >= 2 and abs(shells[-1]) < shell_tol * abs(running) \
@@ -335,7 +363,7 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                 "series shells are not decaying; point too close to the boundary")
         else:
             tail = mags[-1]
-    value = compensated_sum(shells)
+    value = _fsum([s.real for s in shells], [s.imag for s in shells])
     return SeriesValue(value=value, tail_bound=tail, cap_used=cap_used,
                        shells=shells)
 
@@ -462,9 +490,9 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
 
 def stratified_mc_reproducing(K, spec: DomainSpec, idx, p, samples: int = 10 ** 6,
                               seed: int = 11, w_radius: float = 3.5):
-    """Stratified Monte Carlo value of the reproducing integral with its
-    standard error: strata are equal batches of the Philox stream over the
-    first coordinate's slab decomposition."""
+    """Plain Monte Carlo value of the reproducing integral with its standard
+    error: the volume estimate times the mean of K(p; q-bar) q^idx over one
+    seeded rejection sample of the domain (w truncated at w_radius)."""
     idx = tuple(int(i) for i in idx)
     res = sample_interior(spec, samples, seed=seed, w_radius=w_radius,
                           max_draws=10 ** 8)

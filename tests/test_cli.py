@@ -223,3 +223,23 @@ def test_non_finite_spec_exponent_exits_2(tmp_path, capsys):
     assert main(["eval", "--spec", str(spec), "--points", str(pts),
                  "--mode", "series"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec_json, points_json", [
+    (None, "[1]"),
+    (None, '[{"p": 5}]'),
+    ('{"base": {"kind": "Polydisk", "n_star": 1, "m_passive": 0}, '
+     '"lifts": [{"kind": "U", "weights": 5, "w_dim": 1}]}', None),
+    ('{"base": []}', None),
+], ids=["points-scalar", "points-p-scalar", "weights-scalar", "base-list"])
+def test_malformed_json_exits_2(disk_files, tmp_path, capsys, spec_json, points_json):
+    spec, pts = disk_files
+    if spec_json is not None:
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text(spec_json)
+    if points_json is not None:
+        pts = tmp_path / "bad_points.json"
+        pts.write_text(points_json)
+    assert main(["eval", "--spec", str(spec), "--points", str(pts)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

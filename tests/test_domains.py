@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergman.domains import (BaseDomain, DomainSpec, LiftStep,
                              SingularEvaluationError, SpecError, contains,
@@ -248,3 +249,37 @@ def test_stage5_stage6_membership_formulas():
         pts = pts[..., 0] + 1j * pts[..., 1]
         agree = sum(contains(spec, tuple(r)) == hand(tuple(r)) for r in pts)
         assert agree == len(pts)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["Polydisk", "GeneralizedComplexEllipsoid", "U", "V"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["base", "lifts", "kind", "exponents",
+                                       "n_star", "m_passive", "weights",
+                                       "w_dim", "other"]), kids, max_size=5),
+    max_leaves=20)
+
+
+_numbers = st.integers() | st.floats()
+_spec_shaped = st.fixed_dictionaries(
+    {"base": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["Polydisk", "GeneralizedComplexEllipsoid"]) | _json_values,
+         "n_star": st.integers(-1, 3) | _json_values,
+         "m_passive": st.integers(-1, 2) | _json_values},
+        optional={"exponents": st.lists(_numbers, max_size=4) | _json_values})},
+    optional={"lifts": st.lists(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["U", "V"]) | _json_values,
+         "weights": st.lists(_numbers, max_size=4) | _json_values,
+         "w_dim": st.integers(-1, 3) | _json_values}), max_size=3) | _json_values})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values | _spec_shaped)
+def test_spec_from_dict_fuzz_gives_spec_or_spec_error(data):
+    try:
+        spec = spec_from_dict(data)
+    except SpecError:
+        return
+    assert isinstance(spec, DomainSpec)

@@ -1,13 +1,12 @@
 import cmath
 import math
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
 from bergman.jets import (Jet, BranchCutError, GammaPoleError, JetOrderError,
-                          NonFiniteError, compensated_sum, fresh_tag,
+                          NonFiniteError, fresh_tag,
                           holomorphic_derivative_fd, pochhammer,
                           principal_power)
 
@@ -65,24 +64,6 @@ def test_principal_power_integer_vs_repeated_multiplication():
             for _ in range(m):
                 rep *= b
             assert principal_power(b, m) == pytest.approx(rep, rel=1e-13)
-
-
-def test_compensated_sum_cancellation():
-    assert compensated_sum([1.0, -1.0, 1e-16]) == 1e-16
-    assert compensated_sum([]) == 0.0
-
-
-def test_compensated_sum_vs_exact_rational():
-    # 10^6 copies of 0.1: oracle sums the exact binary value of 0.1
-    exact = Fraction(0.1) * 10 ** 6
-    got = compensated_sum(0.1 for _ in range(10 ** 6))
-    assert abs(got.real - float(exact)) <= 1e-9 * float(exact)
-    assert got.imag == 0.0
-
-
-def test_compensated_sum_overflow():
-    with pytest.raises(NonFiniteError):
-        compensated_sum([1e308, 1e308])
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,15 @@ def test_diagonal_positive_all_families():
             assert K.diagonal(p) > 0.0, name
 
 
+def test_diagonal_of_a_panel_is_the_per_point_values():
+    K = kernel_ball(2)
+    P = np.array([[0.1 + 0.2j, 0.3j], [0.5, -0.2 + 0.1j], [0.0, 0.0]])
+    got = K.diagonal(tuple(P.T))
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert list(got) == [K.diagonal(tuple(row)) for row in P]
+    assert isinstance(K.diagonal((0.1, 0.2)), float)
+
+
 def test_diagonal_blowup_along_radial_path():
     for name, (spec, K) in closed_form_families().items():
         direction = np.array(interior_points(spec, 1, seed=44, box_radius=0.5)[0])

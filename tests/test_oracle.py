@@ -8,8 +8,8 @@ from bergman.catalog import (ball_spec, closed_form_families, egg_spec,
                              polydisk_spec)
 from bergman.domains import SpecError
 from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
-from bergman.jets import pochhammer
-from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
+from bergman.jets import NonFiniteError, pochhammer
+from bergman.oracle import (ConvergenceError, IntegrationError, NormEntry, NormTable,
                             _de_integrate, dirichlet_identity_check,
                             get_norm_table, monomial_norm, monomial_norm_full,
                             reproducing_check, series_kernel,
@@ -182,8 +182,13 @@ def test_dirichlet_fractional_weight():
 def test_dirichlet_k4_supported():
     q, c = dirichlet_identity_check(2.2, (1, 0, 2, 1), 4)
     assert abs(q - c) / c < 1e-8
+    for k in range(5, 9):
+        q, c = dirichlet_identity_check(1.3, tuple(j % 3 for j in range(k)), k)
+        assert abs(q - c) / c < 1e-8, k
     with pytest.raises(ValueError):
-        dirichlet_identity_check(1.0, (0,) * 5, 5)
+        dirichlet_identity_check(1.0, (), 0)
+    with pytest.raises(ValueError):
+        dirichlet_identity_check(1.0, (0,) * 5, 4)
 
 
 def test_norm_table_csv_round_trip(tmp_path):
@@ -212,3 +217,58 @@ def test_series_agreement_panel_all_families():
             v = complex(K(p, q))
             assert abs(v - sv.value) / abs(v) < 1e-3, name
             assert sv.tail_bound < 1e-4, name
+
+
+def test_series_matches_closed_form_to_round_off_near_origin():
+    # the 1e-3 gate would miss a slipped exponent column or shell offset
+    # (the egg and the lift are not symmetric in their coordinates, so a
+    # permuted column shows there); shell_tol=0 sums every shell to the cap
+    for name in ("disk", "disk_x_disk", "ball2", "egg_p2", "ball_disk_lift_11"):
+        spec, K = closed_form_families()[name]
+        table = get_norm_table(spec, 30)
+        for p, q in interior_pairs(spec, 5, seed=7, box_radius=0.25):
+            sv = series_kernel(spec, p, q, 30, table=table, shell_tol=0.0)
+            assert sv.cap_used == 30, name
+            v = complex(K(p, q))
+            assert sv.tail_bound < 1e-14, name
+            assert abs(sv.value - v) / abs(v) < 1e-12, name
+
+
+def test_series_shell_overflow_is_non_finite():
+    # two degree-1 terms of 1e308 each: the shell sum overflows
+    entries = {(0, 0): NormEntry(1.0, 0.0, "quadrature"),
+               (1, 0): NormEntry(0.25e-308, 0.0, "quadrature"),
+               (0, 1): NormEntry(0.25e-308, 0.0, "quadrature")}
+    table = NormTable(polydisk_spec(2), entries)
+    with pytest.raises(NonFiniteError):
+        series_kernel(polydisk_spec(2), (0.5, 0.5), (0.5, 0.5), 1, table=table)
+    # one term that is already infinite
+    entries = {(0,): NormEntry(1.0, 0.0, "quadrature"),
+               (1,): NormEntry(1e-320, 0.0, "quadrature")}
+    with pytest.raises(NonFiniteError):
+        series_kernel(disk_spec(), (0.5,), (0.5,), 1, table=NormTable(disk_spec(), entries))
+
+
+def test_series_from_csv_table_is_bitwise_equal(tmp_path):
+    spec = ball_disk_lift_spec(1, 1)
+    table = get_norm_table(spec, 20)
+    path = tmp_path / "norms.csv"
+    table.to_csv(path)
+    again = NormTable.from_csv(path, spec)
+    p, q = (0.2 + 0.1j, 0.3, -0.1j), (0.1, 0.2 - 0.2j, 0.3)
+    a = series_kernel(spec, p, q, 20, table=table)
+    b = series_kernel(spec, p, q, 20, table=again)
+    assert (a.value, a.tail_bound, a.cap_used, a.shells) == \
+        (b.value, b.tail_bound, b.cap_used, b.shells)
+
+
+def test_series_rejects_short_or_incomplete_table():
+    table = get_norm_table(disk_spec(), 6)
+    with pytest.raises(SpecError):
+        series_kernel(disk_spec(), (0.1,), (0.1,), 7, table=table)
+    with pytest.raises(SpecError):
+        series_kernel(ball_spec(2), (0.1, 0.0), (0.1, 0.0), 6, table=table)
+    entries = dict(get_norm_table(polydisk_spec(2), 3).entries)
+    del entries[(1, 1)]
+    with pytest.raises(SpecError):
+        NormTable(polydisk_spec(2), entries)
