@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainSpec, SpecError, contains, defining_function
+from .domains import (KIND_ELLIPSOID, DomainSpec, contains,
+                      defining_function, unwound_point)
 from .jets import NonFiniteError
 
 
@@ -42,22 +43,12 @@ def _single_lift(spec: DomainSpec, kinds=("U",)):
     return spec.lifts[0]
 
 
-def _base_r_at(spec: DomainSpec, z_sq, zp_sq) -> float:
-    base = spec.base
-    if base.kind != "GeneralizedComplexEllipsoid":
-        raise BoundaryError("boundary probes need an ellipsoid base")
-    r = -1.0
-    for x, p in zip(list(z_sq) + list(zp_sq), base.exponents):
-        r += x ** p
-    return r
-
-
-def star_gradient(spec: DomainSpec, p, step: float = 1e-6) -> np.ndarray:
-    """Numeric Wirtinger gradient of the defining function in the star
-    coordinates, d r / d z_j = (d_x - i d_y)/2."""
-    p = list(complex(c) for c in p)
-    grad = []
-    for j in spec.star_indices():
+def _wirtinger_gradient(spec: DomainSpec, p, indices, step: float) -> np.ndarray:
+    """Central-difference Wirtinger gradient of the defining function,
+    d r / d z_j = (d_x - i d_y)/2, for j in ``indices``."""
+    p = [complex(c) for c in p]
+    grad = np.empty(len(indices), dtype=complex)
+    for k, j in enumerate(indices):
         vals = []
         for dz in (step, -step, 1j * step, -1j * step):
             q = list(p)
@@ -65,8 +56,13 @@ def star_gradient(spec: DomainSpec, p, step: float = 1e-6) -> np.ndarray:
             vals.append(defining_function(spec, q))
         dx = (vals[0] - vals[1]) / (2 * step)
         dy = (vals[2] - vals[3]) / (2 * step)
-        grad.append(0.5 * (dx - 1j * dy))
-    return np.array(grad)
+        grad[k] = 0.5 * (dx - 1j * dy)
+    return grad
+
+
+def star_gradient(spec: DomainSpec, p, step: float = 1e-6) -> np.ndarray:
+    """Numeric Wirtinger gradient of the defining function in the stars."""
+    return _wirtinger_gradient(spec, p, spec.star_indices(), step)
 
 
 def stratify_point(spec: DomainSpec, p, boundary_tol: float = 1e-10,
@@ -74,14 +70,12 @@ def stratify_point(spec: DomainSpec, p, boundary_tol: float = 1e-10,
     """Classify a boundary point of a single U-step domain."""
     _single_lift(spec)
     p = tuple(complex(c) for c in p)
-    if len(p) != spec.dim:
-        raise SpecError("point arity mismatch")
     z, zp, (w,) = spec.split(p)
     aw = abs(w[0])
     if abs(aw - 1.0) <= 1e-8:
         if any(abs(c) > 1e-8 for c in z):
             raise BoundaryError("|w| = 1 boundary points require z = 0")
-        r0 = _base_r_at(spec, [0.0] * len(z), [abs(c) ** 2 for c in zp])
+        r0 = defining_function(spec, (0.0,) * len(z) + zp + (0.0,))
         if r0 < -boundary_tol:
             return Stratum.S3
         if r0 <= boundary_tol:
@@ -101,20 +95,17 @@ def stratify_point(spec: DomainSpec, p, boundary_tol: float = 1e-10,
 
 
 def _region_w2(spec: DomainSpec, q_exp: float):
-    step = spec.lifts[0]
-    base = spec.base
+    if spec.base.kind != KIND_ELLIPSOID:
+        raise BoundaryError("boundary probes need an ellipsoid base")
+    n = spec.base.n_star
 
     def ok(p) -> bool:
-        z, zp, (w,) = spec.split(p)
-        dw = 1.0 - abs(w[0]) ** 2
-        X = [abs(c) ** 2 / dw ** a for c, a in zip(z, step.weights)]
-        r = _base_r_at(spec, X, [abs(c) ** 2 for c in zp])
+        x, r, valid = unwound_point(spec, p)
         lhs = 0.0
-        for j, (c, xj) in enumerate(zip(z, X)):
-            rj = base.exponents[j] * xj ** (base.exponents[j] - 1.0) if xj > 0 \
-                else (base.exponents[j] if base.exponents[j] == 1.0 else 0.0)
+        for c, xj, pj in zip(p[:n], x, spec.base.exponents):
+            rj = pj * xj ** (pj - 1.0) if xj > 0 else (pj if pj == 1.0 else 0.0)
             lhs += (abs(c) ** 2 * rj) ** q_exp
-        return lhs < -r
+        return valid and lhs < -r
 
     return ok
 
@@ -187,7 +178,9 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
     U-step domains: S2 shrinks the star block like t^2 at fixed w, S3 sends
     |w|^2 to 1 like 1-t with |z_j| = t^(1+p_j/2), S4 combines both.  For a
     V-step domain pass S2: the path approaches the degenerate-gradient
-    point (0, z0', w0) inside the exhaustion region with exponents s_j.
+    point (0, z0', w0) inside the exhaustion region with exponents s_j,
+    from a z scale 0.25 exp(-max_j gamma_j |w0|^2) that keeps the first
+    level inside that region.
     """
     params = dict(params or {})
     target = tuple(complex(c) for c in target)
@@ -200,7 +193,8 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
             raise BoundaryError("V-step probes classify their targets as S2 "
                                 "(degenerate star gradient)")
         s_exps = params.setdefault("s", tuple(0.5 for _ in range(n)))
-        scale = params.setdefault("z_scale", 0.25)
+        scale = params.setdefault(
+            "z_scale", 0.25 * math.exp(-max(step.weights) * abs(w0[0]) ** 2))
 
         def point_fn(t):
             z = [scale * d * t ** (1.0 / s) for d, s in zip(direction, s_exps)]
@@ -416,13 +410,7 @@ def levi_min_eigenvalue(spec: DomainSpec, p, step: float = 1e-4) -> float:
     for j, c in enumerate(p):
         x0[2 * j] = c.real
         x0[2 * j + 1] = c.imag
-    grad = np.empty(d, dtype=complex)
-    for j in range(d):
-        ex = np.zeros(2 * d); ex[2 * j] = step
-        ey = np.zeros(2 * d); ey[2 * j + 1] = step
-        dx = (r_at(x0 + ex) - r_at(x0 - ex)) / (2 * step)
-        dy = (r_at(x0 + ey) - r_at(x0 - ey)) / (2 * step)
-        grad[j] = 0.5 * (dx - 1j * dy)
+    grad = _wirtinger_gradient(spec, p, range(d), step)
     if np.linalg.norm(grad) < 1e-8:
         raise BoundaryError("gradient vanishes; the tangent space is undefined")
     f0 = r_at(x0)

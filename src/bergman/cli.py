@@ -3,7 +3,7 @@ boundary limits, sample domains.  Deterministic: the same arguments and
 seed produce byte-identical CSV output.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 input or
-usage error.
+usage error (malformed JSON, a non-finite or out-of-range numeric flag).
 """
 
 from __future__ import annotations
@@ -65,17 +65,17 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _wire_point(value, i):
+def _wire_point(value, what):
     """A point from its JSON form, a list of [re, im] number pairs."""
     if not isinstance(value, list) or not all(
             isinstance(c, list) and len(c) == 2
             and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in c)
             for c in value):
-        raise SpecError(f"point {i} must be a list of [re, im] number pairs")
+        raise SpecError(f"{what} must be a list of [re, im] number pairs")
     try:
         return tuple(complex(re, im) for re, im in value)
     except OverflowError:
-        raise SpecError(f"point {i} is out of range") from None
+        raise SpecError(f"{what} is out of range") from None
 
 
 def _load_points(path, dim):
@@ -88,10 +88,10 @@ def _load_points(path, dim):
         if isinstance(entry, dict):
             if "p" not in entry:
                 raise SpecError(f"point {i} is missing field 'p'")
-            p = _wire_point(entry["p"], i)
-            q = _wire_point(entry.get("q", entry["p"]), i)
+            p = _wire_point(entry["p"], f"point {i}")
+            q = _wire_point(entry.get("q", entry["p"]), f"point {i}")
         else:
-            p = q = _wire_point(entry, i)
+            p = q = _wire_point(entry, f"point {i}")
         if len(p) != dim or len(q) != dim:
             raise SpecError(f"point {i} has the wrong dimension")
         pairs.append((p, q))
@@ -348,7 +348,7 @@ def cmd_verify(args) -> int:
 
 def cmd_boundary(args) -> int:
     spec = load_spec(args.spec)
-    target = tuple(complex(re, im) for re, im in json.loads(args.target))
+    target = _wire_point(json.loads(args.target), "--target")
     stratum = Stratum[args.stratum]
     want = expected_weight(spec, stratum)
     if args.weight != want:
@@ -405,6 +405,20 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return v
+
+
+def _nonnegative(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bergman",
@@ -417,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--points", required=True, help="points JSON file")
     pe.add_argument("--mode", default="all",
                     choices=("closed", "lifted", "series", "all"))
-    pe.add_argument("--cap", type=int, default=40, help="series degree cap")
+    pe.add_argument("--cap", type=_nonnegative, default=40, help="series degree cap")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default=None, help="output CSV path")
     pe.set_defaults(fn=cmd_eval)
@@ -425,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
     pv.add_argument("--seed", type=int, default=2024)
-    pv.add_argument("--tol", type=float, default=None)
+    pv.add_argument("--tol", type=_positive, default=None)
     pv.add_argument("--workers", type=int, default=_default_workers())
     pv.add_argument("--out", default=None)
     pv.set_defaults(fn=cmd_verify)
@@ -444,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--spec", required=True)
     ps.add_argument("--count", type=int, required=True)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--w-radius", type=float, default=3.0)
-    ps.add_argument("--box-radius", type=float, default=None)
+    ps.add_argument("--w-radius", type=_positive, default=3.0)
+    ps.add_argument("--box-radius", type=_positive, default=None)
     ps.add_argument("--out", default=None)
     ps.set_defaults(fn=cmd_sample)
     return ap

@@ -10,10 +10,15 @@ the new w coordinates join the star set, so later steps may weight them.
 All constructible domains are complete Reinhardt: membership depends only
 on the vector of squared moduli (the "shadow"), and every coordinate may be
 shrunk independently without leaving the domain.
+
+One rule, ``lift_factor``, writes the lift substitution: membership, the
+defining function, the slice maps and the lifted kernels' slice scales
+use it, for one point and for a panel alike.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -93,35 +98,41 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lifts", tuple(self.lifts))
-        stars = self.base.n_star
+        # the layout, once; plain attributes, so ==, hash and JSON see only
+        # the fields
+        stars, start = tuple(range(self.base.n_star)), self.base.dim
+        star_sets, w_slices, v_w = [stars], [], []
         for i, step in enumerate(self.lifts):
             if not isinstance(step, LiftStep):
                 raise SpecError("lifts must be LiftStep instances")
-            if len(step.weights) != stars:
+            if len(step.weights) != len(stars):
                 raise SpecError(
                     f"lift {i} carries {len(step.weights)} weights but the "
-                    f"star set has {stars} coordinates at that stage")
-            stars += step.w_dim
+                    f"star set has {len(stars)} coordinates at that stage")
+            block = tuple(range(start, start + step.w_dim))
+            w_slices.append(slice(start, start + step.w_dim))
+            if step.kind == "V":
+                v_w.extend(block)
+            stars += block
+            star_sets.append(stars)
+            start += step.w_dim
+        object.__setattr__(self, "_star_sets", tuple(star_sets))
+        object.__setattr__(self, "_w_slices", tuple(w_slices))
+        object.__setattr__(self, "_v_w", tuple(v_w))
+        object.__setattr__(self, "_dim", start)
 
     @property
     def dim(self) -> int:
-        return self.base.dim + sum(s.w_dim for s in self.lifts)
+        return self._dim
 
     def w_slice(self, i: int) -> slice:
         """Column range of lift i's w block in the global layout."""
-        start = self.base.dim + sum(s.w_dim for s in self.lifts[:i])
-        return slice(start, start + self.lifts[i].w_dim)
+        return self._w_slices[i]
 
     def star_indices(self, upto: int | None = None) -> list:
         """Global indices of the star coordinates before lift ``upto``
         (all lifts applied when omitted)."""
-        if upto is None:
-            upto = len(self.lifts)
-        idx = list(range(self.base.n_star))
-        for i in range(upto):
-            sl = self.w_slice(i)
-            idx.extend(range(sl.start, sl.stop))
-        return idx
+        return list(self._star_sets[len(self.lifts) if upto is None else upto])
 
     def truncated(self, n_lifts: int) -> "DomainSpec":
         return DomainSpec(self.base, self.lifts[:n_lifts])
@@ -133,100 +144,124 @@ class DomainSpec:
             raise SpecError(f"point has {len(p)} coordinates, spec has {self.dim}")
         z = p[: self.base.n_star]
         zp = p[self.base.n_star: self.base.dim]
-        ws = [p[self.w_slice(i)] for i in range(len(self.lifts))]
-        return z, zp, ws
+        return z, zp, [p[sl] for sl in self._w_slices]
 
     def v_w_indices(self) -> list:
         """Global indices of w coordinates introduced by V-steps (unbounded)."""
-        out = []
-        for i, step in enumerate(self.lifts):
-            if step.kind == "V":
-                sl = self.w_slice(i)
-                out.extend(range(sl.start, sl.stop))
-        return out
-
-
-CPoint = tuple  # a point is a tuple of complex coordinates
+        return list(self._v_w)
 
 
 # ---------------------------------------------------------------------------
-# shadow (squared-modulus) geometry
+# the lift substitution, in generic arithmetic: a squared modulus is a number
+# (one point; np.float64, so overflow gives inf as on arrays) or an array (a
+# panel, one entry per row), and one code path serves both
 
 
-def _unwind_lifts(spec: DomainSpec, X: np.ndarray):
-    """Undo the lift substitutions on shadow points X, outermost lift
-    first.  Returns (x, valid): x holds the rescaled base coordinates in
-    its first base.dim columns; rows where a U-step has ||w||^2 >= 1 are
-    marked invalid (their x entries are then meaningless)."""
+def lift_factor(kind: str, a: float, t, x=None):
+    """Factor of the lift substitution with weight a at squared w-norm t:
+    (1-t)^(-a) under a U-step, e^(a t) under a V-step; a squared modulus
+    takes it at its weight, a coordinate at half its weight.  Alone it
+    rounds as the lifted kernels always have; with x it is x times the
+    factor, under a U-step x / (1-t)^a by numpy's power, which rounds a
+    number as it rounds an array entry."""
+    if kind == "U":
+        return (1.0 - t) ** -a if x is None else x / np.power(1.0 - t, a)
+    f = np.exp(a * t)
+    return f if x is None else x * f
+
+
+def slice_scales(step: LiftStep, t):
+    """Coordinate scales of the slice map of ``step`` at squared w-norm t,
+    one per star coordinate (None for weight 0), and the squared Jacobian
+    kernel factor, the lift factor at the weight sum."""
+    if step.kind == "U" and np.any(np.asarray(t) >= 1.0):
+        raise SingularEvaluationError("slice needs ||w||^2 < 1 under a U-step")
+    scales = [lift_factor(step.kind, a / 2.0, t) if a else None
+              for a in step.weights]
+    return scales, lift_factor(step.kind, sum(step.weights), t)
+
+
+def _unwind(spec: DomainSpec, x):
+    """Undo the lift substitutions on the squared moduli x, outermost lift
+    first.  Returns (x, r, valid): the unwound squared moduli, the base
+    defining function on them, and False where a U-step has ||w||^2 >= 1
+    (x and r are then meaningless)."""
+    x = list(x)
+    valid = np.True_
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(spec.lifts) - 1, -1, -1):
+            step = spec.lifts[i]
+            t = sum(x[spec._w_slices[i]])
+            if step.kind == "U":
+                valid = valid & (t < 1.0)
+                t = np.where(valid, t, 0.0)
+            for j, a in zip(spec._star_sets[i], step.weights):
+                if a:
+                    x[j] = lift_factor(step.kind, a, t, x[j])
+        base = spec.base
+        if base.kind == KIND_ELLIPSOID:
+            r = sum(np.power(xj, pj) for xj, pj in zip(x, base.exponents))
+        else:
+            r = functools.reduce(np.maximum, x[: base.dim])
+        return x, r - 1.0, valid
+
+
+def _inside(spec: DomainSpec, x):
+    """Membership of the squared moduli x: each finite and >= 0, every
+    U-step ||w|| < 1 and r < 0."""
+    _, r, valid = _unwind(spec, x)
+    inside = valid & (r < 0.0)
+    for c in x:
+        inside = inside & (c >= 0.0) & (c < np.inf)
+    return inside
+
+
+def _columns(spec: DomainSpec, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.dim:
         raise SpecError("shadow dimension mismatch")
-    x = X.copy()
-    valid = np.ones(len(x), dtype=bool)
-    for i in range(len(spec.lifts) - 1, -1, -1):
-        step = spec.lifts[i]
-        stars = spec.star_indices(i)
-        t = x[:, spec.w_slice(i)].sum(axis=1)
-        if step.kind == "U":
-            valid &= t < 1.0
-            safe = np.where(valid, 1.0 - t, 1.0)
-            for j, a in zip(stars, step.weights):
-                if a:
-                    x[:, j] = x[:, j] / safe ** a
-        else:
-            for j, a in zip(stars, step.weights):
-                if a:
-                    x[:, j] = x[:, j] * np.exp(a * t)
-    return x, valid
+    return list(X.T)
+
+
+def _squared_moduli(spec: DomainSpec, p) -> list:
+    p = tuple(p)
+    if len(p) != spec.dim:
+        raise SpecError(f"point has {len(p)} coordinates, spec has {spec.dim}")
+    return [np.float64(abs(complex(c))) ** 2 for c in p]
 
 
 def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
     """Vectorised membership of shadow points X (shape (N, dim), entries
     |coord|^2 >= 0)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    r, valid = shadow_defining(spec, X)
-    return np.all(np.isfinite(X) & (X >= 0.0), axis=1) & valid & (r < 0.0)
+    return _inside(spec, _columns(spec, X))
 
 
 def contains(spec: DomainSpec, p) -> bool:
     """Strict membership of a point in the open domain."""
-    p = tuple(p)
-    if len(p) != spec.dim:
-        raise SpecError(f"point has {len(p)} coordinates, spec has {spec.dim}")
-    X = np.array([[abs(complex(c)) ** 2 for c in p]])
-    return bool(shadow_contains(spec, X)[0])
+    return bool(_inside(spec, _squared_moduli(spec, p)))
 
 
 def shadow_defining(spec: DomainSpec, X: np.ndarray):
     """Vectorised defining function r on shadow points; r < 0 inside.
+    Returns (r, valid): rows where a U-step hits ||w|| >= 1 are marked
+    invalid (the expression is singular there)."""
+    _, r, valid = _unwind(spec, _columns(spec, X))
+    return r, np.ones(len(r), dtype=bool) & valid
 
-    Returns (r, valid):  rows where a U-step hits ||w|| >= 1 are marked
-    invalid (the expression is singular there).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, valid = _unwind_lifts(spec, X)
-        d = spec.base.dim
-        if spec.base.kind == KIND_ELLIPSOID:
-            r = np.zeros(len(x))
-            for j, pj in enumerate(spec.base.exponents):
-                r += x[:, j] ** pj
-            r -= 1.0
-        else:
-            r = np.max(x[:, :d], axis=1) - 1.0
-    return r, valid
+
+def unwound_point(spec: DomainSpec, p):
+    """One point's squared moduli with the lift substitutions undone, its
+    defining function and whether every U-step has ||w|| < 1: (x, r, valid)."""
+    return _unwind(spec, _squared_moduli(spec, p))
 
 
 def defining_function(spec: DomainSpec, p) -> float:
     """Defining function r(p) with r < 0 inside; the composition of the
     base defining function with the lift substitutions."""
-    p = tuple(p)
-    if len(p) != spec.dim:
-        raise SpecError(f"point has {len(p)} coordinates, spec has {spec.dim}")
-    X = np.array([[abs(complex(c)) ** 2 for c in p]])
-    r, valid = shadow_defining(spec, X)
-    if not valid[0]:
+    _, r, valid = unwound_point(spec, p)
+    if not valid:
         raise SingularEvaluationError("defining function singular: ||w|| >= 1 under a U-step")
-    return float(r[0])
+    return float(r)
 
 
 def slice_map(spec: DomainSpec, lift_index: int, p):
@@ -235,25 +270,16 @@ def slice_map(spec: DomainSpec, lift_index: int, p):
     w block."""
     if not 0 <= lift_index < len(spec.lifts):
         raise SpecError("lift index out of range")
-    sub = spec.truncated(lift_index + 1)
     p = tuple(complex(c) for c in p)
-    if len(p) != sub.dim:
-        raise SpecError(f"point has {len(p)} coordinates, slice expects {sub.dim}")
-    step = spec.lifts[lift_index]
-    sl = sub.w_slice(lift_index)
-    t = sum(abs(c) ** 2 for c in p[sl])
+    sl = spec.w_slice(lift_index)
+    if len(p) != sl.stop:
+        raise SpecError(f"point has {len(p)} coordinates, slice expects {sl.stop}")
+    scales, _ = slice_scales(spec.lifts[lift_index],
+                             sum(abs(c) ** 2 for c in p[sl]))
     out = list(p[: sl.start])
-    stars = sub.star_indices(lift_index)
-    if step.kind == "U":
-        if t >= 1.0:
-            raise SingularEvaluationError("slice map needs ||w|| < 1 under a U-step")
-        for j, a in zip(stars, step.weights):
-            if a:
-                out[j] = out[j] / (1.0 - t) ** (a / 2.0)
-    else:
-        for j, a in zip(stars, step.weights):
-            if a:
-                out[j] = out[j] * math.exp(a * t / 2.0)
+    for j, s in zip(spec._star_sets[lift_index], scales):
+        if s is not None:
+            out[j] = out[j] * s
     return tuple(out)
 
 
@@ -317,7 +343,9 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
         rng = _batch_generator(seed, batch)
         batch += 1
         u = rng.uniform(-1.0, 1.0, size=(SAMPLE_BATCH, spec.dim, 2))
-        pts = (u[:, :, 0] + 1j * u[:, :, 1]) * rad
+        pts = u[:, :, 0] + 1j * u[:, :, 1]
+        del u                       # with the in-place scaling, two batch arrays at most
+        pts *= rad
         draws += SAMPLE_BATCH
         keep = shadow_contains(spec, np.abs(pts) ** 2)
         got = pts[keep]

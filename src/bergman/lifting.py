@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from math import pi
 
-import numpy as np
-
-from .domains import DomainSpec, LiftStep, SingularEvaluationError
+from .domains import DomainSpec, LiftStep, slice_scales
 from .jets import (MAX_JET_ORDER, Jet, JetOrderError, abs2, aexp, apow,
                    fresh_tag)
 from .kernels import Kernel, closed_form_for
@@ -32,21 +30,6 @@ def _sqnorm(w):
     for c in w:
         t = t + abs2(c)
     return t
-
-
-def _star_scales(step: LiftStep, t):
-    """Per-star-coordinate scale of the slice biholomorphism at squared
-    w-norm t, and the squared-Jacobian kernel factor.  t may be a float or
-    an array of floats."""
-    if step.kind == "U":
-        if np.any(np.asarray(t) >= 1.0):
-            raise SingularEvaluationError("slice needs ||w||^2 < 1 under a U-step")
-        scales = [(1.0 - t) ** (-a / 2.0) if a else None for a in step.weights]
-        factor = (1.0 - t) ** (-sum(step.weights))
-    else:
-        scales = [np.exp(a * t / 2.0) if a else None for a in step.weights]
-        factor = np.exp(sum(step.weights) * t)
-    return scales, factor
 
 
 def slice_kernel(base: Kernel, step: LiftStep, w) -> Kernel:
@@ -65,7 +48,7 @@ def slice_kernel(base: Kernel, step: LiftStep, w) -> Kernel:
 
 
 def _slice_fn(base: Kernel, step: LiftStep, stars, t):
-    scales, factor = _star_scales(step, t)
+    scales, factor = slice_scales(step, t)
 
     def fn(p, cq):
         pp = list(p)
@@ -120,13 +103,13 @@ def _make_lift(base: Kernel, step: LiftStep, factor_order) -> Kernel:
     def fn(p, cq):
         w = p[d_in:]
         ebar = cq[d_in:]
+        eta2 = _sqnorm(ebar)
+        # raises SingularEvaluationError at ||eta|| >= 1, before any power
+        sfn = _slice_fn(base, step, stars, eta2)
         t = 0.0
         for wj, ej in zip(w, ebar):
             t = t + wj * ej
-        eta2 = _sqnorm(ebar)
         if is_u:
-            if np.any(np.asarray(eta2) >= 1.0):
-                raise SingularEvaluationError("lift evaluated at ||eta|| >= 1")
             inv = apow(1.0 - t, -1)
             arg_scale = [apow((1.0 - eta2) * inv, a) for a in act_w]
             pref = apow(1.0 - eta2, wsum) * apow(1.0 - t, -(k + 1 + wsum)) / pi ** k
@@ -134,7 +117,6 @@ def _make_lift(base: Kernel, step: LiftStep, factor_order) -> Kernel:
             shift = t - eta2
             arg_scale = [aexp(a * shift) for a in act_w]
             pref = aexp(wsum * shift) / pi ** k
-        sfn = _slice_fn(base, step, stars, eta2)
         tag = fresh_tag()
         pp = list(p[:d_in])
         u_jets = []

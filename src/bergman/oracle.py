@@ -34,6 +34,8 @@ from .domains import (DomainSpec, SpecError, box_radii, contains,
 from .jets import NonFiniteError, pochhammer
 
 DEFAULT_QUAD_W_RADIUS = 4.5
+# largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
+MAX_TABLE_ENTRIES = 200_000
 
 
 class IntegrationError(RuntimeError):
@@ -246,6 +248,12 @@ class NormTable:
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
+        if degree_cap < 0:
+            raise SpecError("series degree cap must be nonnegative")
+        size = math.comb(degree_cap + spec.dim, spec.dim)
+        if size > MAX_TABLE_ENTRIES:
+            raise SpecError(f"degree cap {degree_cap} needs {size} norms in "
+                            f"{spec.dim} dimensions (at most {MAX_TABLE_ENTRIES})")
         entries = {}
         for deg in range(degree_cap + 1):
             for idx in compositions(deg, spec.dim):

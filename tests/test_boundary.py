@@ -123,6 +123,20 @@ def test_v_probe_limit():
     assert predicted_limit(VSPEC, (0, 1.0, 0.0), Stratum.S2) == pytest.approx(want)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_v_probe_strong_weight_near_unit_w(m):
+    # gamma = 2 at |w0| = 0.99: a fixed z scale of 0.25 left the approach
+    # region at the first level; the default now shrinks with e^{-gamma |w0|^2}
+    spec = ball_exp_lift_spec(1, m, (2.0,))
+    target = (0, 1.0) + (0,) * (m - 1) + (0.99,)
+    path = default_path(spec, target, Stratum.S2)
+    assert path.params["z_scale"] == pytest.approx(0.25 * math.exp(-2.0 * 0.99 ** 2))
+    rep = weighted_limit(kernel_ball_exp_lift(1, m, (2.0,)), path, "rho")
+    want = predicted_limit(spec, target, Stratum.S2)
+    assert rep.converged
+    assert abs(rep.limit - want) / want < 0.01
+
+
 def test_wrong_weight_fails_to_converge():
     # S2 fixture probed with the S3 weight: the weighted values blow up
     path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bergman.cli import main
+from bergman.cli import _load_points, main
 from bergman.catalog import disk_spec, ball_disk_lift_spec
-from bergman.domains import spec_to_dict
+from bergman.domains import SpecError, spec_to_dict
 
 
 @pytest.fixture
@@ -243,3 +246,71 @@ def test_malformed_json_exits_2(disk_files, tmp_path, capsys, spec_json, points_
     assert main(["eval", "--spec", str(spec), "--points", str(pts)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["[1,2]", '[[0,0],[1,0],[0,"a"]]'])
+def test_boundary_malformed_target_exits_2(lifted_ball_file, capsys, target):
+    assert main(["boundary", "--spec", str(lifted_ball_file), "--target", target,
+                 "--stratum", "S2", "--weight", "r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "levi", "--tol", "nan"],
+    ["verify", "--suite", "levi", "--tol", "0"],
+    ["sample", "--count", "3", "--box-radius", "nan"],
+    ["sample", "--count", "3", "--box-radius", "inf"],
+    ["sample", "--count", "3", "--w-radius", "-3"],
+    ["eval", "--cap", "-3"],
+    ["eval", "--cap", "1000", "--mode", "series"],
+], ids=["tol-nan", "tol-zero", "box-radius-nan", "box-radius-inf", "w-radius-negative",
+        "cap-negative", "cap-too-large"])
+def test_bad_numeric_flag_exits_2(lifted_ball_file, tmp_path, capsys, argv):
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps([[[0.1, 0.0], [0.2, 0.0], [0.1, 0.0]]]))
+    if argv[0] == "sample":
+        argv = argv + ["--spec", str(lifted_ball_file)]
+    elif argv[0] == "eval":
+        argv = argv + ["--spec", str(lifted_ball_file), "--points", str(pts)]
+    assert _exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["p", "q", "x"]), inner, max_size=3),
+    max_leaves=12)
+_numbers = st.integers(-3, 3) | st.floats(allow_nan=True, allow_infinity=True)
+_wire_points = st.lists(st.lists(_numbers, min_size=2, max_size=2)
+                        | _json_values, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_wire_points | st.fixed_dictionaries(
+    {"p": _wire_points}, optional={"q": _wire_points}) | _json_values, max_size=3)
+    | _json_values)
+def test_points_loader_fuzz_gives_points_or_spec_error(data):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(data, f)
+        try:
+            pairs = _load_points(path, 2)
+        except SpecError:
+            return
+    finally:
+        os.unlink(path)
+    for p, q in pairs:
+        assert len(p) == len(q) == 2
+        assert all(isinstance(c, complex) for c in p + q)

@@ -154,28 +154,38 @@ def test_star_shape_all_fixture_specs():
 
 def test_contains_iff_defining_negative():
     # membership agrees with (defining function < 0 and every inner
-    # ||w|| < 1 constraint) on 1e4 probe points per fixture
+    # ||w|| < 1 constraint) on 1e4 probe points per fixture, and the
+    # one-point routines agree with the panel ones on every row
     from bergman.domains import shadow_contains, shadow_defining
     rng = np.random.default_rng(17)
-    for name, spec in FIXTURE_SPECS.items():
+    specs = dict(FIXTURE_SPECS, stage6=chain_stage_spec(6, 2.0, 1.5, 2.5),
+                 ball_exp_lift_12_g2=ball_exp_lift_spec(1, 2, (2.0,)))
+    for name, spec in specs.items():
         pts = rng.uniform(-1.1, 1.1, size=(10 ** 4, spec.dim, 2))
         pts = pts[..., 0] + 1j * pts[..., 1]
-        X = np.abs(pts) ** 2
+        # V-step rows with |w| ~ 30, where e^{gamma |w|^2} overflows; the box
+        # itself gives U-step rows with ||w|| >= 1
+        pts[:500, spec.v_w_indices()] *= 30.0
+        X = np.array([[abs(c) ** 2 for c in row] for row in pts])
         member = shadow_contains(spec, X)
         r, valid = shadow_defining(spec, X)
         with np.errstate(invalid="ignore"):
             expect = valid & (r < 0.0)
         assert np.array_equal(member, expect), name
-        # spot-check the scalar wrappers against the vector path
-        for row in pts[:50]:
+        if any(s.kind == "U" for s in spec.lifts):
+            assert not valid.all(), name
+        for row, m, rr, ok in zip(pts, member, r, valid):
             p = tuple(row)
-            m = contains(spec, p)
-            try:
-                rv = defining_function(spec, p)
-                ok = rv < 0.0
-            except SingularEvaluationError:
-                ok = False
-            assert m == ok, (name, p)
+            if not ok:
+                with pytest.raises(SingularEvaluationError):
+                    defining_function(spec, p)
+                assert not contains(spec, p), (name, p)
+                continue
+            rv = defining_function(spec, p)
+            ulps = 4 * np.spacing(abs(rr))
+            assert rv == rr or abs(rv - rr) <= ulps, (name, p, rv, rr)
+            if not abs(rr) <= ulps:
+                assert contains(spec, p) == m, (name, p)
 
 
 def test_json_round_trip_and_strictness():
