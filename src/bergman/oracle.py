@@ -13,7 +13,8 @@ never through the rising-factorial identity those lifts are proved with.
 not modelled.)
 
 The reproducing-property integral is done in polar form as well: trapezoid
-(FFT-binned) angular quadrature, which is spectrally exact for the kernel's
+angular quadrature, whose requested Fourier bins come from one small DFT
+contraction per angle and which is spectrally exact for the kernel's
 truncated angular spectrum, times nested Gauss-Legendre radial quadrature
 over the shadow; a plain Monte Carlo mean over one rejection sample covers
 higher dimensions.
@@ -419,20 +420,28 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
 
     Radial: nested Gauss-Legendre over the shadow with bisected bounds
     (plane-fibered w coordinates get a logarithmic map for their Gaussian
-    decay).  Angular: trapezoid rule, binned with an FFT; exact for the
-    kernel's angular spectrum below the grid size, with aliasing controlled
-    by series decay.  The error estimate combines a coarser radial pass
-    with the half-grid angular bins.  Supported up to 3 coordinates.
+    decay).  Angular: trapezoid rule, only bins 0..max index computed, by
+    one DFT contraction per angle; exact for the kernel's angular spectrum
+    below the grid size, with aliasing controlled by series decay.  The
+    error estimate combines a coarser radial pass with the half-grid bins.
+    Supported up to 3 coordinates.  Repeated indices count once; negative
+    ones raise ``SpecError``; no indices return ({}, {}) without calling K.
     """
     d = spec.dim
     if d > 3:
         raise IntegrationError("polar quadrature supported up to 3 coordinates")
     if n_ang % 4:
         raise ValueError("angular grid size must be a multiple of 4")
-    indices = [tuple(int(i) for i in idx) for idx in indices]
+    if min(n_rad, n_rad_check, chunk) < 1:
+        raise ValueError("n_rad, n_rad_check and chunk must be at least 1")
+    indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
     if any(len(idx) != d for idx in indices):
         raise SpecError("index arity mismatch")
-    if max((max(idx) for idx in indices), default=0) >= n_ang // 4:
+    if any(e < 0 for idx in indices for e in idx):
+        raise SpecError("reproducing indices must be non-negative")
+    if not indices:
+        return {}, {}
+    if max(max(idx) for idx in indices) >= n_ang // 4:
         raise IntegrationError("angular grid too coarse for the requested index")
     full, full_half = _polar_pass(K, spec, indices, p, n_rad, n_ang,
                                   w_radius, chunk)
@@ -441,6 +450,33 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
     errs = {idx: abs(full[idx] - check[idx]) + abs(full[idx] - full_half[idx])
             for idx in indices}
     return full, errs
+
+
+def _angular_bins(kv: np.ndarray, m: int):
+    """Trapezoid Fourier bins 0..m-1 on every angular axis of kv (B, n, ..., n),
+    i.e. ``ifftn`` over those axes cut to the first m bins, for the full grid
+    and for its even points (the half grid): two (B, m, ..., m) arrays."""
+    n = kv.shape[-1]
+    f = np.exp((2j * math.pi / n) * np.outer(np.arange(n), np.arange(m))) / n
+    even = (slice(None),) + (slice(None, None, 2),) * (kv.ndim - 1)
+    return _dft(kv, f), _dft(kv[even], 2.0 * f[::2])
+
+
+def _dft(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Contract every angular axis of x against f, the last one first; each
+    step moves its bins to axis 1, so they end in coordinate order.  The
+    first sample along the axis is taken out before the product and added
+    back to bin 0, so round-off follows the variation along the axis, as in
+    an FFT, not the size of the values; blocks of 4096 rows stay in cache."""
+    for _ in range(x.ndim - 1):
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.empty((len(rows), f.shape[1]), dtype=complex)
+        for i in range(0, len(rows), 4096):
+            block = rows[i:i + 4096]
+            out[i:i + 4096] = (block - block[:, :1]) @ f
+            out[i:i + 4096, 0] += block[:, 0]
+        x = np.moveaxis(out.reshape(x.shape[:-1] + (f.shape[1],)), -1, 1)
+    return x
 
 
 def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
@@ -460,19 +496,15 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
         filled = np.concatenate(
             [np.repeat(filled, n_rad, axis=0), x.reshape(-1, 1)], axis=1)
         weights = (weights[:, None] * w).reshape(-1)
-    radii = np.sqrt(filled)            # (N, d) in integration order
+    radii = np.sqrt(filled)[:, np.argsort(order)]   # (N, d), coordinate order
     # dA = (1/2) dx dtheta per coordinate; the angular mean contributes 2*pi
     weights = weights * math.pi ** d
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
     phase = np.exp(1j * theta)
-    inv = np.empty(d, dtype=int)
-    for pos, coord in enumerate(order):
-        inv[coord] = pos
     totals = {idx: 0j for idx in indices}
     totals_half = {idx: 0j for idx in indices}
     pt = tuple(complex(c) for c in p)
-    axes = tuple(range(1, d + 1))
-    half = (slice(None),) + (slice(None, None, 2),) * d
+    m = 1 + max(max(idx) for idx in indices)
     for start in range(0, len(radii), chunk):
         rr = radii[start:start + chunk]
         ww = weights[start:start + chunk]
@@ -480,16 +512,15 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
         qs = []
         for coord in range(d):
             ph = phase.reshape([1] * (1 + coord) + [n_ang] + [1] * (d - 1 - coord))
-            qs.append(rr[:, inv[coord]].reshape([B] + [1] * d) * ph)
+            qs.append(rr[:, coord].reshape([B] + [1] * d) * ph)
         kv = K(pt, tuple(qs))
         kv = np.broadcast_to(kv, [B] + [n_ang] * d)
-        bins = np.fft.ifftn(kv, axes=axes)
-        bins_half = np.fft.ifftn(kv[half], axes=axes)
+        bins, bins_half = _angular_bins(kv, m)
         for idx in indices:
             mono = np.ones(B)
             for coord, e in enumerate(idx):
                 if e:
-                    mono = mono * rr[:, inv[coord]] ** e
+                    mono = mono * rr[:, coord] ** e
             wm = ww * mono
             totals[idx] += complex(np.sum(wm * bins[(slice(None),) + idx]))
             totals_half[idx] += complex(np.sum(wm * bins_half[(slice(None),) + idx]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman import oracle
 from bergman.catalog import (ball_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              polydisk_spec)
@@ -10,9 +11,9 @@ from bergman.domains import SpecError
 from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
 from bergman.jets import NonFiniteError, pochhammer
 from bergman.oracle import (ConvergenceError, IntegrationError, NormEntry, NormTable,
-                            _de_integrate, dirichlet_identity_check,
+                            _angular_bins, _de_integrate, dirichlet_identity_check,
                             get_norm_table, monomial_norm, monomial_norm_full,
-                            reproducing_check, series_kernel,
+                            reproducing_check, reproducing_integral, series_kernel,
                             simplex_weighted_integral,
                             stratified_mc_reproducing)
 
@@ -163,6 +164,89 @@ def test_reproducing_mc_agrees():
     val, sigma = stratified_mc_reproducing(kernel_ball(1), disk_spec(), (1,),
                                            (0.4,), samples=200000, seed=7)
     assert abs(val - 0.4) < max(5 * sigma, 5e-3)
+
+
+def _fft_bins(kv, m):
+    """Reference for _angular_bins: full inverse FFTs of the grid and of its
+    even points, cut to bins 0..m-1."""
+    d = kv.ndim - 1
+    axes = tuple(range(1, d + 1))
+    low = (slice(None),) + (slice(None, m),) * d
+    half = (slice(None),) + (slice(None, None, 2),) * d
+    return np.fft.ifftn(kv, axes=axes)[low], np.fft.ifftn(kv[half], axes=axes)[low]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_angular_bins_match_ifftn(d):
+    rng = np.random.default_rng(40 + d)
+    n = 8 if d == 3 else 12
+    shape = (5,) + (n,) * d
+    kv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a read-only broadcast input, as np.broadcast_to gives for a kernel
+    # that does not depend on every coordinate
+    flat = np.broadcast_to(kv[(slice(None), slice(0, 1))], shape)
+    for arr in (kv, flat):
+        for m in (1, 2, n // 4 + 1):
+            full, half = _angular_bins(arr, m)
+            want_full, want_half = _fft_bins(arr, m)
+            assert full.shape == half.shape == (5,) + (m,) * d
+            for got, want in ((full, want_full), (half, want_half)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_reproducing_integral_matches_fft_reference(monkeypatch):
+    spec = ball_disk_lift_spec(1, 1)
+    K = kernel_ball_disk_lift(1, 1)
+    p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
+    idxs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+    grid = dict(n_rad=4, n_rad_check=3, n_ang=8)
+    vals, errs = reproducing_integral(K, spec, idxs, p, **grid)
+    monkeypatch.setattr(oracle, "_angular_bins", _fft_bins)
+    ref_vals, ref_errs = reproducing_integral(K, spec, idxs, p, **grid)
+    for idx in idxs:
+        assert abs(vals[idx] - ref_vals[idx]) <= 1e-13
+        assert abs(errs[idx] - ref_errs[idx]) <= 1e-13
+
+
+def test_reproducing_integral_repeated_index_counts_once():
+    spec = ball_disk_lift_spec(1, 1)
+    K = kernel_ball_disk_lift(1, 1)
+    p = (0.2, 0.1, 0.3)
+    grid = dict(n_rad=4, n_rad_check=3, n_ang=8)
+    once = reproducing_integral(K, spec, [(1, 0, 0)], p, **grid)
+    twice = reproducing_integral(K, spec, [(1, 0, 0), (0, 0, 1), (1, 0, 0)], p, **grid)
+    assert twice[0][(1, 0, 0)] == once[0][(1, 0, 0)]
+    assert twice[1][(1, 0, 0)] == once[1][(1, 0, 0)]
+    assert list(twice[0]) == [(1, 0, 0), (0, 0, 1)]
+
+
+def test_reproducing_integral_rejects_bad_arguments():
+    spec = ball_disk_lift_spec(1, 1)
+    K = kernel_ball_disk_lift(1, 1)
+    p = (0.2, 0.1, 0.3)
+    grid = dict(n_rad=4, n_rad_check=3, n_ang=8)
+    with pytest.raises(SpecError):
+        reproducing_integral(K, spec, [(-1, 0, 0)], p, **grid)
+    with pytest.raises(SpecError):
+        reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p, **grid)
+    for bad in (dict(n_rad=0), dict(n_rad_check=0), dict(chunk=0), dict(chunk=-3)):
+        with pytest.raises(ValueError):
+            reproducing_integral(K, spec, [(1, 0, 0)], p, **{**grid, **bad})
+
+
+def test_reproducing_integral_empty_indices_skip_the_kernel():
+    K = kernel_ball_disk_lift(1, 1)
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return K(p, q)
+
+    assert reproducing_integral(counted, ball_disk_lift_spec(1, 1), [], (0.2, 0.1, 0.3)) == ({}, {})
+    assert not calls
+    reproducing_integral(counted, ball_disk_lift_spec(1, 1), [(0, 0, 0)], (0.2, 0.1, 0.3),
+                         n_rad=2, n_rad_check=1, n_ang=4)
+    assert calls
 
 
 def test_dirichlet_trivial_cases():
