@@ -12,12 +12,11 @@ never through the rising-factorial identity those lifts are proved with.
 (Weighted phi systems for non-Reinhardt bases are not needed here and are
 not modelled.)
 
-The reproducing-property integral is done in polar form as well: trapezoid
-angular quadrature, whose requested Fourier bins come from one small DFT
-contraction per angle and which is spectrally exact for the kernel's
-truncated angular spectrum, times nested Gauss-Legendre radial quadrature
-over the shadow; a plain Monte Carlo mean over one rejection sample covers
-higher dimensions.
+The reproducing-property integral is done in polar form as well: a
+rank-1 lattice angular rule, exact for every bin that no mode of the
+kernel's one-sided angular spectrum aliases onto, times nested
+Gauss-Legendre radial quadrature over the shadow; a plain Monte Carlo mean
+over one rejection sample covers higher dimensions.
 """
 
 from __future__ import annotations
@@ -411,27 +410,42 @@ def _nested_bounds(spec: DomainSpec, order, filled: np.ndarray, j: int,
     return lo
 
 
+# Korobov generators z (z_1 = 1) of the 2048-point rank-1 lattice per
+# dimension; a smaller power-of-2 n_ang uses z mod n_ang, the embedded
+# lattice.  From an exact search, the smallest degree of a mode a >= 0 that
+# aliases onto a bin of degree <= 2 (<= 4 for d = 2) is, at N = 2048/512/256,
+# 293/74/37 for d = 2 and 128/32/16 for d = 3.
+LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912)}
+LATTICE_SIZES = frozenset(2 ** k for k in range(1, 12))
+
+
 def reproducing_integral(K, spec: DomainSpec, indices, p,
                          n_rad: int = 14, n_rad_check: int = 10,
-                         n_ang: int = 24, w_radius: float = DEFAULT_QUAD_W_RADIUS,
+                         n_ang: int = 512, w_radius: float = DEFAULT_QUAD_W_RADIUS,
                          chunk: int = 256):
     """Deterministic polar-quadrature values of int K(p; q-bar) q^idx dV(q)
     for every index in ``indices``; returns ({idx: value}, {idx: err}).
 
-    Radial: nested Gauss-Legendre over the shadow with bisected bounds
-    (plane-fibered w coordinates get a logarithmic map for their Gaussian
-    decay).  Angular: trapezoid rule, only bins 0..max index computed, by
-    one DFT contraction per angle; exact for the kernel's angular spectrum
-    below the grid size, with aliasing controlled by series decay.  The
-    error estimate combines a coarser radial pass with the half-grid bins.
-    Supported up to 3 coordinates.  Repeated indices count once; negative
-    ones raise ``SpecError``; no indices return ({}, {}) without calling K.
+    Radial: nested Gauss-Legendre over the shadow with bisected bounds,
+    linear in every squared modulus (plane-fibered w coordinates are cut
+    at ``w_radius``).  Angular: the rank-1 lattice of n_ang points
+    theta_i = 2 pi ((i z) mod n_ang) / n_ang, z from LATTICE_GENERATORS,
+    with residues in integer arithmetic.  Bin idx is the lattice mean of
+    K e^(i idx.theta), exact unless a mode of the kernel's one-sided
+    angular spectrum aliases onto it.  The error estimate combines a
+    coarser radial pass with the embedded n_ang/2 lattice (its even
+    points).  Supported up to 3 coordinates; n_ang is a power of 2 up to
+    2048.  Repeated indices count once; negative ones raise ``SpecError``,
+    two that share a lattice residue raise ``IntegrationError``; no
+    indices return ({}, {}) without calling K.
     """
     d = spec.dim
     if d > 3:
         raise IntegrationError("polar quadrature supported up to 3 coordinates")
-    if n_ang % 4:
-        raise ValueError("angular grid size must be a multiple of 4")
+    if not (isinstance(n_ang, (int, np.integer)) and n_ang in LATTICE_SIZES):
+        raise ValueError("n_ang must be a power of 2 from 2 to 2048")
+    if not (math.isfinite(w_radius) and w_radius > 0):
+        raise ValueError("w_radius must be finite and positive")
     if min(n_rad, n_rad_check, chunk) < 1:
         raise ValueError("n_rad, n_rad_check and chunk must be at least 1")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
@@ -441,8 +455,11 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
         raise SpecError("reproducing indices must be non-negative")
     if not indices:
         return {}, {}
-    if max(max(idx) for idx in indices) >= n_ang // 4:
-        raise IntegrationError("angular grid too coarse for the requested index")
+    z = [zc % n_ang for zc in LATTICE_GENERATORS[d]]
+    residues = {sum(e * zc for e, zc in zip(idx, z)) % n_ang for idx in indices}
+    if len(residues) < len(indices):
+        raise IntegrationError("two requested indices alias on the angular "
+                               "lattice; raise n_ang")
     full, full_half = _polar_pass(K, spec, indices, p, n_rad, n_ang,
                                   w_radius, chunk)
     check, _ = _polar_pass(K, spec, indices, p, n_rad_check, n_ang,
@@ -452,34 +469,9 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
     return full, errs
 
 
-def _angular_bins(kv: np.ndarray, m: int):
-    """Trapezoid Fourier bins 0..m-1 on every angular axis of kv (B, n, ..., n),
-    i.e. ``ifftn`` over those axes cut to the first m bins, for the full grid
-    and for its even points (the half grid): two (B, m, ..., m) arrays."""
-    n = kv.shape[-1]
-    f = np.exp((2j * math.pi / n) * np.outer(np.arange(n), np.arange(m))) / n
-    even = (slice(None),) + (slice(None, None, 2),) * (kv.ndim - 1)
-    return _dft(kv, f), _dft(kv[even], 2.0 * f[::2])
-
-
-def _dft(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Contract every angular axis of x against f, the last one first; each
-    step moves its bins to axis 1, so they end in coordinate order.  The
-    first sample along the axis is taken out before the product and added
-    back to bin 0, so round-off follows the variation along the axis, as in
-    an FFT, not the size of the values; blocks of 4096 rows stay in cache."""
-    for _ in range(x.ndim - 1):
-        rows = x.reshape(-1, x.shape[-1])
-        out = np.empty((len(rows), f.shape[1]), dtype=complex)
-        for i in range(0, len(rows), 4096):
-            block = rows[i:i + 4096]
-            out[i:i + 4096] = (block - block[:, :1]) @ f
-            out[i:i + 4096, 0] += block[:, 0]
-        x = np.moveaxis(out.reshape(x.shape[:-1] + (f.shape[1],)), -1, 1)
-    return x
-
-
-def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
+def _radial_nodes(spec: DomainSpec, n_rad: int, w_radius: float):
+    """Polar radii (nodes, dim) in coordinate order and their weights,
+    each weight including the full angle pi per coordinate."""
     order = _radial_order(spec)
     caps = [r * r for r in box_radii(spec, w_radius)]
     gx, gw = _gl_rule(n_rad)
@@ -496,34 +488,37 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
         filled = np.concatenate(
             [np.repeat(filled, n_rad, axis=0), x.reshape(-1, 1)], axis=1)
         weights = (weights[:, None] * w).reshape(-1)
-    radii = np.sqrt(filled)[:, np.argsort(order)]   # (N, d), coordinate order
     # dA = (1/2) dx dtheta per coordinate; the angular mean contributes 2*pi
-    weights = weights * math.pi ** d
-    theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    phase = np.exp(1j * theta)
+    return np.sqrt(filled)[:, np.argsort(order)], weights * math.pi ** d
+
+
+def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
+    radii, weights = _radial_nodes(spec, n_rad, w_radius)
+    d = spec.dim
+    # lattice residues (i z) mod n_ang and (i idx.z) mod n_ang index one
+    # table of roots of unity, so every phase is exact up to that table
+    lattice = np.outer(np.arange(n_ang), np.array(LATTICE_GENERATORS[d]) % n_ang) % n_ang
+    roots = np.exp((2j * math.pi / n_ang) * np.arange(n_ang))
+    angles = roots[lattice.T]                       # (d, n_ang): e^(i theta)
+    phases = {idx: roots[lattice @ np.array(idx) % n_ang] for idx in indices}
     totals = {idx: 0j for idx in indices}
     totals_half = {idx: 0j for idx in indices}
     pt = tuple(complex(c) for c in p)
-    m = 1 + max(max(idx) for idx in indices)
     for start in range(0, len(radii), chunk):
         rr = radii[start:start + chunk]
         ww = weights[start:start + chunk]
-        B = len(rr)
-        qs = []
-        for coord in range(d):
-            ph = phase.reshape([1] * (1 + coord) + [n_ang] + [1] * (d - 1 - coord))
-            qs.append(rr[:, coord].reshape([B] + [1] * d) * ph)
-        kv = K(pt, tuple(qs))
-        kv = np.broadcast_to(kv, [B] + [n_ang] * d)
-        bins, bins_half = _angular_bins(kv, m)
+        qs = tuple(rr[:, coord, None] * angles[coord] for coord in range(d))
+        kv = np.broadcast_to(K(pt, qs), (len(rr), n_ang))
+        # one vector product per index, so a value's rounding does not
+        # depend on which other indices are requested
         for idx in indices:
-            mono = np.ones(B)
+            mono = np.ones(len(rr))
             for coord, e in enumerate(idx):
                 if e:
                     mono = mono * rr[:, coord] ** e
-            wm = ww * mono
-            totals[idx] += complex(np.sum(wm * bins[(slice(None),) + idx]))
-            totals_half[idx] += complex(np.sum(wm * bins_half[(slice(None),) + idx]))
+            v = (ww * mono) @ kv
+            totals[idx] += complex(v @ phases[idx]) / n_ang
+            totals_half[idx] += complex(v[::2] @ phases[idx][::2]) / (n_ang // 2)
     return totals, totals_half
 
 

@@ -87,7 +87,7 @@ def test_criterion_3_reproducing_property():
                 res = abs(vals[idx] - target) / max(abs(target), 1e-6)
                 worst = max(worst, res)
     ok, dt = _report("criterion-3 reproducing", worst, 1e-3, t0)
-    assert ok and dt < 600.0
+    assert ok and dt < 60.0
 
 
 def test_criterion_4_dirichlet_identity():

@@ -1,4 +1,6 @@
+import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from bergman.domains import SpecError
 from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
 from bergman.jets import NonFiniteError, pochhammer
 from bergman.oracle import (ConvergenceError, IntegrationError, NormEntry, NormTable,
-                            _angular_bins, _de_integrate, dirichlet_identity_check,
+                            _de_integrate, dirichlet_identity_check,
                             get_norm_table, monomial_norm, monomial_norm_full,
                             reproducing_check, reproducing_integral, series_kernel,
                             simplex_weighted_integral,
@@ -166,46 +168,77 @@ def test_reproducing_mc_agrees():
     assert abs(val - 0.4) < max(5 * sigma, 5e-3)
 
 
-def _fft_bins(kv, m):
-    """Reference for _angular_bins: full inverse FFTs of the grid and of its
-    even points, cut to bins 0..m-1."""
-    d = kv.ndim - 1
-    axes = tuple(range(1, d + 1))
-    low = (slice(None),) + (slice(None, m),) * d
-    half = (slice(None),) + (slice(None, None, 2),) * d
-    return np.fft.ifftn(kv, axes=axes)[low], np.fft.ifftn(kv[half], axes=axes)[low]
+def _lattice_sums(K, spec, idxs, p, n_rad, n_ang):
+    """Brute-force lattice means of K(p; q-bar) q^idx over every radial node
+    and lattice point, one point at a time: angles from Python integers,
+    phases from cmath, sums by math.fsum.  Returns the full-lattice and
+    even-point (half-lattice) values."""
+    z = [zc % n_ang for zc in oracle.LATTICE_GENERATORS[spec.dim]]
+    radii, weights = oracle._radial_nodes(spec, n_rad, oracle.DEFAULT_QUAD_W_RADIUS)
+    terms = {idx: ([], []) for idx in idxs}
+    for r, w in zip(radii.tolist(), weights.tolist()):
+        for i in range(n_ang):
+            theta = [2 * PI * ((i * zc) % n_ang) / n_ang for zc in z]
+            kv = complex(K(p, tuple(rc * cmath.exp(1j * t) for rc, t in zip(r, theta))))
+            for idx in idxs:
+                mono = math.prod(rc ** e for rc, e in zip(r, idx))
+                term = w * mono * kv * cmath.exp(1j * sum(e * t for e, t in zip(idx, theta)))
+                terms[idx][0].append(term)
+                if i % 2 == 0:
+                    terms[idx][1].append(term)
+
+    def mean(ts, count):
+        return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts)) / count
+
+    return ({idx: mean(full, n_ang) for idx, (full, _) in terms.items()},
+            {idx: mean(half, n_ang // 2) for idx, (_, half) in terms.items()})
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_angular_bins_match_ifftn(d):
-    rng = np.random.default_rng(40 + d)
-    n = 8 if d == 3 else 12
-    shape = (5,) + (n,) * d
-    kv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # a read-only broadcast input, as np.broadcast_to gives for a kernel
-    # that does not depend on every coordinate
-    flat = np.broadcast_to(kv[(slice(None), slice(0, 1))], shape)
-    for arr in (kv, flat):
-        for m in (1, 2, n // 4 + 1):
-            full, half = _angular_bins(arr, m)
-            want_full, want_half = _fft_bins(arr, m)
-            assert full.shape == half.shape == (5,) + (m,) * d
-            for got, want in ((full, want_full), (half, want_half)):
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_reproducing_integral_matches_fft_reference(monkeypatch):
+def test_reproducing_integral_matches_brute_force_lattice_sum():
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
     idxs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
-    grid = dict(n_rad=4, n_rad_check=3, n_ang=8)
-    vals, errs = reproducing_integral(K, spec, idxs, p, **grid)
-    monkeypatch.setattr(oracle, "_angular_bins", _fft_bins)
-    ref_vals, ref_errs = reproducing_integral(K, spec, idxs, p, **grid)
+    # 32 is the smallest lattice on which these seven bins do not alias
+    vals, errs = reproducing_integral(K, spec, idxs, p, n_rad=4, n_rad_check=3, n_ang=32)
+    full, half = _lattice_sums(K, spec, idxs, p, 4, 32)
+    check, _ = _lattice_sums(K, spec, idxs, p, 3, 32)
     for idx in idxs:
-        assert abs(vals[idx] - ref_vals[idx]) <= 1e-13
-        assert abs(errs[idx] - ref_errs[idx]) <= 1e-13
+        assert abs(vals[idx] - full[idx]) <= 1e-13
+        want_err = abs(full[idx] - check[idx]) + abs(full[idx] - half[idx])
+        assert abs(errs[idx] - want_err) <= 1e-13
+
+
+def _one_sided_alias_degree(z, n, max_degree, bound=400):
+    """Smallest total degree of a mode a >= 0 with a.z = alpha.z (mod n) and
+    a != alpha, over the bins alpha of degree <= max_degree.  With z_1 = 1,
+    each tail (a_2, ..., a_d) fixes the least a_1; every tail of degree up
+    to bound is scanned, so a result <= bound is exact."""
+    d = len(z)
+    z = np.array(z) % n
+    tails = [t for t in product(range(bound + 1), repeat=d - 1) if sum(t) <= bound]
+    tails = np.array(tails, dtype=np.int64).reshape(len(tails), d - 1)
+    best = None
+    for alpha in product(range(max_degree + 1), repeat=d):
+        if sum(alpha) > max_degree:
+            continue
+        a1 = (int(np.dot(alpha, z)) - tails @ z[1:]) % n
+        a1[(a1 == alpha[0]) & np.all(tails == alpha[1:], axis=1)] += n
+        deg = int((a1 + tails.sum(axis=1)).min())
+        best = deg if best is None else min(best, deg)
+    return best
+
+
+def test_lattice_generators_alias_degrees():
+    gens = oracle.LATTICE_GENERATORS
+    assert all(z[0] == 1 for z in gens.values())
+    assert max(oracle.LATTICE_SIZES) == 2048
+    want = {1: (2, {2048: 2048, 512: 512, 256: 256}),
+            2: (4, {2048: 293, 512: 74, 256: 37}),
+            3: (2, {2048: 128, 512: 32, 256: 16})}
+    for d, (max_degree, degrees) in want.items():
+        for n, deg in degrees.items():
+            assert _one_sided_alias_degree(gens[d], n, max_degree) == deg, (d, n)
 
 
 def test_reproducing_integral_repeated_index_counts_once():
@@ -232,6 +265,39 @@ def test_reproducing_integral_rejects_bad_arguments():
     for bad in (dict(n_rad=0), dict(n_rad_check=0), dict(chunk=0), dict(chunk=-3)):
         with pytest.raises(ValueError):
             reproducing_integral(K, spec, [(1, 0, 0)], p, **{**grid, **bad})
+
+
+@pytest.mark.parametrize("n_ang", [0, -4, 1, 12, 4096, 512.0])
+def test_reproducing_integral_rejects_bad_lattice_size(n_ang):
+    with pytest.raises(ValueError):
+        reproducing_integral(kernel_ball_disk_lift(1, 1), ball_disk_lift_spec(1, 1),
+                             [(0, 0, 0)], (0.2, 0.1, 0.3), n_ang=n_ang)
+
+
+@pytest.mark.parametrize("w_radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_reproducing_integral_rejects_bad_w_radius(w_radius):
+    K = kernel_ball_exp_lift(1, 1, (1.0,))
+    with pytest.raises(ValueError):
+        reproducing_integral(K, K.domain, [(0, 0, 0), (1, 0, 0)], (0.2, 0.1, 0.3),
+                             n_rad=6, n_rad_check=4, n_ang=8, w_radius=w_radius)
+
+
+def test_reproducing_integral_rejects_aliased_indices():
+    K = kernel_ball_disk_lift(1, 1)
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return K(p, q)
+
+    # on 16 points the 3-d generator is (1, 12, 0): bin (0, 0, 1) lands on (0, 0, 0)
+    with pytest.raises(IntegrationError):
+        reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3),
+                             n_rad=2, n_rad_check=1, n_ang=16)
+    assert not calls
+    reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3),
+                         n_rad=2, n_rad_check=1, n_ang=32)
+    assert calls
 
 
 def test_reproducing_integral_empty_indices_skip_the_kernel():
