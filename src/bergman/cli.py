@@ -9,19 +9,24 @@ usage error (malformed JSON, a non-finite or out-of-range numeric flag).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from . import catalog
 from .boundary import (Stratum, WEIGHT_NAMES, BoundaryError, default_path,
                        expected_weight, levi_min_eigenvalue, predicted_limit,
                        weighted_limit)
+# ``contains`` is not called here: the benchmark's tracer wraps it by name
 from .domains import (SamplingError, SpecError, contains, load_spec,
-                      sample_interior)
+                      points_contains, sample_interior)
 from .jets import NonFiniteError
 from .kernels import closed_form_for
 from .lifting import LiftError, compose_pipeline
@@ -58,24 +63,28 @@ def _run_cases(cases, workers: int):
         return [f.result() for f in futures]
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+def _write_csv(path, header, rows, comment=""):
+    """The CSV, after the line ``comment`` if any, to ``path`` (stdout for None)."""
+    with (open(path, "w", encoding="utf-8", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as f:
+        if comment:
+            f.write(comment + "\n")
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
 
 
 def _wire_point(value, what):
-    """A point from its JSON form, a list of [re, im] number pairs."""
-    if not isinstance(value, list) or not all(
-            isinstance(c, list) and len(c) == 2
-            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in c)
+    """A point from its JSON form, a list of [re, im] JSON numbers (not bool)."""
+    if type(value) is list and all(
+            type(c) is list and len(c) == 2
+            and type(c[0]) in (int, float) and type(c[1]) in (int, float)
             for c in value):
-        raise SpecError(f"{what} must be a list of [re, im] number pairs")
-    try:
-        return tuple(complex(re, im) for re, im in value)
-    except OverflowError:
-        raise SpecError(f"{what} is out of range") from None
+        try:
+            return tuple(complex(re, im) for re, im in value)
+        except OverflowError:
+            raise SpecError(f"{what} is out of range") from None
+    raise SpecError(f"{what} must be a list of [re, im] number pairs")
 
 
 def _load_points(path, dim):
@@ -102,78 +111,82 @@ def _load_points(path, dim):
 # eval
 
 
+def _panel_values(K, P, Q, rows, out, errors):
+    """Set out[i] to K(p_i, q_i) for the given rows of the panels P and Q
+    (shape (dim, N)) in one call; rows whose value is not finite get the
+    error NonFiniteError, and the other rows are evaluated again."""
+    rows = np.array(rows, dtype=int)
+    while len(rows):
+        try:
+            v = np.broadcast_to(K(tuple(P[:, rows]), tuple(Q[:, rows])), rows.shape)
+        except NonFiniteError as e:
+            bad = np.arange(len(rows)) if e.rows is None else e.rows
+            for i in rows[bad].tolist():
+                errors[i] = type(e).__name__
+            rows = np.delete(rows, bad)
+            continue
+        for i, x in zip(rows.tolist(), v.tolist()):
+            out[i] = x
+        return
+
+
 def cmd_eval(args) -> int:
     spec = load_spec(args.spec)
     pairs = _load_points(args.points, spec.dim)
     modes = ("closed", "lifted", "series") if args.mode == "all" else (args.mode,)
-    kernels = {}
-    if "closed" in modes:
-        k = closed_form_for(spec)
-        if k is None:
-            print("error: no hand-coded closed form matches this spec", file=sys.stderr)
-            return EXIT_INPUT
-        kernels["closed"] = k
+    kernels = {"closed": closed_form_for(spec)} if "closed" in modes else {}
+    if kernels.get("closed", True) is None:
+        print("error: no hand-coded closed form matches this spec", file=sys.stderr)
+        return EXIT_INPUT
     if "lifted" in modes:
         kernels["lifted"] = compose_pipeline(spec)
     table = get_norm_table(spec, args.cap) if "series" in modes else None
+    header = (["i"] + [f"{m}_{part}" for m in modes for part in ("re", "im")]
+              + ["series_tail"] * ("series" in modes)
+              + [f"delta_{modes[0]}_{m}" for m in modes[1:]] + ["error"])
 
-    header = ["i"]
-    for mode in modes:
-        header += [f"{mode}_re", f"{mode}_im"]
-    if "series" in modes:
-        header.append("series_tail")
-    if len(modes) > 1:
-        header += [f"delta_{modes[0]}_{m}" for m in modes[1:]]
-    header.append("error")
+    n = len(pairs)
+    P, Q = np.array(pairs, dtype=complex).reshape(n, 2, spec.dim).transpose(1, 0, 2)
+    # overflow is flagged per row, not warned of; a row failing one mode skips the rest
+    with np.errstate(all="ignore"):
+        inside = points_contains(spec, P) & points_contains(spec, Q)
+        errors = ["" if ok else "exterior" for ok in inside.tolist()]
+        vals, tails = {}, [None] * n
+        for mode in modes:
+            out = vals[mode] = [None] * n
+            todo = [i for i in range(n) if not errors[i]]
+            if mode != "series":
+                _panel_values(kernels[mode], P.T, Q.T, todo, out, errors)
+                continue
+            for i in todo:
+                try:
+                    sv = series_kernel(spec, *pairs[i], args.cap, table=table)
+                    out[i], tails[i] = complex(sv.value), sv.tail_bound
+                except (ConvergenceError, NonFiniteError, IntegrationError) as e:
+                    errors[i] = type(e).__name__
 
     rows = []
-    had_error = False
-    for i, (p, q) in enumerate(pairs):
-        vals = {}
-        err = ""
-        tail = None
-        if not (contains(spec, p) and contains(spec, q)):
-            err = "exterior"
-        else:
-            try:
-                for mode in modes:
-                    if mode == "series":
-                        sv = series_kernel(spec, p, q, args.cap, table=table)
-                        vals["series"] = complex(sv.value)
-                        tail = sv.tail_bound
-                    else:
-                        vals[mode] = complex(kernels[mode](p, q))
-            except (ConvergenceError, NonFiniteError, IntegrationError) as e:
-                err = type(e).__name__
-        row = [i]
-        for mode in modes:
-            v = vals.get(mode)
-            row += ([_fmt(v.real), _fmt(v.imag)] if v is not None else ["", ""])
+    for i in range(n):
+        got = [vals[m][i] for m in modes]
+        row = [i] + [x for v in got for x in
+                     ((_fmt(v.real), _fmt(v.imag)) if v is not None else ("", ""))]
         if "series" in modes:
-            row.append(_fmt(tail) if tail is not None else "")
-        if len(modes) > 1:
-            ref = vals.get(modes[0])
-            for m in modes[1:]:
-                v = vals.get(m)
-                if ref is not None and v is not None:
-                    row.append(_fmt(abs(v - ref) / max(abs(ref), 1e-300)))
-                else:
-                    row.append("")
-        row.append(err)
-        if err:
-            had_error = True
-        rows.append(row)
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
-    return EXIT_INPUT if had_error else EXIT_OK
+            row.append(_fmt(tails[i]) if tails[i] is not None else "")
+        ref = got[0]
+        row += [_fmt(abs(v - ref) / max(abs(ref), 1e-300))
+                if ref is not None and v is not None else "" for v in got[1:]]
+        rows.append(row + [errors[i]])
+    _write_csv(args.out, header, rows)
+    return EXIT_INPUT if any(errors) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def _case(name, measured, tol, passed=None) -> dict:
+    return {"case": name, "measured": measured, "tolerance": tol,
+            "passed": measured < tol if passed is None else passed}
 
 
 def _dirichlet_grid():
@@ -188,13 +201,11 @@ def _suite_symmetry(tol, seed):
     cases = []
     for name, (spec, K) in catalog.closed_form_families().items():
         def case(name=name, spec=spec, K=K):
-            worst = 0.0
-            for p, q in catalog.interior_pairs(spec, 1000, seed, box_radius=0.6):
-                a = complex(K(p, q))
-                b = complex(K(q, p))
-                worst = max(worst, abs(a.conjugate() - b) / max(abs(a), 1e-300))
-            return {"case": name, "measured": worst, "tolerance": tol,
-                    "passed": worst < tol}
+            P, Q = (tuple(np.array(side).T) for side in
+                    zip(*catalog.interior_pairs(spec, 1000, seed, box_radius=0.6)))
+            a, b = K(P, Q), K(Q, P)
+            worst = float(np.max(np.abs(np.conj(a) - b) / np.maximum(np.abs(a), 1e-300)))
+            return _case(name, worst, tol)
         cases.append(case)
     return cases
 
@@ -214,15 +225,11 @@ def _suite_lift_equivalence(tol, seed):
     cases = []
     for name, closed, build in fams:
         def case(name=name, closed=closed, build=build):
-            lifted = build()
-            worst = 0.0
-            for p, q in catalog.interior_pairs(closed.domain, 200, seed,
-                                               box_radius=0.6):
-                a = complex(closed(p, q))
-                b = complex(lifted(p, q))
-                worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
-            return {"case": name, "measured": worst, "tolerance": tol,
-                    "passed": worst < tol}
+            P, Q = (tuple(np.array(side).T) for side in
+                    zip(*catalog.interior_pairs(closed.domain, 200, seed, box_radius=0.6)))
+            a, b = closed(P, Q), build()(P, Q)
+            worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
+            return _case(name, worst, tol)
         cases.append(case)
     return cases
 
@@ -239,9 +246,7 @@ def _suite_series(tol, seed):
                 v = complex(K(p, q))
                 worst = max(worst, abs(v - sv.value) / max(abs(v), 1e-300))
                 worst_tail = max(worst_tail, sv.tail_bound)
-            passed = worst < tol and worst_tail < 1e-4
-            return {"case": name, "measured": worst, "tolerance": tol,
-                    "passed": passed}
+            return _case(name, worst, tol, worst < tol and worst_tail < 1e-4)
         cases.append(case)
     return cases
 
@@ -252,8 +257,7 @@ def _suite_dirichlet(tol, seed):
         def case(s=s, k=k, c=c):
             quad, closed = dirichlet_identity_check(s, c, k)
             err = abs(quad - closed) / max(abs(closed), 1e-300)
-            return {"case": f"s={s},k={k},c={c}", "measured": err,
-                    "tolerance": tol, "passed": err < tol}
+            return _case(f"s={s},k={k},c={c}", err, tol)
         cases.append(case)
     return cases
 
@@ -279,8 +283,7 @@ def _suite_reproducing(tol, seed):
                         target *= complex(pj) ** e
                     res = abs(vals[idx] - target) / max(abs(target), 1e-6)
                     worst = max(worst, res)
-                return {"case": f"{name}@{_fmt(abs(p[0]))}", "measured": worst,
-                        "tolerance": tol, "passed": worst < tol}
+                return _case(f"{name}@{_fmt(abs(p[0]))}", worst, tol)
             cases.append(case)
     return cases
 
@@ -290,22 +293,18 @@ def _suite_levi(tol, seed):
 
     def ball_case():
         v = levi_min_eigenvalue(ball_spec(2), (1.0, 0.0))
-        err = abs(v - 1.0)
-        return {"case": "ball2", "measured": err, "tolerance": 1e-4,
-                "passed": err < 1e-4}
+        return _case("ball2", abs(v - 1.0), 1e-4)
 
     def s1_case():
         spec = ball_disk_lift_spec(1, 1)
         z = math.sqrt((1 - 0.09) * (1 - 0.25))
         v = levi_min_eigenvalue(spec, (z, 0.5, 0.3))
-        return {"case": "ball-disk-lift-S1", "measured": v, "tolerance": 0.0,
-                "passed": v > 0.0}
+        return _case("ball-disk-lift-S1", v, 0.0, v > 0.0)
 
     def weak_case():
         spec = ball_exp_lift_spec(1, 1, (1.0,))
         v = levi_min_eigenvalue(spec, (0.0, 1.0, 0.4))
-        return {"case": "ball-exp-lift-weak", "measured": abs(v), "tolerance": 1e-6,
-                "passed": abs(v) < 1e-6}
+        return _case("ball-exp-lift-weak", abs(v), 1e-6)
 
     return [ball_case, s1_case, weak_case]
 
@@ -325,20 +324,17 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else default_tol
     cases = builder(tol, args.seed)
     results = _run_cases(cases, args.workers)
+    n_fail = sum(not r["passed"] for r in results)
     rows = []
-    n_fail = 0
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
-        if not r["passed"]:
-            n_fail += 1
         print(f"{status} {args.suite} {r['case']} measured={_fmt(r['measured'])} "
               f"tolerance={_fmt(r['tolerance'])}")
         rows.append([args.suite, r["case"], _fmt(r["measured"]),
                      _fmt(r["tolerance"]), status])
     print(f"{args.suite}: {len(results) - n_fail}/{len(results)} passed")
     if args.out:
-        _write_csv(args.out, ["suite", "case", "measured", "tolerance", "status"],
-                   rows)
+        _write_csv(args.out, ["suite", "case", "measured", "tolerance", "status"], rows)
     return EXIT_VERIFY if n_fail else EXIT_OK
 
 
@@ -379,24 +375,14 @@ def cmd_sample(args) -> int:
     spec = load_spec(args.spec)
     res = sample_interior(spec, args.count, seed=args.seed,
                           w_radius=args.w_radius, box_radius=args.box_radius)
-    header = ["i"]
-    for j in range(spec.dim):
-        header += [f"c{j}_re", f"c{j}_im"]
-    rows = []
-    for i, pt in enumerate(res.points):
-        row = [i]
-        for c in pt:
-            row += [_fmt(c.real), _fmt(c.imag)]
-        rows.append(row)
-    out = args.out
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
-                    f"volume_estimate={_fmt(res.volume_estimate)} "
-                    f"draws={res.draws} truncated_w={res.truncated_w}\n")
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
+    header = ["i"] + [f"c{j}_{part}" for j in range(spec.dim) for part in ("re", "im")]
+    rows = [[i] + [_fmt(x) for c in pt for x in (c.real, c.imag)]
+            for i, pt in enumerate(res.points)]
+    if args.out:
+        _write_csv(args.out, header, rows,
+                   f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
+                   f"volume_estimate={_fmt(res.volume_estimate)} "
+                   f"draws={res.draws} truncated_w={res.truncated_w}")
     print(f"accepted={len(res.points)} acceptance_ratio={_fmt(res.acceptance_ratio)} "
           f"volume_estimate={_fmt(res.volume_estimate)}")
     return EXIT_OK
@@ -465,9 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per value of BERGMAN_WORKERS, the --workers default
+_parser = functools.lru_cache(maxsize=4)(lambda workers_env: build_parser())
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser(os.environ.get("BERGMAN_WORKERS")).parse_args(argv)
     try:
         return args.fn(args)
     except (SpecError, SamplingError, BoundaryError, LiftError,

@@ -227,7 +227,7 @@ def _squared_moduli(spec: DomainSpec, p) -> list:
     p = tuple(p)
     if len(p) != spec.dim:
         raise SpecError(f"point has {len(p)} coordinates, spec has {spec.dim}")
-    return [np.float64(abs(complex(c))) ** 2 for c in p]
+    return [a * a for a in (np.float64(abs(complex(c))) for c in p)]
 
 
 def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
@@ -239,6 +239,12 @@ def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
 def contains(spec: DomainSpec, p) -> bool:
     """Strict membership of a point in the open domain."""
     return bool(_inside(spec, _squared_moduli(spec, p)))
+
+
+def points_contains(spec: DomainSpec, P: np.ndarray) -> np.ndarray:
+    """``contains`` of every row of the complex panel P (shape (N, dim)):
+    Python's abs of a complex is libm's hypot, squared by one product."""
+    return shadow_contains(spec, np.hypot(P.real, P.imag) ** 2)
 
 
 def shadow_defining(spec: DomainSpec, X: np.ndarray):
@@ -331,6 +337,9 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
+    given = (w_radius,) if box_radius is None else (w_radius, box_radius)
+    if not all(math.isfinite(r) and r > 0 for r in given):
+        raise ValueError("w_radius and box_radius must be finite and positive")
     radii = box_radii(spec, w_radius)
     if box_radius is not None:
         radii = tuple(min(r, float(box_radius)) for r in radii)

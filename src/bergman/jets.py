@@ -36,7 +36,9 @@ class BranchCutError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A numeric operation produced NaN or an infinity."""
+    """A numeric operation produced NaN or an infinity.  ``rows`` holds the
+    indices of the non-finite rows of a panel, None when not known."""
+    rows = None
 
 
 class JetOrderError(ValueError):

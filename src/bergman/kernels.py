@@ -72,7 +72,10 @@ class Kernel:
         except (ZeroDivisionError, OverflowError) as e:
             raise NonFiniteError(f"{self.name} overflowed: {e}") from None
         if not _all_finite(val):
-            raise NonFiniteError(f"{self.name} overflowed (value not finite)")
+            err = NonFiniteError(f"{self.name} overflowed (value not finite)")
+            if isinstance(val, np.ndarray) and val.ndim == 1:
+                err.rows = np.flatnonzero(~np.isfinite(val))
+            raise err
         return val
 
     def diagonal(self, p):

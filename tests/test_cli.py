@@ -1,14 +1,23 @@
+import csv
+import io
 import json
 import math
 import os
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.cli import _load_points, main
-from bergman.catalog import disk_spec, ball_disk_lift_spec
-from bergman.domains import SpecError, spec_to_dict
+import bergman.cli as cli
+from bergman.cli import _fmt, _load_points, main
+from bergman.catalog import (ball_disk_lift_spec, ball_exp_lift_spec, chain_stage_spec,
+                             closed_form_families, disk_spec, interior_pairs)
+from bergman.domains import SpecError, contains, points_contains, spec_to_dict
+from bergman.kernels import Kernel, closed_form_for, kernel_ball
+from bergman.lifting import compose_pipeline
+from bergman.oracle import series_kernel
 
 
 @pytest.fixture
@@ -94,6 +103,154 @@ def test_eval_deterministic_bytes(lifted_ball_file, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _wire(p):
+    return [[float(c.real), float(c.imag)] for c in p]
+
+
+def _eval_rows(tmp_path, spec, entries, mode, *extra):
+    """Run ``eval`` on a spec and a list of points-file entries; returns
+    the exit code and the CSV rows as dicts."""
+    specf, ptsf = tmp_path / "spec.json", tmp_path / "pts.json"
+    specf.write_text(json.dumps(spec_to_dict(spec)))
+    ptsf.write_text(json.dumps(entries))
+    out = tmp_path / "eval.csv"
+    rc = main(["eval", "--spec", str(specf), "--points", str(ptsf), "--mode", mode,
+               "--out", str(out), *extra])
+    return rc, list(csv.DictReader(io.StringIO(out.read_text())))
+
+
+def _value(row, mode):
+    return complex(float(row[f"{mode}_re"]), float(row[f"{mode}_im"]))
+
+
+_PANEL_SPECS = dict({f"stage{k}": chain_stage_spec(k) for k in range(2, 7)},
+                    **{name: spec for name, (spec, _) in closed_form_families().items()})
+
+
+@pytest.mark.parametrize("name", sorted(_PANEL_SPECS))
+def test_eval_panel_matches_one_point_kernel(tmp_path, name):
+    # one kernel call over the panel; each value within round-off of the
+    # kernel evaluated at its pair alone
+    spec = _PANEL_SPECS[name]
+    pairs = [(tuple(complex(c) for c in p), tuple(complex(c) for c in q))
+             for p, q in interior_pairs(spec, 200, seed=41)]
+    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
+    kernels = {"lifted": compose_pipeline(spec), "closed": closed_form_for(spec)}
+    for mode, K in kernels.items():
+        if K is None:
+            continue
+        rc, rows = _eval_rows(tmp_path, spec, entries, mode)
+        assert rc == 0 and len(rows) == len(pairs)
+        for row, (p, q) in zip(rows, pairs):
+            want = complex(K(p, q))
+            assert abs(_value(row, mode) - want) <= 4e-15 * abs(want), (name, mode, row)
+
+
+@pytest.mark.parametrize("spec", [chain_stage_spec(6), ball_disk_lift_spec(1, 2),
+                                  ball_exp_lift_spec(1, 2, (2.0,))],
+                         ids=["stage6", "ball_disk_lift_12", "ball_exp_lift_12_g2"])
+def test_eval_exterior_flags_equal_contains(tmp_path, spec):
+    # 10^4 rows: a box around the domain (exterior rows, U-step rows with
+    # ||w|| >= 1, V-step rows whose e^{|w|^2} overflows) and pairs of rows
+    # on either side of the boundary, a scale bisected to adjacent floats
+    rng = np.random.default_rng(23)
+    box = rng.uniform(-1.1, 1.1, size=(6000, spec.dim, 2)) @ np.array([1.0, 1j])
+    box[:300, spec.v_w_indices()] *= 30.0
+    ray = rng.uniform(-1.0, 1.0, size=(2000, spec.dim, 2)) @ np.array([1.0, 1j])
+    lo, hi = np.zeros(len(ray)), np.full(len(ray), 2.0)
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            inside = points_contains(spec, ray * mid[:, None])
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    pts = np.concatenate([box, ray * lo[:, None], ray * hi[:, None]])
+    rc, rows = _eval_rows(tmp_path, spec, [_wire(p) for p in pts], "lifted")
+    assert rc == 2 and len(rows) == 10 ** 4
+    with np.errstate(all="ignore"):
+        want = [not contains(spec, tuple(p)) for p in pts]
+    assert [row["error"] == "exterior" for row in rows] == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_eval_mixed_file_keeps_interior_values(tmp_path):
+    spec = ball_disk_lift_spec(1, 1)
+    pairs = interior_pairs(spec, 30, seed=5)
+    inner = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
+    rc, alone = _eval_rows(tmp_path, spec, inner, "closed")
+    assert rc == 0
+    # exterior rows: outside, not a number, and |c| beyond the float range
+    # (Python's abs raises OverflowError there)
+    outer = [[[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[1.5e308, 1.5e308], [0.0, 0.0], [0.0, 0.0]]]
+    mixed = []
+    for i, entry in enumerate(inner):
+        mixed.append(entry)
+        if i % 10 == 0:
+            mixed.append({"p": entry["p"], "q": outer[i // 10]})
+    rc, rows = _eval_rows(tmp_path, spec, mixed, "closed")
+    assert rc == 2
+    kept = [r for r in rows if not r["error"]]
+    assert [r["error"] for r in rows if r["error"]] == ["exterior"] * 3
+    assert all(r["closed_re"] == r["closed_im"] == "" for r in rows if r["error"])
+    assert len(kept) == len(alone)
+    for a, b in zip(kept, alone):
+        want = _value(b, "closed")
+        assert abs(_value(a, "closed") - want) <= 4e-15 * abs(want)
+
+
+def test_eval_non_finite_row_flagged_alone(disk_files, tmp_path, monkeypatch, capsys):
+    # a kernel that divides by zero on the row with p = 0.25: that row is
+    # marked, the other rows keep their values, and numpy does not warn
+    disk = kernel_ball(1)
+
+    def fn(p, cq):
+        return np.where(p[0] == 0.25, np.divide(1.0, p[0] - 0.25), disk.fn(p, cq))
+
+    monkeypatch.setattr(cli, "closed_form_for",
+                        lambda spec: Kernel(fn, n=1, domain=spec, name="poles"))
+    ps = [0.1, 0.3j, 0.25, -0.2, 0.05 + 0.1j]
+    entries = [{"p": _wire((p,)), "q": _wire((0.2 - 0.1j,))} for p in ps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, rows = _eval_rows(tmp_path, disk_spec(), entries, "closed")
+    assert rc == 2
+    assert capsys.readouterr().err == ""
+    for row, p in zip(rows, ps):
+        if p == 0.25:
+            assert row["closed_re"] == row["closed_im"] == ""
+            assert row["error"] == "NonFiniteError"
+        else:
+            want = complex(disk((p,), (0.2 - 0.1j,)))
+            assert row["error"] == ""
+            assert abs(_value(row, "closed") - want) <= 4e-15 * abs(want)
+
+
+def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
+    # the series route stays one pair at a time: its columns are the
+    # formatted values of series_kernel itself
+    spec = ball_disk_lift_spec(1, 1)
+    pairs = interior_pairs(spec, 8, seed=13)
+    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
+    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", "20")
+    assert rc == 0
+    for row, (p, q) in zip(rows, pairs):
+        sv = series_kernel(spec, tuple(complex(c) for c in p),
+                           tuple(complex(c) for c in q), 20)
+        v = complex(sv.value)
+        assert (row["series_re"], row["series_im"], row["series_tail"]) == \
+            (_fmt(v.real), _fmt(v.imag), _fmt(sv.tail_bound))
+
+
+def test_main_reads_workers_env_on_every_call(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_run_cases", lambda cases, workers: seen.append(workers) or [])
+    for value in ("2", "3", "2"):
+        monkeypatch.setenv("BERGMAN_WORKERS", value)
+        assert main(["verify", "--suite", "levi"]) == 0
+    assert seen == [2, 3, 2]
 
 
 def test_verify_dirichlet_passes(capsys):

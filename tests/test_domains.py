@@ -111,6 +111,15 @@ def test_sample_count_zero_rejected():
         sample_interior(disk_spec(), 0)
 
 
+@pytest.mark.parametrize("radius", ["w_radius", "box_radius"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_sample_rejects_bad_radius(radius, value):
+    # w_radius 0 gave a sample with w = 0, -1 mirrored the box, and nan or
+    # inf made max_draws draws before failing
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_interior(ball_exp_lift_spec(1, 1, (1.0,)), 10, seed=1, **{radius: value})
+
+
 def test_sample_deterministic_for_seed():
     a = sample_interior(ball_disk_lift_spec(1, 1), 500, seed=9).points
     b = sample_interior(ball_disk_lift_spec(1, 1), 500, seed=9).points
@@ -166,7 +175,7 @@ def test_contains_iff_defining_negative():
         # V-step rows with |w| ~ 30, where e^{gamma |w|^2} overflows; the box
         # itself gives U-step rows with ||w|| >= 1
         pts[:500, spec.v_w_indices()] *= 30.0
-        X = np.array([[abs(c) ** 2 for c in row] for row in pts])
+        X = np.array([[abs(c) * abs(c) for c in row] for row in pts])
         member = shadow_contains(spec, X)
         r, valid = shadow_defining(spec, X)
         with np.errstate(invalid="ignore"):

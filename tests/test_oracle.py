@@ -168,6 +168,16 @@ def test_reproducing_mc_agrees():
     assert abs(val - 0.4) < max(5 * sigma, 5e-3)
 
 
+@pytest.mark.parametrize("w_radius", [0.0, -1.0, math.nan])
+def test_reproducing_mc_rejects_bad_w_radius(w_radius):
+    # 0 returned the value 0 with standard error 0, -1 returned 0.711 where
+    # the value is 1, nan made 1e8 draws before failing
+    K = kernel_ball_exp_lift(1, 1, (1.0,))
+    with pytest.raises(ValueError, match="finite and positive"):
+        stratified_mc_reproducing(K, K.domain, (0, 0, 0), (0.2, 0.1, 0.3),
+                                  samples=2000, w_radius=w_radius)
+
+
 def _lattice_sums(K, spec, idxs, p, n_rad, n_ang):
     """Brute-force lattice means of K(p; q-bar) q^idx over every radial node
     and lattice point, one point at a time: angles from Python integers,
