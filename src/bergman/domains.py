@@ -29,6 +29,7 @@ KIND_ELLIPSOID = "GeneralizedComplexEllipsoid"
 KIND_POLYDISK = "Polydisk"
 
 SAMPLE_BATCH = 1 << 16
+SAMPLE_CHUNK = 1 << 12      # rows drawn and tested at a time, in a batch's stream
 DEFAULT_W_RADIUS = 3.0
 
 
@@ -351,16 +352,14 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     while n_total < count:
         rng = _batch_generator(seed, batch)
         batch += 1
-        u = rng.uniform(-1.0, 1.0, size=(SAMPLE_BATCH, spec.dim, 2))
-        pts = u[:, :, 0] + 1j * u[:, :, 1]
-        del u                       # with the in-place scaling, two batch arrays at most
-        pts *= rad
+        # chunk-sized temporaries: batch-sized ones landed wherever the heap
+        # had room, so the peak memory varied with the heap's layout
+        for _ in range(SAMPLE_BATCH // SAMPLE_CHUNK):
+            u = rng.uniform(-1.0, 1.0, size=(SAMPLE_CHUNK, spec.dim, 2))
+            pts = (u[:, :, 0] + 1j * u[:, :, 1]) * rad
+            accepted.append(pts[shadow_contains(spec, np.abs(pts) ** 2)])
+            n_total += len(accepted[-1])
         draws += SAMPLE_BATCH
-        keep = shadow_contains(spec, np.abs(pts) ** 2)
-        got = pts[keep]
-        if len(got):
-            accepted.append(got)
-            n_total += len(got)
         if draws >= max_draws and n_total < max(1, draws * 1e-6):
             raise SamplingError(
                 f"acceptance ratio below 1e-6 after {draws} draws")
