@@ -37,6 +37,7 @@ from .oracle import (ConvergenceError, IntegrationError, compositions,
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+EVAL_BLOCK = 4096       # rows per eval kernel call: memory does not grow with the file
 
 SUITES = ("symmetry", "reproducing", "series", "dirichlet",
           "lift-equivalence", "levi")
@@ -113,21 +114,23 @@ def _load_points(path, dim):
 
 def _panel_values(K, P, Q, rows, out, errors):
     """Set out[i] to K(p_i, q_i) for the given rows of the panels P and Q
-    (shape (dim, N)) in one call; rows whose value is not finite get the
-    error NonFiniteError, and the other rows are evaluated again."""
-    rows = np.array(rows, dtype=int)
-    while len(rows):
-        try:
-            v = np.broadcast_to(K(tuple(P[:, rows]), tuple(Q[:, rows])), rows.shape)
-        except NonFiniteError as e:
-            bad = np.arange(len(rows)) if e.rows is None else e.rows
-            for i in rows[bad].tolist():
-                errors[i] = type(e).__name__
-            rows = np.delete(rows, bad)
-            continue
-        for i, x in zip(rows.tolist(), v.tolist()):
-            out[i] = x
-        return
+    (shape (dim, N)), one call per block of EVAL_BLOCK rows; rows whose value
+    is not finite get the error NonFiniteError, and the other rows of their
+    block are evaluated again."""
+    for start in range(0, len(rows), EVAL_BLOCK):
+        block = np.array(rows[start:start + EVAL_BLOCK], dtype=int)
+        while len(block):
+            try:
+                v = np.broadcast_to(K(tuple(P[:, block]), tuple(Q[:, block])), block.shape)
+            except NonFiniteError as e:
+                bad = np.arange(len(block)) if e.rows is None else e.rows
+                for i in block[bad].tolist():
+                    errors[i] = type(e).__name__
+                block = np.delete(block, bad)
+                continue
+            for i, x in zip(block.tolist(), v.tolist()):
+                out[i] = x
+            break
 
 
 def cmd_eval(args) -> int:
@@ -418,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--mode", default="all",
                     choices=("closed", "lifted", "series", "all"))
     pe.add_argument("--cap", type=_nonnegative, default=40, help="series degree cap")
-    pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default=None, help="output CSV path")
     pe.set_defaults(fn=cmd_eval)
 

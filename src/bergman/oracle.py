@@ -36,6 +36,7 @@ from .jets import NonFiniteError, pochhammer
 DEFAULT_QUAD_W_RADIUS = 4.5
 # largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
+SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
 
 
 class IntegrationError(RuntimeError):
@@ -227,8 +228,9 @@ def compositions(total: int, parts: int):
 
 class NormTable:
     """Monomial squared norms for one spec: the ``entries`` dict, and the
-    same index set as a degree-sorted exponent matrix with its norm vector
-    and the first row ``offsets[d]`` of each degree shell d."""
+    same index set as a degree-sorted exponent matrix with its norm vector,
+    the first row ``offsets[d]`` of each degree shell d, and ``gather``,
+    each exponent's flat index into a (dim, cap + 1) array of powers."""
 
     def __init__(self, spec: DomainSpec | None, entries: dict):
         self.spec = spec
@@ -245,6 +247,7 @@ class NormTable:
         if any(b - a != math.comb(d + dim - 1, dim - 1)
                for d, (a, b) in enumerate(zip(self.offsets, self.offsets[1:]))):
             raise SpecError("norm table misses monomials below its largest degree")
+        self.gather = self.exponents + np.arange(dim) * (self.degree_cap() + 1)
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
@@ -322,10 +325,11 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                   shell_tol: float = 1e-9) -> SeriesValue:
     """Kernel value as the monomial series sum (p q-bar)^a / ||z^a||^2.
 
-    All terms of degree <= degree_cap come from one numpy pass over the
-    table's exponent matrix; each degree shell is summed with math.fsum,
-    up to two shells in a row below shell_tol of the running sum.  The tail
-    bound extrapolates the last two shells geometrically.  Shells that stop
+    Terms are computed SHELL_BLOCK degree shells at a time, each block one
+    numpy gather of the table's cumulative powers; each degree shell is
+    summed with math.fsum, up to two shells in a row below shell_tol of the
+    running sum, and later blocks are never computed.  The tail bound
+    extrapolates the last two shells geometrically.  Shells that stop
     decaying raise ConvergenceError, an overflowing sum NonFiniteError.
     """
     p = tuple(complex(c) for c in p)
@@ -339,27 +343,29 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     if table.exponents.shape[1] != spec.dim or table.degree_cap() < degree_cap:
         raise SpecError(f"norm table (dimension {table.exponents.shape[1]}, degree "
                         f"cap {table.degree_cap()}) does not cover this series")
-    n = table.offsets[degree_cap + 1]
-    pows = np.ones((spec.dim, degree_cap + 1), dtype=complex)
+    pows = np.ones((spec.dim, table.degree_cap() + 1), dtype=complex)
     pows[:, 1:] = np.array([pj * qj.conjugate() for pj, qj in zip(p, q)])[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pows = np.cumprod(pows, axis=1)
-        terms = pows[np.arange(spec.dim), table.exponents[:n]].prod(axis=1)
-        # memoryview slices give fsum Python floats without a list copy
-        re = memoryview(terms.real / table.norms[:n])
-        im = memoryview(terms.imag / table.norms[:n])
     shells = []
     running = 0j
     cap_used = degree_cap
-    for deg in range(degree_cap + 1):
-        a, b = table.offsets[deg], table.offsets[deg + 1]
-        shell = _fsum(re[a:b], im[a:b])
-        shells.append(shell)
-        running += shell
-        if deg >= 2 and abs(shells[-1]) < shell_tol * abs(running) \
-                and abs(shells[-2]) < shell_tol * abs(running):
-            cap_used = deg
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        pows = np.cumprod(pows, axis=1).ravel()
+        for deg in range(degree_cap + 1):
+            if deg % SHELL_BLOCK == 0:
+                a = table.offsets[deg]
+                b = table.offsets[min(deg + SHELL_BLOCK, degree_cap + 1)]
+                terms = np.take(pows, table.gather[a:b]).prod(axis=1)
+                # memoryview slices give fsum Python floats without a list copy
+                re = memoryview(terms.real / table.norms[a:b])
+                im = memoryview(terms.imag / table.norms[a:b])
+            lo, hi = table.offsets[deg] - a, table.offsets[deg + 1] - a
+            shell = _fsum(re[lo:hi], im[lo:hi])
+            shells.append(shell)
+            running += shell
+            if deg >= 2 and abs(shells[-1]) < shell_tol * abs(running) \
+                    and abs(shells[-2]) < shell_tol * abs(running):
+                cap_used = deg
+                break
     mags = [abs(s) for s in shells]
     tail = 0.0
     if len(mags) >= 2 and mags[-1] > 0.0:

@@ -228,6 +228,43 @@ def test_eval_non_finite_row_flagged_alone(disk_files, tmp_path, monkeypatch, ca
             assert abs(_value(row, "closed") - want) <= 4e-15 * abs(want)
 
 
+def test_eval_row_blocks_match_one_call(tmp_path, monkeypatch):
+    # blocks of 3 interior rows: the exterior row (3) and the non-finite
+    # row (7) fall in different blocks, and the CSV is byte for byte the
+    # one-call run's
+    spec = chain_stage_spec(4)
+    lifted = compose_pipeline(spec)
+    pairs = interior_pairs(spec, 10, seed=17)
+    pole = pairs[7][0][0]
+
+    def fn(p, cq):
+        return np.where(p[0] == pole, np.divide(1.0, p[0] - pole), lifted.fn(p, cq))
+
+    monkeypatch.setattr(cli, "compose_pipeline",
+                        lambda s: Kernel(fn, lifted.n, lifted.m, lifted.w_dims, s, "poles"))
+    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
+    entries[3]["q"] = [[2.0, 0.0]] + entries[3]["q"][1:]
+    runs = []
+    for block in (cli.EVAL_BLOCK, 3):
+        monkeypatch.setattr(cli, "EVAL_BLOCK", block)
+        rc, rows = _eval_rows(tmp_path, spec, entries, "lifted")
+        runs.append((rc, (tmp_path / "eval.csv").read_bytes()))
+    assert [r["error"] for r in rows] == [""] * 3 + ["exterior"] + [""] * 3 \
+        + ["NonFiniteError"] + [""] * 2
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2
+
+
+def test_eval_seed_flag_removed(lifted_ball_file, tmp_path, capsys):
+    # eval uses no randomness; --seed was parsed and never read
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps([[[0.1, 0.0], [0.2, 0.0], [0.1, 0.0]]]))
+    argv = ["eval", "--spec", str(lifted_ball_file), "--points", str(pts)]
+    assert _exit_code(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert _exit_code(argv + ["--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
     # the series route stays one pair at a time: its columns are the
     # formatted values of series_kernel itself

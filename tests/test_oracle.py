@@ -1,12 +1,13 @@
 import cmath
 import math
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
 from bergman import oracle
-from bergman.catalog import (ball_spec, closed_form_families, egg_spec,
+from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              polydisk_spec)
 from bergman.domains import SpecError
@@ -420,6 +421,95 @@ def test_series_from_csv_table_is_bitwise_equal(tmp_path):
     b = series_kernel(spec, p, q, 20, table=again)
     assert (a.value, a.tail_bound, a.cap_used, a.shells) == \
         (b.value, b.tail_bound, b.cap_used, b.shells)
+
+
+def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9):
+    """series_kernel as one numpy pass over every term up to the cap."""
+    p = tuple(complex(c) for c in p)
+    q = tuple(complex(c) for c in q)
+    n = table.offsets[degree_cap + 1]
+    pows = np.ones((spec.dim, degree_cap + 1), dtype=complex)
+    pows[:, 1:] = np.array([pj * qj.conjugate() for pj, qj in zip(p, q)])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pows = np.cumprod(pows, axis=1)
+        terms = pows[np.arange(spec.dim), table.exponents[:n]].prod(axis=1)
+        re = memoryview(terms.real / table.norms[:n])
+        im = memoryview(terms.imag / table.norms[:n])
+    shells = []
+    running = 0j
+    cap_used = degree_cap
+    for deg in range(degree_cap + 1):
+        a, b = table.offsets[deg], table.offsets[deg + 1]
+        shell = oracle._fsum(re[a:b], im[a:b])
+        shells.append(shell)
+        running += shell
+        if deg >= 2 and abs(shells[-1]) < shell_tol * abs(running) \
+                and abs(shells[-2]) < shell_tol * abs(running):
+            cap_used = deg
+            break
+    mags = [abs(s) for s in shells]
+    tail = 0.0
+    if len(mags) >= 2 and mags[-1] > 0.0:
+        ratio = mags[-1] / mags[-2] if mags[-2] > 0.0 else math.inf
+        if ratio < 1.0:
+            tail = mags[-1] * ratio / (1.0 - ratio)
+        elif mags[-1] > shell_tol * max(abs(running), 1e-300):
+            raise ConvergenceError(
+                "series shells are not decaying; point too close to the boundary")
+        else:
+            tail = mags[-1]
+    value = oracle._fsum([s.real for s in shells], [s.imag for s in shells])
+    return oracle.SeriesValue(value=value, tail_bound=tail, cap_used=cap_used,
+                              shells=shells)
+
+
+def _outcome(fn, *args, **kw):
+    # repr of a float round-trips and tells -0.0 from 0.0: equal reprs are bitwise equal
+    try:
+        sv = fn(*args, **kw)
+    except (ConvergenceError, NonFiniteError) as e:
+        return repr((type(e), str(e)))
+    return repr((sv.value, sv.tail_bound, sv.cap_used, sv.shells))
+
+
+def test_series_blocks_bitwise_equal_one_pass():
+    specs = dict(closed_form_families())
+    specs.update({f"stage{k}": (chain_stage_spec(k), None) for k in (2, 3, 4)})
+    caps = set()
+    for name, (spec, _) in specs.items():
+        table = get_norm_table(spec, 30)
+        pairs = (interior_pairs(spec, 8, seed=31)
+                 + interior_pairs(spec, 8, seed=32, box_radius=None))
+        for (p, q), tol in product(pairs, (1e-9, 0.0)):
+            want = _outcome(_series_one_pass, spec, p, q, 30, table, shell_tol=tol)
+            got = _outcome(series_kernel, spec, p, q, 30, table=table, shell_tol=tol)
+            assert got == want, name
+        # a cap-30 table read at lower caps
+        for (p, q), cap in product(pairs, (13, 17)):
+            want = _outcome(_series_one_pass, spec, p, q, cap, table)
+            got = _outcome(series_kernel, spec, p, q, cap, table=table)
+            assert got == want, (name, cap)
+    # early exits on both sides of the first two block edges
+    edge = oracle.SHELL_BLOCK
+    for spec, base in ((disk_spec(), (1,)), (specs["stage3"][0], (1, 0.5j, -0.3))):
+        table = get_norm_table(spec, 30)
+        for t in np.linspace(0.01, 0.5, 50):
+            p = tuple(t * b for b in base)
+            got = _outcome(series_kernel, spec, p, p, 30, table=table)
+            assert got == _outcome(_series_one_pass, spec, p, p, 30, table)
+            caps.add(series_kernel(spec, p, p, 30, table=table).cap_used)
+    assert {edge - 1, edge, 2 * edge - 1, 2 * edge} <= caps
+    # a huge degree-0 term makes the sum exit at degree 2; the terms of
+    # degrees 7 (same block as the exit) and 20 (a later block) overflow to inf
+    norms = {0: 1e-12, 7: 5e-324, 20: 5e-324}
+    entries = {(d,): NormEntry(norms.get(d, 1.0), 0.0, "quadrature") for d in range(31)}
+    table = NormTable(disk_spec(), entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sv = series_kernel(disk_spec(), (0.5,), (0.5,), 30, table=table)
+    assert sv.cap_used == 2
+    assert _outcome(series_kernel, disk_spec(), (0.5,), (0.5,), 30, table=table) == \
+        _outcome(_series_one_pass, disk_spec(), (0.5,), (0.5,), 30, table)
 
 
 def test_series_rejects_short_or_incomplete_table():
