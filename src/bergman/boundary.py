@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (KIND_ELLIPSOID, DomainSpec, contains,
-                      defining_function, unwound_point)
+# contains is not called here; perfbench's tracer wraps it as boundary.contains
+from .domains import (KIND_ELLIPSOID, DomainSpec, contains,  # noqa: F401
+                      defining_function, points_contains, unwound_point)
 from .jets import NonFiniteError
 
 
@@ -45,19 +46,16 @@ def _single_lift(spec: DomainSpec, kinds=("U",)):
 
 def _wirtinger_gradient(spec: DomainSpec, p, indices, step: float) -> np.ndarray:
     """Central-difference Wirtinger gradient of the defining function,
-    d r / d z_j = (d_x - i d_y)/2, for j in ``indices``."""
-    p = [complex(c) for c in p]
-    grad = np.empty(len(indices), dtype=complex)
-    for k, j in enumerate(indices):
-        vals = []
-        for dz in (step, -step, 1j * step, -1j * step):
-            q = list(p)
-            q[j] = q[j] + dz
-            vals.append(defining_function(spec, q))
-        dx = (vals[0] - vals[1]) / (2 * step)
-        dy = (vals[2] - vals[3]) / (2 * step)
-        grad[k] = 0.5 * (dx - 1j * dy)
-    return grad
+    d r / d z_j = (d_x - i d_y)/2, for j in ``indices``; the four stencil
+    points of every j are one panel."""
+    indices = list(indices)
+    P = np.tile(np.array(p, dtype=complex), (4 * len(indices), 1))
+    P[np.arange(len(P)), np.repeat(indices, 4)] += np.tile(
+        [step, -step, 1j * step, -1j * step], len(indices))
+    v = defining_function(spec, P.T)
+    dx = (v[0::4] - v[1::4]) / (2 * step)
+    dy = (v[2::4] - v[3::4]) / (2 * step)
+    return 0.5 * (dx - 1j * dy)
 
 
 def star_gradient(spec: DomainSpec, p, step: float = 1e-6) -> np.ndarray:
@@ -99,24 +97,23 @@ def _region_w2(spec: DomainSpec, q_exp: float):
         raise BoundaryError("boundary probes need an ellipsoid base")
     n = spec.base.n_star
 
-    def ok(p) -> bool:
+    def ok(p):
         x, r, valid = unwound_point(spec, p)
         lhs = 0.0
         for c, xj, pj in zip(p[:n], x, spec.base.exponents):
-            rj = pj * xj ** (pj - 1.0) if xj > 0 else (pj if pj == 1.0 else 0.0)
+            rj = np.where(xj > 0, pj * xj ** (pj - 1.0), pj if pj == 1.0 else 0.0)
             lhs += (abs(c) ** 2 * rj) ** q_exp
-        return valid and lhs < -r
+        return valid & (lhs < -r)
 
     return ok
 
 
 def _region_w3(spec: DomainSpec, p_exps):
-    def ok(p) -> bool:
+    def ok(p):
         z, _, (w,) = spec.split(p)
         dw = 1.0 - abs(w[0]) ** 2
-        if dw <= 0.0:
-            return False
-        return all(abs(c) ** 2 / dw ** pj < 1.0 for c, pj in zip(z, p_exps))
+        return (dw > 0.0) & np.all([abs(c) ** 2 / dw ** pj < 1.0
+                                    for c, pj in zip(z, p_exps)], axis=0)
 
     return ok
 
@@ -124,10 +121,10 @@ def _region_w3(spec: DomainSpec, p_exps):
 def _region_ws_v(spec: DomainSpec, s_exps):
     step = spec.lifts[0]
 
-    def ok(p) -> bool:
+    def ok(p):
         z, zp, (w,) = spec.split(p)
         t = abs(w[0]) ** 2
-        lhs = sum(math.exp(g * t) * abs(c) ** (2.0 * s)
+        lhs = sum(np.exp(g * t) * abs(c) ** (2.0 * s)
                   for c, g, s in zip(z, step.weights, s_exps))
         lhs += sum(abs(c) ** 2 for c in zp)
         return lhs < 1.0
@@ -138,7 +135,10 @@ def _region_ws_v(spec: DomainSpec, s_exps):
 @dataclass
 class ApproachPath:
     """One-parameter family t -> point approaching a boundary target inside
-    a declared admissible region; every sample is membership-checked."""
+    a declared admissible region; every sample is membership-checked.
+    ``point_fn`` takes one t, ``region_fn`` the coordinate columns of a
+    panel of points.  ``validate`` keeps the levels of ``grid()`` as
+    ``panel``, one row each."""
 
     spec: DomainSpec
     target: tuple
@@ -147,27 +147,38 @@ class ApproachPath:
     region_fn: object
     params: dict = field(default_factory=dict)
     levels: int = 12
+    panel: np.ndarray | None = field(default=None, repr=False)
 
     def grid(self):
         return [2.0 ** (-k) for k in range(1, self.levels + 1)]
 
+    def points(self, ts, approach: bool = False) -> np.ndarray:
+        """The path at every t of ts as a (len(ts), dim) complex panel,
+        checked by one membership pass and one region call (with
+        ``approach``, also nearer the target than the row before); the
+        first failing row raises, naming its t."""
+        P = np.array([[complex(c) for c in self.point_fn(t)] for t in ts],
+                     dtype=complex).reshape(len(ts), self.spec.dim)
+        inside = points_contains(self.spec, P)
+        with np.errstate(all="ignore"):
+            region = np.broadcast_to(self.region_fn(tuple(P.T)), inside.shape)
+        away = np.zeros_like(inside)
+        if approach:
+            d = np.linalg.norm(P - np.array(self.target, dtype=complex), axis=1)
+            away[1:] = d[1:] > d[:-1] + 1e-12
+        fail = np.select([~inside, ~region, away],
+                         ["path left the domain at t = {t}",
+                          "path left the approach region at t = {t}",
+                          "path does not approach the target"], "")
+        for k in np.flatnonzero(fail != "")[:1]:
+            raise BoundaryError(fail[k].format(t=ts[k]))
+        return P
+
     def point(self, t: float) -> tuple:
-        p = tuple(complex(c) for c in self.point_fn(t))
-        if not contains(self.spec, p):
-            raise BoundaryError(f"path left the domain at t = {t}")
-        if not self.region_fn(p):
-            raise BoundaryError(f"path left the approach region at t = {t}")
-        return p
+        return tuple(complex(c) for c in self.points([t])[0])
 
     def validate(self) -> "ApproachPath":
-        tgt = np.array(self.target, dtype=complex)
-        d_prev = None
-        for t in self.grid():
-            p = np.array(self.point(t), dtype=complex)
-            d = float(np.linalg.norm(p - tgt))
-            if d_prev is not None and d > d_prev + 1e-12:
-                raise BoundaryError("path does not approach the target")
-            d_prev = d
+        self.panel = self.points(self.grid(), approach=True)
         return self
 
 
@@ -237,7 +248,7 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
         if stratum == Stratum.S4:
             w2 = _region_w2(spec, params.setdefault("q", 0.5))
             w3 = region
-            region = lambda p: w2(p) and w3(p)
+            region = lambda p: w2(p) & w3(p)
         return ApproachPath(spec, target, stratum, point_fn, region,
                             params, levels).validate()
 
@@ -255,7 +266,8 @@ STRATUM_WEIGHT = {Stratum.S2: "r", Stratum.S3: "w", Stratum.S4: "product"}
 
 
 def make_weight(spec: DomainSpec, name: str):
-    """Named weight factory; exponents derive from the spec layout."""
+    """Named weight factory on coordinate columns, one value per row;
+    exponents derive from the spec layout."""
     n = spec.base.n_star
     m = spec.base.m_passive
     if name in ("r", "rho"):
@@ -315,24 +327,27 @@ class ProbeReport:
 def weighted_limit(K, path: ApproachPath, weight, spread_tol: float = 0.02) -> ProbeReport:
     """Diagonal kernel values times the weight along the path grid, with a
     Richardson-extrapolated limit (first-order model, least-squares order
-    check; falls back to the last value when the order fit is poor)."""
+    check; falls back to the last value when the order fit is poor).
+
+    The levels are one panel: one kernel call and one weight call on its
+    coordinate columns.  The levels from the first non-finite kernel value
+    on are dropped, and the probe is marked diverged."""
     if isinstance(weight, str):
         weight = make_weight(path.spec, weight)
-    ts, raw, wtd = [], [], []
+    P = path.panel if path.panel is not None else path.points(path.grid())
     diverged = False
-    for t in path.grid():
-        p = path.point(t)
-        try:
-            kv = K.diagonal(p)
-        except (NonFiniteError, OverflowError):
-            diverged = True
-            break
-        ts.append(t)
-        raw.append(kv)
-        wtd.append(kv * weight(p))
-    if len(wtd) < 3:
-        raise BoundaryError("probe needs at least three usable levels")
-    f = np.array(wtd)
+    with np.errstate(all="ignore"):
+        while len(P) >= 3:
+            try:
+                raw = K.diagonal(tuple(P.T))
+                break
+            except NonFiniteError as e:
+                P = P[:0 if e.rows is None else e.rows[0]]
+                diverged = True
+        else:
+            raise BoundaryError("probe needs at least three usable levels")
+        f = raw * weight(tuple(P.T))
+    ts = path.grid()[:len(P)]
     half = len(f) // 2
     if (abs(f[-1]) > 10.0 * max(abs(f[half]), 1e-300)
             and abs(f[-1]) > abs(f[-2]) > abs(f[-3])):
@@ -354,7 +369,7 @@ def weighted_limit(K, path: ApproachPath, weight, spread_tol: float = 0.02) -> P
     limit = float(series[-1])
     last = np.array(series[-3:], dtype=float)
     spread = float(np.max(np.abs(last - limit))) / max(abs(limit), 1e-300)
-    return ProbeReport(ts=ts, kernel_values=raw, weighted=wtd,
+    return ProbeReport(ts=ts, kernel_values=raw.tolist(), weighted=f.tolist(),
                        extrapolated=[float(e) for e in extr], limit=limit,
                        spread=spread, r_squared=float(r2),
                        used_richardson=used_rich, diverged=diverged,
@@ -401,28 +416,19 @@ def levi_min_eigenvalue(spec: DomainSpec, p, step: float = 1e-4) -> float:
     """
     p = tuple(complex(c) for c in p)
     d = spec.dim
-
-    def r_at(x: np.ndarray) -> float:
-        pt = [complex(x[2 * j], x[2 * j + 1]) for j in range(d)]
-        return defining_function(spec, pt)
-
-    x0 = np.empty(2 * d)
-    for j, c in enumerate(p):
-        x0[2 * j] = c.real
-        x0[2 * j + 1] = c.imag
+    x0 = np.array(p, dtype=complex).view(float)
     grad = _wirtinger_gradient(spec, p, range(d), step)
     if np.linalg.norm(grad) < 1e-8:
         raise BoundaryError("gradient vanishes; the tangent space is undefined")
-    f0 = r_at(x0)
-    hr = np.empty((2 * d, 2 * d))
-    for a in range(2 * d):
-        ea = np.zeros(2 * d); ea[a] = step
-        hr[a, a] = (r_at(x0 + ea) - 2 * f0 + r_at(x0 - ea)) / step ** 2
-        for b in range(a):
-            eb = np.zeros(2 * d); eb[b] = step
-            hr[a, b] = hr[b, a] = (
-                r_at(x0 + ea + eb) - r_at(x0 + ea - eb)
-                - r_at(x0 - ea + eb) + r_at(x0 - ea - eb)) / (4 * step ** 2)
+    # one panel: x0, x0 +- e_a and x0 +- e_a +- e_b for b < a
+    E = step * np.eye(2 * d)
+    a, b = np.tril_indices(2 * d, -1)
+    X = np.vstack([x0, x0 + E, x0 - E, x0 + E[a] + E[b], x0 + E[a] - E[b],
+                   x0 - E[a] + E[b], x0 - E[a] - E[b]])
+    f = defining_function(spec, X.view(complex).T)
+    f0, fp, fm, pp, pm, mp, mm = np.split(f, np.cumsum([1, 2 * d, 2 * d] + [len(a)] * 3))
+    hr = np.diag((fp - 2 * f0 + fm) / step ** 2)
+    hr[a, b] = hr[b, a] = (pp - pm - mp + mm) / (4 * step ** 2)
     H = np.empty((d, d), dtype=complex)
     for j in range(d):
         for k in range(d):

@@ -225,10 +225,12 @@ def _columns(spec: DomainSpec, X):
 
 
 def _squared_moduli(spec: DomainSpec, p) -> list:
+    """Squared moduli of a point's coordinates, or of coordinate columns:
+    Python's abs of a complex is libm's hypot, squared by one product."""
     p = tuple(p)
     if len(p) != spec.dim:
         raise SpecError(f"point has {len(p)} coordinates, spec has {spec.dim}")
-    return [a * a for a in (np.float64(abs(complex(c))) for c in p)]
+    return [a * a for a in (np.hypot(np.real(c), np.imag(c)) for c in p)]
 
 
 def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
@@ -258,17 +260,19 @@ def shadow_defining(spec: DomainSpec, X: np.ndarray):
 
 def unwound_point(spec: DomainSpec, p):
     """One point's squared moduli with the lift substitutions undone, its
-    defining function and whether every U-step has ||w|| < 1: (x, r, valid)."""
+    defining function and whether every U-step has ||w|| < 1: (x, r, valid).
+    Coordinate columns give one entry per row."""
     return _unwind(spec, _squared_moduli(spec, p))
 
 
-def defining_function(spec: DomainSpec, p) -> float:
+def defining_function(spec: DomainSpec, p):
     """Defining function r(p) with r < 0 inside; the composition of the
-    base defining function with the lift substitutions."""
+    base defining function with the lift substitutions.  A point gives a
+    float, coordinate columns an array with one value per row."""
     _, r, valid = unwound_point(spec, p)
-    if not valid:
+    if not np.all(valid):
         raise SingularEvaluationError("defining function singular: ||w|| >= 1 under a U-step")
-    return float(r)
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def slice_map(spec: DomainSpec, lift_index: int, p):

@@ -13,12 +13,14 @@ from bergman.catalog import (ball_spec, closed_form_families, disk_spec,
                              chain_stage_spec, egg_spec, interior_pairs,
                              interior_points, polydisk_spec)
 from bergman.domains import star_shape_check
-from bergman.jets import Jet, fresh_tag, holomorphic_derivative_fd
+from bergman.jets import Jet, fresh_tag
 from bergman.kernels import (kernel_ball, kernel_egg, kernel_ball_disk_lift,
                              kernel_ball_exp_lift, kernel_chain_stage3, kernel_product)
 from bergman.lifting import compose_pipeline, lift_U, lift_V
 from bergman.oracle import (dirichlet_identity_check, get_norm_table,
                             reproducing_integral, series_kernel)
+
+from finite_difference import holomorphic_derivative_fd
 
 PI = math.pi
 

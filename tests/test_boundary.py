@@ -6,15 +6,24 @@ import pytest
 from bergman.boundary import (ApproachPath, BoundaryError, Stratum,
                               default_path, expected_weight,
                               levi_min_eigenvalue, make_weight,
-                              predicted_limit, stratify_point, weighted_limit)
+                              predicted_limit, star_gradient, stratify_point,
+                              weighted_limit)
 from bergman.catalog import (ball_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec)
-from bergman.domains import contains, sample_interior
-from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
+from bergman.domains import (contains, defining_function, sample_interior,
+                             shadow_defining)
+from bergman.kernels import (Kernel, kernel_ball, kernel_ball_disk_lift,
+                             kernel_ball_exp_lift)
+from bergman.lifting import compose_pipeline
 
 PI = math.pi
 SPEC = ball_disk_lift_spec(1, 1)
 VSPEC = ball_exp_lift_spec(1, 1, (1.0,))
+
+
+def _shadow(p):
+    """Squared moduli of coordinate columns as an (N, dim) panel."""
+    return np.column_stack([abs(c) ** 2 for c in p])
 
 
 def test_stratify_examples():
@@ -149,9 +158,8 @@ def test_overdamped_weight_tends_to_zero():
     # an extra vanishing factor drives the report to zero
     path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
     base_w = make_weight(SPEC, "r")
-    from bergman.domains import defining_function as dfn
     rep = weighted_limit(kernel_ball_disk_lift(1, 1), path,
-                         lambda p: base_w(p) * (-dfn(SPEC, p)))
+                         lambda p: base_w(p) * -shadow_defining(SPEC, _shadow(p))[0])
     assert abs(rep.limit) < 1e-3
 
 
@@ -227,3 +235,174 @@ def test_levi_weakly_pseudoconvex_point():
 def test_levi_rejects_degenerate_gradient():
     with pytest.raises(BoundaryError):
         levi_min_eigenvalue(VSPEC, (0.0, 0.0, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# the panel probe against the one-point loop it replaced
+
+
+def _one_point_weight(spec, name):
+    """The named weight of one point, as the one-point loop computed it."""
+    e_r = spec.base.n_star + spec.base.m_passive + 1
+    wr = lambda p: (-defining_function(spec, p)) ** e_r
+    if name in ("r", "rho"):
+        return wr
+    e_w = 2.0 + sum(spec.lifts[0].weights)
+    ww = lambda p: (1.0 - abs(p[-1]) ** 2) ** e_w
+    return ww if name == "w" else (lambda p: wr(p) * ww(p))
+
+
+class _Given:
+    """Stand-in kernel whose diagonal returns the values it was given."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def diagonal(self, cols):
+        return self.values
+
+
+def _one_point_probe(K, path, name):
+    """K.diagonal and the weight of one level at a time; weighted_limit's
+    statistics then run on the values collected."""
+    weight = _one_point_weight(path.spec, name)
+    pts = [path.point(t) for t in path.grid()]
+    kv = np.array([K.diagonal(p) for p in pts])
+    return weighted_limit(_Given(kv), path, lambda cols: np.array([weight(p) for p in pts]))
+
+
+def _probe_cases():
+    rng = np.random.default_rng(9)
+    phase = lambda: np.exp(2j * PI * rng.random())
+    cases = []
+    for _ in range(12):
+        cases += [(SPEC, (0, phase(), 0.7 * math.sqrt(rng.random()) * phase()), Stratum.S2),
+                  (SPEC, (0, 0.7 * math.sqrt(rng.random()) * phase(), phase()), Stratum.S3),
+                  (SPEC, (0, phase(), phase()), Stratum.S4),
+                  (VSPEC, (0, phase(), math.sqrt(rng.random()) * phase()), Stratum.S2)]
+    return cases
+
+
+def test_panel_probe_matches_one_point_loop():
+    # the kernel is ill-conditioned near the boundary, so the panel's
+    # round-off grows along the path: worst measured 3.6e-12 on the kernel
+    # values and 1.5e-11 on the limits
+    kernels = {SPEC: compose_pipeline(SPEC), VSPEC: compose_pipeline(VSPEC)}
+    for spec, target, stratum in _probe_cases():
+        name = expected_weight(spec, stratum)
+        path = default_path(spec, target, stratum)
+        rep = weighted_limit(kernels[spec], path, name)
+        ref = _one_point_probe(kernels[spec], path, name)
+        assert rep.ts == ref.ts == path.grid()
+        assert (rep.converged, rep.diverged) == (ref.converged, ref.diverged)
+        np.testing.assert_allclose(rep.kernel_values, ref.kernel_values, rtol=1e-11, atol=0)
+        assert abs(rep.limit - ref.limit) <= 1e-10 * abs(ref.limit), (target, stratum)
+
+
+@pytest.mark.parametrize("k", [2, 7, 12])
+def test_path_failure_names_the_first_failing_level(k):
+    # a path that leaves the domain, its region or its approach at level k
+    # raises there, with the message and t of the one-point loop
+    tk = 2.0 ** -k
+    inside = lambda t: (0.0, 1.0 - t, 0.0)
+    cases = [(lambda t: inside(t) if t > tk else (0.0, 1.0 + t, 0.0), lambda p: True,
+              f"path left the domain at t = {tk}"),
+             (inside, lambda p: abs(p[1]) < 1.0 - tk,
+              f"path left the approach region at t = {tk}"),
+             (lambda t: inside(t if t > tk else 3.0 * t), lambda p: True,
+              "path does not approach the target")]
+    for point_fn, region_fn, message in cases:
+        path = ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2, point_fn, region_fn)
+        with pytest.raises(BoundaryError) as e:
+            path.validate()
+        assert str(e.value) == message
+        assert path.panel is None
+        path.point(2 * tk)
+        if "approach" not in message or "region" in message:
+            with pytest.raises(BoundaryError, match=f"^{message}$"):
+                path.point(tk)
+            with pytest.raises(BoundaryError, match=f"^{message}$"):
+                weighted_limit(kernel_ball_disk_lift(1, 1), path, "r")
+
+
+def test_nonfinite_levels_end_the_probe():
+    # a kernel that is inf from the 9th level on: the probe keeps levels
+    # 1-8, where the one-point loop stopped, and is marked diverged
+    base = kernel_ball_disk_lift(1, 1)
+    K = Kernel(lambda p, cq: np.where(np.arange(len(p[0])) < 8, base.fn(p, cq), np.inf),
+               base.n, base.m, base.w_dims)
+    path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
+    rep = weighted_limit(K, path, "r")
+    assert rep.ts == path.grid()[:8]
+    assert rep.diverged and not rep.converged
+    assert rep.kernel_values == weighted_limit(base, path, "r").kernel_values[:8]
+
+
+@pytest.mark.parametrize("spec,target,stratum", [
+    (SPEC, (0, 1.0, 0.5), Stratum.S2), (SPEC, (0, 0.5, 1.0), Stratum.S3),
+    (SPEC, (0, 1.0, 1j), Stratum.S4), (VSPEC, (0, 1.0, 0.4), Stratum.S2)])
+def test_probe_makes_one_kernel_call(spec, target, stratum):
+    base = compose_pipeline(spec)
+    calls = []
+
+    def fn(p, cq):
+        calls.append(len(p[0]))
+        return base.fn(p, cq)
+
+    K = Kernel(fn, base.n, base.m, base.w_dims)
+    weighted_limit(K, default_path(spec, target, stratum), expected_weight(spec, stratum))
+    assert calls == [12]
+
+
+def _one_point_gradient(spec, p, indices, step):
+    grad = []
+    for j in indices:
+        vals = []
+        for dz in (step, -step, 1j * step, -1j * step):
+            q = [complex(c) for c in p]
+            q[j] = q[j] + dz
+            vals.append(defining_function(spec, q))
+        dx = (vals[0] - vals[1]) / (2 * step)
+        dy = (vals[2] - vals[3]) / (2 * step)
+        grad.append(0.5 * (dx - 1j * dy))
+    return np.array(grad)
+
+
+def _one_point_levi(spec, p, step=1e-4):
+    """levi_min_eigenvalue with its stencils evaluated one point at a time."""
+    d = spec.dim
+    r_at = lambda x: defining_function(spec, [complex(x[2 * j], x[2 * j + 1]) for j in range(d)])
+    x0 = np.array([v for c in p for v in (complex(c).real, complex(c).imag)])
+    grad = _one_point_gradient(spec, p, range(d), step)
+    f0 = r_at(x0)
+    hr = np.empty((2 * d, 2 * d))
+    for a in range(2 * d):
+        ea = np.zeros(2 * d); ea[a] = step
+        hr[a, a] = (r_at(x0 + ea) - 2 * f0 + r_at(x0 - ea)) / step ** 2
+        for b in range(a):
+            eb = np.zeros(2 * d); eb[b] = step
+            hr[a, b] = hr[b, a] = (
+                r_at(x0 + ea + eb) - r_at(x0 + ea - eb)
+                - r_at(x0 - ea + eb) + r_at(x0 - ea - eb)) / (4 * step ** 2)
+    H = np.empty((d, d), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            H[j, k] = 0.25 * ((hr[2 * j, 2 * k] + hr[2 * j + 1, 2 * k + 1])
+                              + 1j * (hr[2 * j, 2 * k + 1] - hr[2 * j + 1, 2 * k]))
+    H = 0.5 * (H + H.conj().T)
+    g = grad.conj().reshape(-1, 1)
+    qmat, _ = np.linalg.qr(np.concatenate([g, np.eye(d, dtype=complex)], axis=1))
+    basis = qmat[:, 1:d]
+    return float(np.min(np.linalg.eigvalsh(basis.conj().T @ H @ basis)))
+
+
+def test_stencil_panels_equal_one_point_stencils():
+    # same arithmetic on the same squared moduli: bitwise equal
+    z = math.sqrt((1 - 0.09) * (1 - 0.25))
+    cases = [(ball_spec(2), (1.0, 0.0)), (SPEC, (z, 0.5, 0.3)), (VSPEC, (0.0, 1.0, 0.4))]
+    for spec in (SPEC, VSPEC, ball_disk_lift_spec(1, 2)):
+        cases += [(spec, tuple(p)) for p in sample_interior(spec, 5, seed=3).points]
+    for spec, p in cases:
+        assert levi_min_eigenvalue(spec, p) == _one_point_levi(spec, p)
+        want = _one_point_gradient(spec, p, spec.star_indices(), 1e-6)
+        assert np.array_equal(star_gradient(spec, p), want)

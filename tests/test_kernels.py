@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from bergman.catalog import closed_form_families, interior_pairs, interior_points
-from bergman.jets import Jet, NonFiniteError, fresh_tag, holomorphic_derivative_fd
+from bergman.jets import Jet, NonFiniteError, fresh_tag
 from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
                              kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
                              kernel_chain_stage3, kernel_polydisk,
                              kernel_product, polydisk_spec)
+
+from finite_difference import holomorphic_derivative_fd
 
 PI = math.pi
 
