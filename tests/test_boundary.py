@@ -302,10 +302,11 @@ def test_panel_probe_matches_one_point_loop():
 @pytest.mark.parametrize("k", [2, 7, 12])
 def test_path_failure_names_the_first_failing_level(k):
     # a path that leaves the domain, its region or its approach at level k
-    # raises there, with the message and t of the one-point loop
+    # raises there, with the message and t of the one-point loop; the first
+    # path also moves away at level k, and the domain check comes first
     tk = 2.0 ** -k
     inside = lambda t: (0.0, 1.0 - t, 0.0)
-    cases = [(lambda t: inside(t) if t > tk else (0.0, 1.0 + t, 0.0), lambda p: True,
+    cases = [(lambda t: inside(t) if t > tk else (0.0, 1.0 + 3.0 * t, 0.0), lambda p: True,
               f"path left the domain at t = {tk}"),
              (inside, lambda p: abs(p[1]) < 1.0 - tk,
               f"path left the approach region at t = {tk}"),
