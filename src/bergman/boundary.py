@@ -152,20 +152,18 @@ class ApproachPath:
     def grid(self):
         return [2.0 ** (-k) for k in range(1, self.levels + 1)]
 
-    def points(self, ts, approach: bool = False) -> np.ndarray:
+    def points(self, ts) -> np.ndarray:
         """The path at every t of ts as a (len(ts), dim) complex panel,
-        checked by one membership pass and one region call (with
-        ``approach``, also nearer the target than the row before); the
-        first failing row raises, naming its t."""
+        checked by one membership pass, one region call and one pass that
+        each row is nearer the target than the row before; the first
+        failing row raises, naming its t."""
         P = np.array([[complex(c) for c in self.point_fn(t)] for t in ts],
                      dtype=complex).reshape(len(ts), self.spec.dim)
         inside = points_contains(self.spec, P)
         with np.errstate(all="ignore"):
             region = np.broadcast_to(self.region_fn(tuple(P.T)), inside.shape)
-        away = np.zeros_like(inside)
-        if approach:
-            d = np.linalg.norm(P - np.array(self.target, dtype=complex), axis=1)
-            away[1:] = d[1:] > d[:-1] + 1e-12
+        d = np.linalg.norm(P - np.array(self.target, dtype=complex), axis=1)
+        away = np.r_[False, d[1:] > d[:-1] + 1e-12]
         fail = np.select([~inside, ~region, away],
                          ["path left the domain at t = {t}",
                           "path left the approach region at t = {t}",
@@ -178,7 +176,7 @@ class ApproachPath:
         return tuple(complex(c) for c in self.points([t])[0])
 
     def validate(self) -> "ApproachPath":
-        self.panel = self.points(self.grid(), approach=True)
+        self.panel = self.points(self.grid())
         return self
 
 
