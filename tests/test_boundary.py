@@ -11,8 +11,7 @@ from bergman.boundary import (ApproachPath, BoundaryError, Stratum,
                               weighted_limit)
 from bergman.catalog import (ball_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec)
-from bergman.domains import (contains, defining_function, sample_interior,
-                             shadow_defining)
+from bergman.domains import contains, defining_function, sample_interior
 from bergman.kernels import (Kernel, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift)
 from bergman.lifting import compose_pipeline
@@ -20,11 +19,6 @@ from bergman.lifting import compose_pipeline
 PI = math.pi
 SPEC = ball_disk_lift_spec(1, 1)
 VSPEC = ball_exp_lift_spec(1, 1, (1.0,))
-
-
-def _shadow(p):
-    """Squared moduli of coordinate columns as an (N, dim) panel."""
-    return np.column_stack([abs(c) ** 2 for c in p])
 
 
 def test_stratify_examples():
@@ -159,8 +153,9 @@ def test_overdamped_weight_tends_to_zero():
     # an extra vanishing factor drives the report to zero
     path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
     base_w = make_weight(SPEC, "r")
+    from bergman.domains import defining_function as dfn
     rep = weighted_limit(kernel_ball_disk_lift(1, 1), path,
-                         lambda p: base_w(p) * -shadow_defining(SPEC, _shadow(p))[0])
+                         lambda p: base_w(p) * (-dfn(SPEC, p)))
     assert abs(rep.limit) < 1e-3
 
 
