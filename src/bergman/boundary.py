@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # contains is not called here; perfbench's tracer wraps it as boundary.contains
-from .domains import (KIND_ELLIPSOID, DomainSpec, contains,  # noqa: F401
-                      defining_function, points_contains, unwound_point)
+from .domains import contains  # noqa: F401
+from .domains import (KIND_ELLIPSOID, DomainSpec, SpecError, defining_function,
+                      points_contains, unwound_point)
 from .jets import NonFiniteError
 
 
@@ -147,29 +148,34 @@ class ApproachPath:
     region_fn: object
     params: dict = field(default_factory=dict)
     levels: int = 12
-    panel: np.ndarray | None = field(default=None, repr=False)
+    panel: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def grid(self):
         return [2.0 ** (-k) for k in range(1, self.levels + 1)]
 
     def points(self, ts) -> np.ndarray:
-        """The path at every t of ts as a (len(ts), dim) complex panel,
-        checked by one membership pass, one region call and one pass that
-        each row is nearer the target than the row before; the first
-        failing row raises, naming its t."""
-        P = np.array([[complex(c) for c in self.point_fn(t)] for t in ts],
-                     dtype=complex).reshape(len(ts), self.spec.dim)
+        """The path at every t of ts as a (len(ts), dim) complex panel: one
+        membership pass, one region call on the rows inside, one pass that
+        each row nears the target; the first failing row raises, naming its t."""
+        dim = self.spec.dim
+        pts = [tuple(complex(c) for c in self.point_fn(t)) for t in ts]
+        n = next((k for k, p in enumerate(pts) if len(p) != dim), len(pts))
+        P = np.array(pts[:n], dtype=complex).reshape(n, dim)
         inside = points_contains(self.spec, P)
+        n_in = n if inside.all() else int(np.argmin(inside))
         with np.errstate(all="ignore"):
-            region = np.broadcast_to(self.region_fn(tuple(P.T)), inside.shape)
-        d = np.linalg.norm(P - np.array(self.target, dtype=complex), axis=1)
-        away = np.r_[False, d[1:] > d[:-1] + 1e-12]
-        fail = np.select([~inside, ~region, away],
-                         ["path left the domain at t = {t}",
-                          "path left the approach region at t = {t}",
-                          "path does not approach the target"], "")
+            region = np.broadcast_to(self.region_fn(tuple(P[:n_in].T)), (n_in,))
+        d = np.linalg.norm(P[:n_in] - np.array(self.target, dtype=complex), axis=1)
+        away = np.r_[False, d[1:] > d[:-1] + 1e-12][:n_in]
+        fail = np.select([~region, away], ["path left the approach region at t = {t}",
+                                           "path does not approach the target"], "")
         for k in np.flatnonzero(fail != "")[:1]:
             raise BoundaryError(fail[k].format(t=ts[k]))
+        if n_in < n:
+            raise BoundaryError(f"path left the domain at t = {ts[n_in]}")
+        if n < len(pts):
+            raise SpecError(f"point has {len(pts[n])} coordinates, spec has {dim}")
         return P
 
     def point(self, t: float) -> tuple:
@@ -427,11 +433,8 @@ def levi_min_eigenvalue(spec: DomainSpec, p, step: float = 1e-4) -> float:
     f0, fp, fm, pp, pm, mp, mm = np.split(f, np.cumsum([1, 2 * d, 2 * d] + [len(a)] * 3))
     hr = np.diag((fp - 2 * f0 + fm) / step ** 2)
     hr[a, b] = hr[b, a] = (pp - pm - mp + mm) / (4 * step ** 2)
-    H = np.empty((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            H[j, k] = 0.25 * ((hr[2 * j, 2 * k] + hr[2 * j + 1, 2 * k + 1])
-                              + 1j * (hr[2 * j, 2 * k + 1] - hr[2 * j + 1, 2 * k]))
+    H = 0.25 * ((hr[0::2, 0::2] + hr[1::2, 1::2])
+                + 1j * (hr[0::2, 1::2] - hr[1::2, 0::2]))
     H = 0.5 * (H + H.conj().T)
     g = grad.conj().reshape(-1, 1)
     qmat, _ = np.linalg.qr(np.concatenate([g, np.eye(d, dtype=complex)], axis=1))

@@ -11,7 +11,8 @@ from bergman.boundary import (ApproachPath, BoundaryError, Stratum,
                               weighted_limit)
 from bergman.catalog import (ball_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec)
-from bergman.domains import contains, defining_function, sample_interior
+from bergman.domains import (SpecError, contains, defining_function,
+                             sample_interior)
 from bergman.kernels import (Kernel, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift)
 from bergman.lifting import compose_pipeline
@@ -299,10 +300,14 @@ def test_panel_probe_matches_one_point_loop():
 def test_path_failure_names_the_first_failing_level(k):
     # a path that leaves the domain, its region or its approach at level k
     # raises there, with the message and t of the one-point loop; the first
-    # path also moves away at level k, and the domain check comes first
+    # path also moves away at level k, and the domain check comes first; a
+    # region that is singular outside the domain only sees the rows inside
     tk = 2.0 ** -k
     inside = lambda t: (0.0, 1.0 - t, 0.0)
     cases = [(lambda t: inside(t) if t > tk else (0.0, 1.0 + 3.0 * t, 0.0), lambda p: True,
+              f"path left the domain at t = {tk}"),
+             (lambda t: inside(t) if t > tk else (0.0, 0.5, 1.0 + t),
+              lambda p: defining_function(SPEC, p) < 0,
               f"path left the domain at t = {tk}"),
              (inside, lambda p: abs(p[1]) < 1.0 - tk,
               f"path left the approach region at t = {tk}"),
@@ -320,6 +325,21 @@ def test_path_failure_names_the_first_failing_level(k):
         if "t =" in message:
             with pytest.raises(BoundaryError, match=f"^{re.escape(message)}$"):
                 path.point(tk)
+    # a point with the wrong number of coordinates at level k: the
+    # SpecError of contains, after the checks of the levels before it
+    short = ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2,
+                         lambda t: inside(t) if t > tk else (0.0, 1.0 - t), lambda p: True)
+    with pytest.raises(SpecError, match="^point has 2 coordinates, spec has 3$"):
+        short.validate()
+
+
+def test_validated_paths_compare_without_their_panels():
+    a = default_path(SPEC, (0, 1.0, 0.5), Stratum.S2)
+    b = default_path(SPEC, (0, 0.5, 1.0), Stratum.S3)
+    assert a.panel is not None and b.panel is not None
+    assert a != b and a == a
+    with pytest.raises(TypeError):
+        ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2, a.point_fn, a.region_fn, panel=a.panel)
 
 
 def test_nonfinite_levels_end_the_probe():
