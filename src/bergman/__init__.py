@@ -15,8 +15,8 @@ from .kernels import (Kernel, closed_form_for, kernel_ball, kernel_egg,
                       kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
                       kernel_chain_stage3, kernel_polydisk, kernel_product)
 from .lifting import compose_pipeline, lift_U, lift_V, slice_kernel
-from .oracle import (NormTable, dirichlet_identity_check, monomial_norm,
-                     reproducing_check, series_kernel)
+from .oracle import (NormTable, dirichlet_identity_check, reproducing_check,
+                     series_kernel)
 from .boundary import (ApproachPath, ProbeReport, Stratum, default_path,
                        levi_min_eigenvalue, stratify_point, weighted_limit)
 
@@ -29,8 +29,8 @@ __all__ = [
     "kernel_egg_inflated", "kernel_ball_disk_lift", "kernel_ball_exp_lift",
     "kernel_chain_stage3", "kernel_polydisk", "kernel_product",
     "compose_pipeline", "lift_U", "lift_V", "slice_kernel",
-    "NormTable", "dirichlet_identity_check", "monomial_norm",
-    "reproducing_check", "series_kernel",
+    "NormTable", "dirichlet_identity_check", "reproducing_check",
+    "series_kernel",
     "ApproachPath", "ProbeReport", "Stratum", "default_path",
     "levi_min_eigenvalue", "stratify_point", "weighted_limit",
 ]

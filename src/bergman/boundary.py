@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# contains is not called here; perfbench's tracer wraps it as boundary.contains
-from .domains import contains  # noqa: F401
-from .domains import (KIND_ELLIPSOID, DomainSpec, SpecError, defining_function,
-                      points_contains, unwound_point)
+from .domains import (KIND_ELLIPSOID, DomainSpec, SpecError, contains,
+                      defining_function, unwound_point)
 from .jets import NonFiniteError
 
 
@@ -162,7 +160,7 @@ class ApproachPath:
         pts = [tuple(complex(c) for c in self.point_fn(t)) for t in ts]
         n = next((k for k, p in enumerate(pts) if len(p) != dim), len(pts))
         P = np.array(pts[:n], dtype=complex).reshape(n, dim)
-        inside = points_contains(self.spec, P)
+        inside = contains(self.spec, P.T)
         n_in = n if inside.all() else int(np.argmin(inside))
         with np.errstate(all="ignore"):
             region = np.broadcast_to(self.region_fn(tuple(P[:n_in].T)), (n_in,))
@@ -234,6 +232,8 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
                             _region_w2(spec, q_exp), params, levels).validate()
 
     if stratum in (Stratum.S3, Stratum.S4):
+        if abs(abs(w0[0]) - 1.0) > 1e-8:
+            raise BoundaryError("S3 and S4 targets lie on the |w| = 1 face")
         p_exps = params.setdefault("p", tuple(2.0 * a for a in step.weights))
         if any(pj <= a for pj, a in zip(p_exps, step.weights)):
             raise BoundaryError("region exponents must exceed the lift weights")

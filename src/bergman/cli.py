@@ -24,9 +24,7 @@ from . import catalog
 from .boundary import (Stratum, WEIGHT_NAMES, BoundaryError, default_path,
                        expected_weight, levi_min_eigenvalue, predicted_limit,
                        weighted_limit)
-# ``contains`` is not called here: the benchmark's tracer wraps it by name
-from .domains import (SamplingError, SpecError, contains, load_spec,
-                      points_contains, sample_interior)
+from .domains import SamplingError, SpecError, contains, load_spec, sample_interior
 from .jets import NonFiniteError
 from .kernels import closed_form_for
 from .lifting import LiftError, compose_pipeline
@@ -152,7 +150,7 @@ def cmd_eval(args) -> int:
     P, Q = np.array(pairs, dtype=complex).reshape(n, 2, spec.dim).transpose(1, 0, 2)
     # overflow is flagged per row, not warned of; a row failing one mode skips the rest
     with np.errstate(all="ignore"):
-        inside = points_contains(spec, P) & points_contains(spec, Q)
+        inside = contains(spec, P.T) & contains(spec, Q.T)
         errors = ["" if ok else "exterior" for ok in inside.tolist()]
         vals, tails = {}, [None] * n
         for mode in modes:

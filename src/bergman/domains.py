@@ -30,6 +30,7 @@ KIND_POLYDISK = "Polydisk"
 
 SAMPLE_BATCH = 1 << 16
 SAMPLE_CHUNK = 1 << 12      # rows drawn and tested at a time, in a batch's stream
+SAMPLE_MAX_DRAWS = 10 ** 7
 DEFAULT_W_RADIUS = 3.0
 
 
@@ -239,23 +240,11 @@ def shadow_contains(spec: DomainSpec, X: np.ndarray) -> np.ndarray:
     return _inside(spec, _columns(spec, X))
 
 
-def contains(spec: DomainSpec, p) -> bool:
-    """Strict membership of a point in the open domain."""
-    return bool(_inside(spec, _squared_moduli(spec, p)))
-
-
-def points_contains(spec: DomainSpec, P: np.ndarray) -> np.ndarray:
-    """``contains`` of every row of the complex panel P (shape (N, dim)):
-    Python's abs of a complex is libm's hypot, squared by one product."""
-    return shadow_contains(spec, np.hypot(P.real, P.imag) ** 2)
-
-
-def shadow_defining(spec: DomainSpec, X: np.ndarray):
-    """Vectorised defining function r on shadow points; r < 0 inside.
-    Returns (r, valid): rows where a U-step hits ||w|| >= 1 are marked
-    invalid (the expression is singular there)."""
-    _, r, valid = _unwind(spec, _columns(spec, X))
-    return r, np.ones(len(r), dtype=bool) & valid
+def contains(spec: DomainSpec, p):
+    """Strict membership in the open domain.  A point gives a bool,
+    coordinate columns a boolean array with one entry per row."""
+    inside = _inside(spec, _squared_moduli(spec, p))
+    return bool(inside) if np.ndim(inside) == 0 else inside
 
 
 def unwound_point(spec: DomainSpec, p):
@@ -330,15 +319,15 @@ def _batch_generator(seed: int, batch: int) -> np.random.Generator:
 
 def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
                     w_radius: float = DEFAULT_W_RADIUS,
-                    box_radius: float | None = None,
-                    max_draws: int = 10 ** 7) -> SampleResult:
+                    box_radius: float | None = None) -> SampleResult:
     """Seed-deterministic rejection sampling from the bounding polydisk.
 
     Coordinates are drawn uniformly from the square [-R, R]^2 per complex
     coordinate.  ``box_radius`` overrides every radius (used for probe
     panels drawn well inside the domain).  The acceptance ratio times the
     box volume is an unbiased estimate of the domain volume (for V-lifted
-    domains: of the w-truncated volume).
+    domains: of the w-truncated volume).  SamplingError when
+    SAMPLE_MAX_DRAWS draws do not give ``count`` points.
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
@@ -364,10 +353,10 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
             accepted.append(pts[shadow_contains(spec, np.abs(pts) ** 2)])
             n_total += len(accepted[-1])
         draws += SAMPLE_BATCH
-        if draws >= max_draws and n_total < max(1, draws * 1e-6):
+        if draws >= SAMPLE_MAX_DRAWS and n_total < max(1, draws * 1e-6):
             raise SamplingError(
                 f"acceptance ratio below 1e-6 after {draws} draws")
-        if draws >= max_draws and n_total < count:
+        if draws >= SAMPLE_MAX_DRAWS and n_total < count:
             raise SamplingError(
                 f"only {n_total}/{count} interior points after {draws} draws")
     pts = np.concatenate(accepted, axis=0)
@@ -388,28 +377,25 @@ def star_shape_check(spec, trials: int = 128, seed: int = 7) -> bool:
     star coordinates; True iff every scaled point stays inside.
 
     Accepts any object exposing ``dim``, ``star_indices()``, ``contains``
-    and ``sample(count, seed)`` in place of a DomainSpec (test fixtures).
+    and ``sample(count, seed)`` in place of a DomainSpec (test fixtures);
+    its ``contains`` receives the coordinate columns of all scaled points
+    and returns one entry per row.
     """
     if trials < 1:
         raise SpecError("star_shape_check needs at least one trial")
     if isinstance(spec, DomainSpec):
         pts = sample_interior(spec, trials, seed).points
-        member = lambda q: contains(spec, q)
-        stars = spec.star_indices()
+        member = functools.partial(contains, spec)
     else:
         pts = np.asarray(spec.sample(trials, seed))
         member = spec.contains
-        stars = spec.star_indices()
+    stars = spec.star_indices()
     rng = _batch_generator(seed + 1, 0)
     u = rng.uniform(0.0, 1.0, size=(len(pts), len(stars)))
     th = rng.uniform(0.0, 2.0 * math.pi, size=(len(pts), len(stars)))
-    lam = np.sqrt(u) * np.exp(1j * th)
-    for i, p in enumerate(pts):
-        q = np.array(p, dtype=complex)
-        q[stars] *= lam[i]
-        if not member(tuple(q)):
-            return False
-    return True
+    Q = np.array(pts, dtype=complex)
+    Q[:, stars] *= np.sqrt(u) * np.exp(1j * th)
+    return bool(np.all(member(tuple(Q.T))))
 
 
 # ---------------------------------------------------------------------------

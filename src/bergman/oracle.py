@@ -15,8 +15,7 @@ not modelled.)
 The reproducing-property integral is done in polar form as well: a
 rank-1 lattice angular rule, exact for every bin that no mode of the
 kernel's one-sided angular spectrum aliases onto, times nested
-Gauss-Legendre radial quadrature over the shadow; a plain Monte Carlo mean
-over one rejection sample covers higher dimensions.
+Gauss-Legendre radial quadrature over the shadow, up to 3 coordinates.
 """
 
 from __future__ import annotations
@@ -29,18 +28,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import (DomainSpec, SpecError, box_radii, contains,
-                      sample_interior, shadow_contains)
+from .domains import DomainSpec, SpecError, box_radii, contains, shadow_contains
 from .jets import NonFiniteError, pochhammer
 
 DEFAULT_QUAD_W_RADIUS = 4.5
 # largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
+POLAR_CHUNK = 256        # radial nodes per kernel call of the reproducing pass
 
 
 class IntegrationError(RuntimeError):
-    """Quadrature or Monte Carlo failed to reach a usable estimate."""
+    """Quadrature failed to reach a usable estimate."""
 
 
 class ConvergenceError(RuntimeError):
@@ -210,10 +209,6 @@ def monomial_norm_full(spec: DomainSpec, idx) -> NormEntry:
     if value <= 0.0 or not math.isfinite(value):
         raise IntegrationError(f"norm integral collapsed for index {idx}")
     return NormEntry(value=value, error=abs(value) * rel_err, method="quadrature")
-
-
-def monomial_norm(spec: DomainSpec, idx) -> float:
-    return monomial_norm_full(spec, idx).value
 
 
 def compositions(total: int, parts: int):
@@ -427,14 +422,13 @@ LATTICE_SIZES = frozenset(2 ** k for k in range(1, 12))
 
 def reproducing_integral(K, spec: DomainSpec, indices, p,
                          n_rad: int = 14, n_rad_check: int = 10,
-                         n_ang: int = 512, w_radius: float = DEFAULT_QUAD_W_RADIUS,
-                         chunk: int = 256):
+                         n_ang: int = 512):
     """Deterministic polar-quadrature values of int K(p; q-bar) q^idx dV(q)
     for every index in ``indices``; returns ({idx: value}, {idx: err}).
 
     Radial: nested Gauss-Legendre over the shadow with bisected bounds,
     linear in every squared modulus (plane-fibered w coordinates are cut
-    at ``w_radius``).  Angular: the rank-1 lattice of n_ang points
+    at DEFAULT_QUAD_W_RADIUS).  Angular: the rank-1 lattice of n_ang points
     theta_i = 2 pi ((i z) mod n_ang) / n_ang, z from LATTICE_GENERATORS,
     with residues in integer arithmetic.  Bin idx is the lattice mean of
     K e^(i idx.theta), exact unless a mode of the kernel's one-sided
@@ -450,10 +444,8 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
         raise IntegrationError("polar quadrature supported up to 3 coordinates")
     if not (isinstance(n_ang, (int, np.integer)) and n_ang in LATTICE_SIZES):
         raise ValueError("n_ang must be a power of 2 from 2 to 2048")
-    if not (math.isfinite(w_radius) and w_radius > 0):
-        raise ValueError("w_radius must be finite and positive")
-    if min(n_rad, n_rad_check, chunk) < 1:
-        raise ValueError("n_rad, n_rad_check and chunk must be at least 1")
+    if min(n_rad, n_rad_check) < 1:
+        raise ValueError("n_rad and n_rad_check must be at least 1")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
     if any(len(idx) != d for idx in indices):
         raise SpecError("index arity mismatch")
@@ -466,20 +458,18 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
     if len(residues) < len(indices):
         raise IntegrationError("two requested indices alias on the angular "
                                "lattice; raise n_ang")
-    full, full_half = _polar_pass(K, spec, indices, p, n_rad, n_ang,
-                                  w_radius, chunk)
-    check, _ = _polar_pass(K, spec, indices, p, n_rad_check, n_ang,
-                           w_radius, chunk)
+    full, full_half = _polar_pass(K, spec, indices, p, n_rad, n_ang)
+    check, _ = _polar_pass(K, spec, indices, p, n_rad_check, n_ang)
     errs = {idx: abs(full[idx] - check[idx]) + abs(full[idx] - full_half[idx])
             for idx in indices}
     return full, errs
 
 
-def _radial_nodes(spec: DomainSpec, n_rad: int, w_radius: float):
+def _radial_nodes(spec: DomainSpec, n_rad: int):
     """Polar radii (nodes, dim) in coordinate order and their weights,
     each weight including the full angle pi per coordinate."""
     order = _radial_order(spec)
-    caps = [r * r for r in box_radii(spec, w_radius)]
+    caps = [r * r for r in box_radii(spec, DEFAULT_QUAD_W_RADIUS)]
     gx, gw = _gl_rule(n_rad)
     d = spec.dim
     # tensor radial grid (squared moduli) with nested bounds; unbounded
@@ -498,8 +488,8 @@ def _radial_nodes(spec: DomainSpec, n_rad: int, w_radius: float):
     return np.sqrt(filled)[:, np.argsort(order)], weights * math.pi ** d
 
 
-def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
-    radii, weights = _radial_nodes(spec, n_rad, w_radius)
+def _polar_pass(K, spec, indices, p, n_rad, n_ang):
+    radii, weights = _radial_nodes(spec, n_rad)
     d = spec.dim
     # lattice residues (i z) mod n_ang and (i idx.z) mod n_ang index one
     # table of roots of unity, so every phase is exact up to that table
@@ -510,9 +500,9 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
     totals = {idx: 0j for idx in indices}
     totals_half = {idx: 0j for idx in indices}
     pt = tuple(complex(c) for c in p)
-    for start in range(0, len(radii), chunk):
-        rr = radii[start:start + chunk]
-        ww = weights[start:start + chunk]
+    for start in range(0, len(radii), POLAR_CHUNK):
+        rr = radii[start:start + POLAR_CHUNK]
+        ww = weights[start:start + POLAR_CHUNK]
         qs = tuple(rr[:, coord, None] * angles[coord] for coord in range(d))
         kv = np.broadcast_to(K(pt, qs), (len(rr), n_ang))
         # one vector product per index, so a value's rounding does not
@@ -528,45 +518,15 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang, w_radius, chunk):
     return totals, totals_half
 
 
-def stratified_mc_reproducing(K, spec: DomainSpec, idx, p, samples: int = 10 ** 6,
-                              seed: int = 11, w_radius: float = 3.5):
-    """Plain Monte Carlo value of the reproducing integral with its standard
-    error: the volume estimate times the mean of K(p; q-bar) q^idx over one
-    seeded rejection sample of the domain (w truncated at w_radius)."""
-    idx = tuple(int(i) for i in idx)
-    res = sample_interior(spec, samples, seed=seed, w_radius=w_radius,
-                          max_draws=10 ** 8)
-    pts = res.points
-    vol = res.volume_estimate
-    q = [pts[:, j] for j in range(spec.dim)]
-    kv = np.asarray(K(tuple(complex(c) for c in p), tuple(q)))
-    mono = np.ones(len(pts), dtype=complex)
-    for j, e in enumerate(idx):
-        if e:
-            mono *= pts[:, j] ** e
-    f = kv * mono
-    mean = complex(np.mean(f))
-    sigma = float(np.std(f)) / math.sqrt(len(pts))
-    return vol * mean, vol * sigma
-
-
-def reproducing_check(K, spec: DomainSpec, idx, p, method: str = "auto",
-                      **kwargs) -> float:
+def reproducing_check(K, spec: DomainSpec, idx, p) -> float:
     """Relative residual |int K(p; q-bar) q^idx dV - p^idx| /
-    max(|p^idx|, 1e-6)."""
+    max(|p^idx|, 1e-6), the integral by ``reproducing_integral`` at its
+    defaults (so up to 3 coordinates)."""
     idx = tuple(int(i) for i in idx)
     p = tuple(complex(c) for c in p)
     if not contains(spec, p):
         raise SpecError("reproducing check needs an interior point")
-    if method == "auto":
-        method = "quadrature" if spec.dim <= 3 else "mc"
-    if method == "quadrature":
-        vals, _ = reproducing_integral(K, spec, [idx], p, **kwargs)
-        integral = vals[idx]
-    elif method == "mc":
-        integral, _ = stratified_mc_reproducing(K, spec, idx, p, **kwargs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    integral = reproducing_integral(K, spec, [idx], p)[0][idx]
     target = 1.0 + 0j
     for pj, e in zip(p, idx):
         target *= pj ** e

@@ -14,7 +14,7 @@ import bergman.cli as cli
 from bergman.cli import _fmt, _load_points, main
 from bergman.catalog import (ball_disk_lift_spec, ball_exp_lift_spec, chain_stage_spec,
                              closed_form_families, disk_spec, interior_pairs)
-from bergman.domains import SpecError, contains, points_contains, spec_to_dict
+from bergman.domains import SpecError, contains, spec_to_dict
 from bergman.kernels import Kernel, closed_form_for, kernel_ball
 from bergman.lifting import compose_pipeline
 from bergman.oracle import series_kernel
@@ -163,7 +163,7 @@ def test_eval_exterior_flags_equal_contains(tmp_path, spec):
     with np.errstate(all="ignore"):
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            inside = points_contains(spec, ray * mid[:, None])
+            inside = contains(spec, (ray * mid[:, None]).T)
             lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     pts = np.concatenate([box, ray * lo[:, None], ray * hi[:, None]])
     rc, rows = _eval_rows(tmp_path, spec, [_wire(p) for p in pts], "lifted")
@@ -442,10 +442,17 @@ def test_malformed_json_exits_2(disk_files, tmp_path, capsys, spec_json, points_
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("target", ["[1,2]", '[[0,0],[1,0],[0,"a"]]'])
-def test_boundary_malformed_target_exits_2(lifted_ball_file, capsys, target):
+@pytest.mark.parametrize("target, stratum, weight", [
+    pytest.param("[1,2]", "S2", "r", id="[1,2]"),
+    pytest.param('[[0,0],[1,0],[0,"a"]]', "S2", "r", id='[[0,0],[1,0],[0,"a"]]'),
+    # w = 0 is off the |w| = 1 face that S3 and S4 paths approach
+    pytest.param("[[0,0],[1,0],[0,0]]", "S3", "w", id="w-zero-S3"),
+    pytest.param("[[0,0],[1,0],[0,0]]", "S4", "product", id="w-zero-S4"),
+])
+def test_boundary_malformed_target_exits_2(lifted_ball_file, capsys, target, stratum,
+                                           weight):
     assert main(["boundary", "--spec", str(lifted_ball_file), "--target", target,
-                 "--stratum", "S2", "--weight", "r"]) == 2
+                 "--stratum", stratum, "--weight", weight]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -15,22 +15,21 @@ from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_
 from bergman.jets import NonFiniteError, pochhammer
 from bergman.oracle import (ConvergenceError, IntegrationError, NormEntry, NormTable,
                             _de_integrate, dirichlet_identity_check,
-                            get_norm_table, monomial_norm, monomial_norm_full,
-                            reproducing_check, reproducing_integral, series_kernel,
-                            simplex_weighted_integral,
-                            stratified_mc_reproducing)
+                            get_norm_table, monomial_norm_full, reproducing_check,
+                            reproducing_integral, series_kernel,
+                            simplex_weighted_integral)
 
 PI = math.pi
 
 
 def test_disk_norms():
-    assert monomial_norm(disk_spec(), (1,)) == pytest.approx(PI / 2, rel=1e-10)
-    assert monomial_norm(disk_spec(), (0,)) == pytest.approx(PI, rel=1e-12)
+    assert monomial_norm_full(disk_spec(), (1,)).value == pytest.approx(PI / 2, rel=1e-10)
+    assert monomial_norm_full(disk_spec(), (0,)).value == pytest.approx(PI, rel=1e-12)
 
 
 def test_quartic_fiber_norm():
     # |z|^4 + |w|^2 < 1, monomial z w
-    val = monomial_norm(egg_spec(1, 2.0), (1, 1))
+    val = monomial_norm_full(egg_spec(1, 2.0), (1, 1)).value
     assert val == pytest.approx(PI ** 2 / 12, rel=1e-9)
     assert val == pytest.approx(0.82247, abs=1e-5)
 
@@ -42,7 +41,7 @@ def test_ball_norm_against_factorial_oracle():
         for aj in a:
             want *= math.factorial(aj)
         want /= math.factorial(d + sum(a))
-        assert monomial_norm(ball_spec(d), a) == pytest.approx(want, rel=1e-9)
+        assert monomial_norm_full(ball_spec(d), a).value == pytest.approx(want, rel=1e-9)
 
 
 def test_v_lift_norm_against_gamma_oracle():
@@ -53,13 +52,13 @@ def test_v_lift_norm_against_gamma_oracle():
     w_factor = math.factorial(c) / lam ** (c + 1)
     base = PI ** 2 * math.factorial(a) * math.factorial(b) / math.factorial(2 + a + b)
     want = PI * w_factor * base
-    assert monomial_norm(spec, (a, b, c)) == pytest.approx(want, rel=1e-9)
+    assert monomial_norm_full(spec, (a, b, c)).value == pytest.approx(want, rel=1e-9)
 
 
 def test_norm_symmetry_under_coordinate_swap():
     for spec in (ball_spec(2), polydisk_spec(2)):
-        x = monomial_norm(spec, (2, 1))
-        y = monomial_norm(spec, (1, 2))
+        x = monomial_norm_full(spec, (2, 1)).value
+        y = monomial_norm_full(spec, (1, 2)).value
         assert x == pytest.approx(y, rel=1e-10)
 
 
@@ -163,20 +162,20 @@ def test_reproducing_requires_interior_point():
         reproducing_check(kernel_ball(1), disk_spec(), (0,), (1.5,))
 
 
-def test_reproducing_mc_agrees():
-    val, sigma = stratified_mc_reproducing(kernel_ball(1), disk_spec(), (1,),
-                                           (0.4,), samples=200000, seed=7)
-    assert abs(val - 0.4) < max(5 * sigma, 5e-3)
+def test_reproducing_check_above_three_coordinates_raises_at_once():
+    # a 4-coordinate spec is beyond the polar quadrature: the check raises
+    # before any kernel value is computed
+    calls = []
+    K = kernel_ball_disk_lift(2, 1)
 
+    def counted(p, q):
+        calls.append(1)
+        return K(p, q)
 
-@pytest.mark.parametrize("w_radius", [0.0, -1.0, math.nan])
-def test_reproducing_mc_rejects_bad_w_radius(w_radius):
-    # 0 returned the value 0 with standard error 0, -1 returned 0.711 where
-    # the value is 1, nan made 1e8 draws before failing
-    K = kernel_ball_exp_lift(1, 1, (1.0,))
-    with pytest.raises(ValueError, match="finite and positive"):
-        stratified_mc_reproducing(K, K.domain, (0, 0, 0), (0.2, 0.1, 0.3),
-                                  samples=2000, w_radius=w_radius)
+    with pytest.raises(IntegrationError, match="up to 3 coordinates"):
+        reproducing_check(counted, ball_disk_lift_spec(2, 1), (1, 0, 0, 1),
+                          (0.2, 0.1, 0.1, 0.3))
+    assert not calls
 
 
 def _lattice_sums(K, spec, idxs, p, n_rad, n_ang):
@@ -185,7 +184,7 @@ def _lattice_sums(K, spec, idxs, p, n_rad, n_ang):
     phases from cmath, sums by math.fsum.  Returns the full-lattice and
     even-point (half-lattice) values."""
     z = [zc % n_ang for zc in oracle.LATTICE_GENERATORS[spec.dim]]
-    radii, weights = oracle._radial_nodes(spec, n_rad, oracle.DEFAULT_QUAD_W_RADIUS)
+    radii, weights = oracle._radial_nodes(spec, n_rad)
     terms = {idx: ([], []) for idx in idxs}
     for r, w in zip(radii.tolist(), weights.tolist()):
         for i in range(n_ang):
@@ -273,7 +272,7 @@ def test_reproducing_integral_rejects_bad_arguments():
         reproducing_integral(K, spec, [(-1, 0, 0)], p, **grid)
     with pytest.raises(SpecError):
         reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p, **grid)
-    for bad in (dict(n_rad=0), dict(n_rad_check=0), dict(chunk=0), dict(chunk=-3)):
+    for bad in (dict(n_rad=0), dict(n_rad_check=0)):
         with pytest.raises(ValueError):
             reproducing_integral(K, spec, [(1, 0, 0)], p, **{**grid, **bad})
 
@@ -283,14 +282,6 @@ def test_reproducing_integral_rejects_bad_lattice_size(n_ang):
     with pytest.raises(ValueError):
         reproducing_integral(kernel_ball_disk_lift(1, 1), ball_disk_lift_spec(1, 1),
                              [(0, 0, 0)], (0.2, 0.1, 0.3), n_ang=n_ang)
-
-
-@pytest.mark.parametrize("w_radius", [float("nan"), float("inf"), 0.0, -1.0])
-def test_reproducing_integral_rejects_bad_w_radius(w_radius):
-    K = kernel_ball_exp_lift(1, 1, (1.0,))
-    with pytest.raises(ValueError):
-        reproducing_integral(K, K.domain, [(0, 0, 0), (1, 0, 0)], (0.2, 0.1, 0.3),
-                             n_rad=6, n_rad_check=4, n_ang=8, w_radius=w_radius)
 
 
 def test_reproducing_integral_rejects_aliased_indices():
