@@ -8,8 +8,7 @@ monomial-series agreement, weighted boundary limits) numerically.
 
 from .domains import (BaseDomain, DomainSpec, LiftStep, contains,
                       defining_function, load_spec, sample_interior,
-                      save_spec, slice_map, spec_from_dict, spec_to_dict,
-                      star_shape_check)
+                      slice_map, spec_from_dict, spec_to_dict, star_shape_check)
 from .jets import Jet, fresh_tag, pochhammer, principal_power
 from .kernels import (Kernel, closed_form_for, kernel_ball, kernel_egg,
                       kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
@@ -22,7 +21,7 @@ from .boundary import (ApproachPath, ProbeReport, Stratum, default_path,
 
 __all__ = [
     "BaseDomain", "DomainSpec", "LiftStep", "contains", "defining_function",
-    "load_spec", "sample_interior", "save_spec", "slice_map",
+    "load_spec", "sample_interior", "slice_map",
     "spec_from_dict", "spec_to_dict", "star_shape_check",
     "Jet", "fresh_tag", "pochhammer", "principal_power",
     "Kernel", "closed_form_for", "kernel_ball", "kernel_egg",

@@ -478,9 +478,3 @@ def load_spec(path) -> DomainSpec:
         except json.JSONDecodeError as e:
             raise SpecError(f"invalid JSON in {path}: {e}") from None
     return spec_from_dict(data)
-
-
-def save_spec(spec: DomainSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec_to_dict(spec), f, indent=2, sort_keys=True)
-        f.write("\n")

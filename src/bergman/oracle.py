@@ -21,10 +21,9 @@ Gauss-Legendre radial quadrature over the shadow, up to 3 coordinates.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,30 +103,45 @@ def _beta_factor(c: float, e: float):
     return _de_integrate(lambda u, um1: u ** c * um1 ** e)
 
 
-def simplex_weighted_integral(s: float, c):
-    """Quadrature value of int_{B^k_+} (1-sum r)^s r^c dV with an error
-    estimate, for any k.
+def _gaussian_moment(c: float, s: float) -> float:
+    """int_0^inf e^{-s r} r^c dr = c!/s^{c+1}; NaN where no float holds it."""
+    try:
+        return math.factorial(int(c)) / s ** (int(c) + 1)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
-    The scaling substitution r_j -> (1-r_k) t_j, applied recursively,
-    separates the integral into k one-dimensional factors
-    int_0^1 u^{c_j} (1-u)^{e_j} du with e_1 = s and e_{j+1} = e_j + c_j + 1;
-    each factor is a cached tanh-sinh integral and the relative error
-    estimates add across the factors.
-    """
-    s = float(s)
-    c = tuple(float(x) for x in c)
-    if any(x <= -1.0 for x in c):
+
+def _per_key(fn, c, e):
+    """fn(c_i, e_i) over equal-shape arrays c and e, called once per distinct
+    pair with Python floats; stacks the outputs of fn along axis 0."""
+    pairs = np.stack([np.ravel(c), np.ravel(e)], axis=1).astype(float)
+    keys, inverse = np.unique(pairs.view(complex).ravel(), return_inverse=True)
+    out = np.array([fn(k.real, k.imag) for k in keys.tolist()]).reshape(len(keys), -1)
+    return out[inverse.ravel()].T.reshape(-1, *np.shape(c))
+
+
+def _simplex_columns(s, C):
+    """Quadrature values of int_{B^k_+} (1-sum r)^s r^c dV with error
+    estimates, one per row of the column s and the (n, k) matrix C.  The
+    substitution r_j -> (1-r_k) t_j, applied recursively, separates each into
+    factors int_0^1 u^{c_j} (1-u)^{e_j} du, e_1 = s, e_{j+1} = e_j + c_j + 1:
+    cached tanh-sinh integrals, one per distinct (c_j, e_j), whose relative
+    errors add (cumsum and cumprod run left to right, as a scalar loop)."""
+    if np.any(C <= -1.0):
         raise IntegrationError("non-integrable radial exponent")
-    if s < 0:
+    if np.any(s < 0):
         raise IntegrationError("negative simplex weight exponent")
-    val, rel_err = 1.0, 0.0
-    e = s
-    for cj in c:
-        v, err = _beta_factor(cj, e)
-        val *= v
-        rel_err += err / max(abs(v), 1e-300)
-        e += cj + 1.0
-    return val, abs(val) * rel_err
+    if not C.size:
+        return np.ones(len(s)), np.zeros(len(s))
+    v, err = _per_key(_beta_factor, C, np.column_stack([s, C[:, :-1] + 1.0]).cumsum(axis=1))
+    val = v.cumprod(axis=1)[:, -1]
+    return val, np.abs(val) * (err / np.maximum(np.abs(v), 1e-300)).cumsum(axis=1)[:, -1]
+
+
+def simplex_weighted_integral(s: float, c):
+    """The one-row case of ``_simplex_columns``, for any k."""
+    val, err = _simplex_columns(np.array([float(s)]), np.array([c], dtype=float))
+    return float(val[0]), float(err[0])
 
 
 def dirichlet_identity_check(s: float, c, k: int):
@@ -158,85 +172,97 @@ class NormEntry:
     method: str
 
 
-def _base_shadow_integral(spec: DomainSpec, a):
-    """int over the base shadow of prod x^{a_j} dx (no pi factors)."""
+def _base_shadow_integral(spec: DomainSpec, A):
+    """int over the base shadow of prod x^{a_j} dx (no pi factors), with its
+    error, for every row a of the exponent matrix A."""
     base = spec.base
+    zero = np.zeros(len(A))
     if base.kind == "Polydisk":
-        val, err = 1.0, 0.0
-        for aj in a:
-            v, e = simplex_weighted_integral(0.0, (aj,))
-            err = abs(val * v) * (err / max(abs(val), 1e-300) + e / max(abs(v), 1e-300))
-            val *= v
+        val, err = np.ones(len(A)), np.zeros(len(A))
+        for j in range(A.shape[1]):
+            v, e = _simplex_columns(zero, A[:, j:j + 1])
+            err = np.abs(val * v) * (err / np.maximum(np.abs(val), 1e-300)
+                                     + e / np.maximum(np.abs(v), 1e-300))
+            val = val * v
         return val, err
     # x_j = r_j^{1/p_j} maps the ellipsoid shadow onto the unit simplex
-    cs = tuple((aj + 1.0) / pj - 1.0 for aj, pj in zip(a, base.exponents))
-    val, err = simplex_weighted_integral(0.0, cs)
+    val, err = _simplex_columns(zero, (A + 1.0) / np.array(base.exponents) - 1.0)
     scale = 1.0
     for pj in base.exponents:
         scale /= pj
     return scale * val, scale * err
 
 
+def _monomial_norms(spec: DomainSpec, E):
+    """Squared L2 norms of the monomials z^a for every row a of the (n, dim)
+    exponent matrix E, with error estimates: polar reduction to the shadow,
+    one array pass per lift step (outermost first) and one for the base.
+    IntegrationError names the first row whose norm is no positive float."""
+    value, rel_err = np.full(len(E), math.pi ** spec.dim), 0.0
+    with np.errstate(all="ignore"):
+        for i in range(len(spec.lifts) - 1, -1, -1):
+            step = spec.lifts[i]
+            C = E[:, spec.w_slice(i)].astype(float)
+            s = sum(wt * (E[:, j] + 1.0) for j, wt in zip(spec.star_indices(i), step.weights))
+            if step.kind == "U":
+                f, fe = _simplex_columns(s, C)
+                value = value * f
+                rel_err = rel_err + fe / np.maximum(np.abs(f), 1e-300)
+            elif np.any(s <= 0.0):
+                raise IntegrationError("plane-fibered block is not integrable")
+            else:   # Gaussian radial moments c!/s^{c+1}, once per distinct (c, s)
+                m = _per_key(_gaussian_moment, C, np.repeat(s[:, None], C.shape[1], 1))
+                value = np.column_stack([value, m[0]]).cumprod(axis=1)[:, -1]
+        f, fe = _base_shadow_integral(spec, E[:, :spec.base.dim])
+        value = value * f
+        rel_err = rel_err + fe / np.maximum(np.abs(f), 1e-300)
+        bad = np.flatnonzero((value <= 0.0) | ~np.isfinite(value))
+    if len(bad):
+        raise IntegrationError(f"norm integral collapsed for index {tuple(E[bad[0]].tolist())}")
+    return value, np.abs(value) * rel_err
+
+
 def monomial_norm_full(spec: DomainSpec, idx) -> NormEntry:
     """Squared L2 norm of the monomial with exponent vector idx, with an
-    error estimate and the method tag."""
+    error estimate and the method tag: the one-row case of _monomial_norms."""
     idx = tuple(int(i) for i in idx)
     if len(idx) != spec.dim:
         raise SpecError("monomial index arity mismatch")
     if any(i < 0 for i in idx):
         raise SpecError("monomial exponents must be nonnegative")
-    value = math.pi ** spec.dim
-    rel_err = 0.0
-    for i in range(len(spec.lifts) - 1, -1, -1):
-        step = spec.lifts[i]
-        stars = spec.star_indices(i)
-        c = tuple(idx[j] for j in range(spec.w_slice(i).start, spec.w_slice(i).stop))
-        s = sum(wt * (idx[j] + 1.0) for j, wt in zip(stars, step.weights))
-        if step.kind == "U":
-            f, fe = simplex_weighted_integral(s, c)
-            value *= f
-            rel_err += fe / max(abs(f), 1e-300)
-        else:
-            if s <= 0.0:
-                raise IntegrationError("plane-fibered block is not integrable")
-            # Gaussian radial moments: int_0^inf e^{-s r} r^c dr = c!/s^{c+1}
-            for cj in c:
-                value *= math.factorial(cj) / s ** (cj + 1)
-    a = idx[: spec.base.dim]
-    f, fe = _base_shadow_integral(spec, a)
-    value *= f
-    rel_err += fe / max(abs(f), 1e-300)
-    if value <= 0.0 or not math.isfinite(value):
-        raise IntegrationError(f"norm integral collapsed for index {idx}")
-    return NormEntry(value=value, error=abs(value) * rel_err, method="quadrature")
+    value, error = _monomial_norms(spec, np.array([idx], dtype=np.intp))
+    return NormEntry(value=float(value[0]), error=float(error[0]), method="quadrature")
 
 
-def compositions(total: int, parts: int):
-    """Exponent vectors of ``parts`` entries summing to ``total``, ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+def exponent_matrix(dim: int, degree_cap: int) -> np.ndarray:
+    """Every exponent vector of ``dim`` entries and degree <= degree_cap,
+    sorted by degree and lexicographically within a degree."""
+    E = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(dim):
+        # append a last entry 0..(cap - degree) to every row, in order
+        counts = degree_cap + 1 - E.sum(axis=1)
+        last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        E = np.column_stack([np.repeat(E, counts, axis=0), last])
+    return E[np.argsort(E.sum(axis=1), kind="stable")]
 
 
 class NormTable:
-    """Monomial squared norms for one spec: the ``entries`` dict, and the
-    same index set as a degree-sorted exponent matrix with its norm vector,
-    the first row ``offsets[d]`` of each degree shell d, and ``gather``,
-    each exponent's flat index into a (dim, cap + 1) array of powers."""
+    """Monomial squared norms for one spec: the degree-sorted (n, dim)
+    ``exponents`` matrix with its ``norms`` and ``errors`` vectors, the first
+    row ``offsets[d]`` of each degree shell d, and ``gather``, each exponent's
+    flat index into a (dim, cap + 1) array of powers.  ``entries``, the same
+    table as a dict of NormEntry, is built only when read."""
 
-    def __init__(self, spec: DomainSpec | None, entries: dict):
+    def __init__(self, spec: DomainSpec | None, exponents, norms, errors):
         self.spec = spec
-        self.entries = entries
-        exps = np.array(list(entries), dtype=np.intp, ndmin=2)
+        exps = np.array(exponents, dtype=np.intp, ndmin=2)
         if exps.size == 0 or exps.min() < 0:
             raise SpecError("norm table needs nonnegative monomial indices")
         degrees = exps.sum(axis=1)
         order = np.argsort(degrees, kind="stable")
         self.exponents, degrees = exps[order], degrees[order]
-        self.norms = np.array([e.value for e in entries.values()])[order]
+        self.norms = np.asarray(norms, dtype=float)[order]
+        self.errors = np.asarray(errors, dtype=float)[order]
         self.offsets = np.searchsorted(degrees, np.arange(degrees[-1] + 2)).tolist()
         dim = exps.shape[1]
         if any(b - a != math.comb(d + dim - 1, dim - 1)
@@ -252,36 +278,16 @@ class NormTable:
         if size > MAX_TABLE_ENTRIES:
             raise SpecError(f"degree cap {degree_cap} needs {size} norms in "
                             f"{spec.dim} dimensions (at most {MAX_TABLE_ENTRIES})")
-        entries = {}
-        for deg in range(degree_cap + 1):
-            for idx in compositions(deg, spec.dim):
-                entries[idx] = monomial_norm_full(spec, idx)
-        return cls(spec, entries)
+        exps = exponent_matrix(spec.dim, degree_cap)
+        return cls(spec, exps, *_monomial_norms(spec, exps))
+
+    @cached_property
+    def entries(self) -> dict:
+        return {tuple(a): NormEntry(v, e, "quadrature") for a, v, e in
+                zip(self.exponents.tolist(), self.norms.tolist(), self.errors.tolist())}
 
     def degree_cap(self) -> int:
         return len(self.offsets) - 2
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["index", "value", "error", "method"])
-            for idx in sorted(self.entries):
-                e = self.entries[idx]
-                w.writerow([" ".join(str(i) for i in idx),
-                            f"{e.value:.17g}", f"{e.error:.17g}", e.method])
-
-    @classmethod
-    def from_csv(cls, path, spec: DomainSpec | None = None) -> "NormTable":
-        entries = {}
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            r = csv.reader(f)
-            header = next(r)
-            if header != ["index", "value", "error", "method"]:
-                raise SpecError("unrecognized norm table header")
-            for row in r:
-                idx = tuple(int(t) for t in row[0].split())
-                entries[idx] = NormEntry(float(row[1]), float(row[2]), row[3])
-        return cls(spec, entries)
 
 
 @lru_cache(maxsize=64)

@@ -422,6 +422,21 @@ def test_non_finite_spec_exponent_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["series", "all"])
+@pytest.mark.parametrize("weight", [1e-300, 1e200])
+def test_unrepresentable_v_weight_exits_2(tmp_path, capsys, weight, mode):
+    # the V-step moment c!/s^(c+1) has no float value at index (0, 1)
+    spec = tmp_path / "v.json"
+    spec.write_text(json.dumps({
+        "base": {"kind": "GeneralizedComplexEllipsoid", "exponents": [1.0],
+                 "n_star": 1, "m_passive": 0},
+        "lifts": [{"kind": "V", "weights": [weight], "w_dim": 1}]}))
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps([[[0.0, 0.0], [0.0, 0.0]]]))
+    assert main(["eval", "--spec", str(spec), "--points", str(pts), "--mode", mode]) == 2
+    assert capsys.readouterr().err == "error: norm integral collapsed for index (0, 1)\n"
+
+
 @pytest.mark.parametrize("spec_json, points_json", [
     (None, "[1]"),
     (None, '[{"p": 5}]'),

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import re
 import warnings
 from itertools import product
 
@@ -10,10 +12,10 @@ from bergman import oracle
 from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              polydisk_spec)
-from bergman.domains import SpecError
+from bergman.domains import SpecError, spec_from_dict
 from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
 from bergman.jets import NonFiniteError, pochhammer
-from bergman.oracle import (ConvergenceError, IntegrationError, NormEntry, NormTable,
+from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
                             _de_integrate, dirichlet_identity_check,
                             get_norm_table, monomial_norm_full, reproducing_check,
                             reproducing_integral, series_kernel,
@@ -89,6 +91,91 @@ def test_simplex_integral_high_dimension_against_factorial_oracle():
             got, err = simplex_weighted_integral(s, c)
             assert got == pytest.approx(want, rel=1e-12)
             assert err <= 1e-9 * got
+
+
+def test_simplex_integral_rejects_bad_exponents():
+    with pytest.raises(IntegrationError, match="^non-integrable radial exponent$"):
+        simplex_weighted_integral(1.0, (2.0, -1.0))
+    with pytest.raises(IntegrationError, match="^negative simplex weight exponent$"):
+        simplex_weighted_integral(-0.5, (1.0,))
+
+
+# a V-step with three w coordinates and a non-integer moment base s
+V_WDIM3 = spec_from_dict({"base": {"kind": "GeneralizedComplexEllipsoid", "exponents": [1.0, 2.0],
+                                   "n_star": 2, "m_passive": 0},
+                          "lifts": [{"kind": "V", "weights": [0.7, 1.3], "w_dim": 3}]})
+
+# (spec, index, norm, error): the digits of the scalar per-index loop the
+# array routine replaced, which it must reproduce bit for bit
+PINNED_NORMS = {
+    "disk": (disk_spec(), (3,), 0.78539816339744828, 1.7439342490043159e-16),
+    "polydisk3": (polydisk_spec(3), (1, 2, 3), 1.2919281950124926, 2.8686568565305771e-16),
+    "egg_inflated_p2": (closed_form_families()["egg_inflated_p2"][0], (2, 1, 3),
+                        0.0058738349281509256, 2.0490406118075548e-18),
+    "ball_disk_lift_11": (ball_disk_lift_spec(1, 1), (2, 1, 3),
+                          0.0036912234143214079, 9.6048778678479165e-19),
+    "ball_exp_lift_11": (ball_exp_lift_spec(1, 1, (1.0,)), (2, 1, 3),
+                         0.038279353926296077, 5.3123275120936617e-18),
+    "stage6": (chain_stage_spec(6), (2, 1, 1, 0, 1, 2),
+               0.020952145441327327, 2.3261554284256614e-18),
+    "v_wdim3": (V_WDIM3, (2, 1, 3, 2, 4), 3.1605037814863416e-05, 3.5088640676210118e-21),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_NORMS)
+def test_norm_and_error_pinned_bitwise(name):
+    spec, idx, value, error = PINNED_NORMS[name]
+    e = monomial_norm_full(spec, idx)
+    assert (e.value, e.error) == (value, error)
+    table = NormTable.build(spec, sum(idx))
+    row = table.exponents.tolist().index(list(idx))
+    assert (table.norms[row], table.errors[row]) == (value, error)
+
+
+@pytest.mark.parametrize("spec, cap, digest", [
+    (V_WDIM3, 10, "71fb39a051006bdc"),
+    (chain_stage_spec(6), 8, "7c695c0001a35e8b"),
+    (closed_form_families()["egg_inflated_p2"][0], 20, "55aed363e3eae11d"),
+    (egg_spec(2, 1.5, 3), 10, "5197252dae5e89dc"),
+], ids=["v_wdim3", "stage6", "egg_inflated_p2", "u_wdim3"])
+def test_norm_table_digest_pinned(spec, cap, digest):
+    # every norm and error of the table, as the scalar per-index loop gave them
+    table = NormTable.build(spec, cap)
+    got = hashlib.sha256(table.norms.tobytes() + table.errors.tobytes()).hexdigest()
+    assert got[:16] == digest
+
+
+@pytest.mark.parametrize("spec", [polydisk_spec(2), closed_form_families()["egg_inflated_p2"][0],
+                                  ball_exp_lift_spec(1, 1, (1.0,)), chain_stage_spec(4)],
+                         ids=["polydisk2", "egg_inflated_p2", "ball_exp_lift_11", "stage4"])
+def test_norm_table_rows_equal_one_row_norms(spec):
+    table = NormTable.build(spec, 12)
+    for idx, value, error in zip(table.exponents.tolist(), table.norms, table.errors):
+        e = monomial_norm_full(spec, idx)
+        assert (e.value, e.error) == (value, error), idx
+        assert table.entries[tuple(idx)] == e
+    assert len(table.entries) == len(table.norms)
+    # the cap-12 rows are the first rows of the cap-20 table, bit for bit
+    big = NormTable.build(spec, 20)
+    n = len(table.norms)
+    assert big.offsets[:14] == table.offsets
+    assert big.exponents[:n].tobytes() == table.exponents.tobytes()
+    assert big.norms[:n].tobytes() == table.norms.tobytes()
+    assert big.errors[:n].tobytes() == table.errors.tobytes()
+
+
+@pytest.mark.parametrize("weight", [1e-300, 1e200])
+def test_unrepresentable_gaussian_moment_raises_integration_error(weight):
+    # c!/s^(c+1) at c = 1: s^2 underflows to 0 (1e-300) or overflows (1e200)
+    spec = spec_from_dict({"base": {"kind": "GeneralizedComplexEllipsoid", "exponents": [1.0],
+                                    "n_star": 1, "m_passive": 0},
+                           "lifts": [{"kind": "V", "weights": [weight], "w_dim": 1}]})
+    msg = re.escape("norm integral collapsed for index (0, 1)")
+    with pytest.raises(IntegrationError, match=msg):
+        NormTable.build(spec, 4)
+    with pytest.raises(IntegrationError, match=msg):
+        monomial_norm_full(spec, (0, 1))
+    assert monomial_norm_full(spec, (1, 0)).value > 0
 
 
 def test_de_integrate_raises_when_not_converged():
@@ -343,17 +430,6 @@ def test_dirichlet_k4_supported():
         dirichlet_identity_check(1.0, (0,) * 5, 4)
 
 
-def test_norm_table_csv_round_trip(tmp_path):
-    table = get_norm_table(disk_spec(), 6)
-    path = tmp_path / "norms.csv"
-    table.to_csv(path)
-    again = NormTable.from_csv(path)
-    assert set(again.entries) == set(table.entries)
-    for idx, e in table.entries.items():
-        assert again.entries[idx].value == e.value
-        assert again.entries[idx].method == e.method
-
-
 def test_norm_table_lexicographic_and_positive():
     table = NormTable.build(polydisk_spec(2), 4)
     assert all(e.value > 0 for e in table.entries.values())
@@ -388,30 +464,14 @@ def test_series_matches_closed_form_to_round_off_near_origin():
 
 def test_series_shell_overflow_is_non_finite():
     # two degree-1 terms of 1e308 each: the shell sum overflows
-    entries = {(0, 0): NormEntry(1.0, 0.0, "quadrature"),
-               (1, 0): NormEntry(0.25e-308, 0.0, "quadrature"),
-               (0, 1): NormEntry(0.25e-308, 0.0, "quadrature")}
-    table = NormTable(polydisk_spec(2), entries)
+    table = NormTable(polydisk_spec(2), [(0, 0), (1, 0), (0, 1)],
+                      [1.0, 0.25e-308, 0.25e-308], [0.0] * 3)
     with pytest.raises(NonFiniteError):
         series_kernel(polydisk_spec(2), (0.5, 0.5), (0.5, 0.5), 1, table=table)
     # one term that is already infinite
-    entries = {(0,): NormEntry(1.0, 0.0, "quadrature"),
-               (1,): NormEntry(1e-320, 0.0, "quadrature")}
+    table = NormTable(disk_spec(), [(0,), (1,)], [1.0, 1e-320], [0.0, 0.0])
     with pytest.raises(NonFiniteError):
-        series_kernel(disk_spec(), (0.5,), (0.5,), 1, table=NormTable(disk_spec(), entries))
-
-
-def test_series_from_csv_table_is_bitwise_equal(tmp_path):
-    spec = ball_disk_lift_spec(1, 1)
-    table = get_norm_table(spec, 20)
-    path = tmp_path / "norms.csv"
-    table.to_csv(path)
-    again = NormTable.from_csv(path, spec)
-    p, q = (0.2 + 0.1j, 0.3, -0.1j), (0.1, 0.2 - 0.2j, 0.3)
-    a = series_kernel(spec, p, q, 20, table=table)
-    b = series_kernel(spec, p, q, 20, table=again)
-    assert (a.value, a.tail_bound, a.cap_used, a.shells) == \
-        (b.value, b.tail_bound, b.cap_used, b.shells)
+        series_kernel(disk_spec(), (0.5,), (0.5,), 1, table=table)
 
 
 def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9):
@@ -493,8 +553,8 @@ def test_series_blocks_bitwise_equal_one_pass():
     # a huge degree-0 term makes the sum exit at degree 2; the terms of
     # degrees 7 (same block as the exit) and 20 (a later block) overflow to inf
     norms = {0: 1e-12, 7: 5e-324, 20: 5e-324}
-    entries = {(d,): NormEntry(norms.get(d, 1.0), 0.0, "quadrature") for d in range(31)}
-    table = NormTable(disk_spec(), entries)
+    table = NormTable(disk_spec(), [(d,) for d in range(31)],
+                      [norms.get(d, 1.0) for d in range(31)], [0.0] * 31)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sv = series_kernel(disk_spec(), (0.5,), (0.5,), 30, table=table)
@@ -509,7 +569,7 @@ def test_series_rejects_short_or_incomplete_table():
         series_kernel(disk_spec(), (0.1,), (0.1,), 7, table=table)
     with pytest.raises(SpecError):
         series_kernel(ball_spec(2), (0.1, 0.0), (0.1, 0.0), 6, table=table)
-    entries = dict(get_norm_table(polydisk_spec(2), 3).entries)
-    del entries[(1, 1)]
+    full = get_norm_table(polydisk_spec(2), 3)
+    keep = [i for i, a in enumerate(full.exponents.tolist()) if a != [1, 1]]
     with pytest.raises(SpecError):
-        NormTable(polydisk_spec(2), entries)
+        NormTable(polydisk_spec(2), full.exponents[keep], full.norms[keep], full.errors[keep])
