@@ -15,7 +15,8 @@ not modelled.)
 The reproducing-property integral is done in polar form as well: a
 rank-1 lattice angular rule, exact for every bin that no mode of the
 kernel's one-sided angular spectrum aliases onto, times nested
-Gauss-Legendre radial quadrature over the shadow, up to 3 coordinates.
+Gauss-Legendre radial quadrature over the shadow, up to 3 coordinates,
+calling the kernel on blocks of at most POLAR_ROWS = 8,192 rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DEFAULT_QUAD_W_RADIUS = 4.5
 # largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
-POLAR_CHUNK = 256        # radial nodes per kernel call of the reproducing pass
+POLAR_ROWS = 8192        # kernel rows (radial nodes x lattice points) per call
 
 
 class IntegrationError(RuntimeError):
@@ -450,8 +451,9 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
         raise IntegrationError("polar quadrature supported up to 3 coordinates")
     if not (isinstance(n_ang, (int, np.integer)) and n_ang in LATTICE_SIZES):
         raise ValueError("n_ang must be a power of 2 from 2 to 2048")
-    if min(n_rad, n_rad_check) < 1:
-        raise ValueError("n_rad and n_rad_check must be at least 1")
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in (n_rad, n_rad_check)):
+        raise ValueError("n_rad and n_rad_check must be integers of at least 1")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
     if any(len(idx) != d for idx in indices):
         raise SpecError("index arity mismatch")
@@ -506,19 +508,24 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang):
     totals = {idx: 0j for idx in indices}
     totals_half = {idx: 0j for idx in indices}
     pt = tuple(complex(c) for c in p)
-    for start in range(0, len(radii), POLAR_CHUNK):
-        rr = radii[start:start + POLAR_CHUNK]
-        ww = weights[start:start + POLAR_CHUNK]
+    wm = {}     # weight x monomial per index, once per pass
+    for idx in indices:
+        mono = np.ones(len(radii))
+        for coord, e in enumerate(idx):
+            if e:
+                mono = mono * radii[:, coord] ** e
+        wm[idx] = weights * mono
+    # whole radial nodes per kernel call, at most POLAR_ROWS rows: each block
+    # array stays in cache and below numpy's temporary-elision size
+    step = max(1, POLAR_ROWS // n_ang)
+    for start in range(0, len(radii), step):
+        rr = radii[start:start + step]
         qs = tuple(rr[:, coord, None] * angles[coord] for coord in range(d))
         kv = np.broadcast_to(K(pt, qs), (len(rr), n_ang))
         # one vector product per index, so a value's rounding does not
         # depend on which other indices are requested
         for idx in indices:
-            mono = np.ones(len(rr))
-            for coord, e in enumerate(idx):
-                if e:
-                    mono = mono * rr[:, coord] ** e
-            v = (ww * mono) @ kv
+            v = wm[idx][start:start + step] @ kv
             totals[idx] += complex(v @ phases[idx]) / n_ang
             totals_half[idx] += complex(v[::2] @ phases[idx][::2]) / (n_ang // 2)
     return totals, totals_half

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -13,7 +14,8 @@ from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, 
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              polydisk_spec)
 from bergman.domains import SpecError, spec_from_dict
-from bergman.kernels import kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift
+from bergman.kernels import (kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift,
+                             kernel_chain_stage3)
 from bergman.jets import NonFiniteError, pochhammer
 from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
                             _de_integrate, dirichlet_identity_check,
@@ -350,6 +352,41 @@ def test_reproducing_integral_repeated_index_counts_once():
     assert list(twice[0]) == [(1, 0, 0), (0, 0, 1)]
 
 
+@pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
+                               kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
+def test_reproducing_blocks_match_default_pass(K, monkeypatch):
+    idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
+    p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
+    grid = dict(n_rad=8, n_rad_check=5)      # 8^3 and 5^3 radial nodes
+    vals, errs = reproducing_integral(K, K.domain, idxs, p, **grid)
+    rows = []
+
+    def counted(pt, qs):
+        rows.append(qs[0].size)
+        return K(pt, qs)
+
+    # one radial node per call, then 3 per call with a partial last block
+    for budget in (512, 3 * 512):
+        monkeypatch.setattr(oracle, "POLAR_ROWS", budget)
+        rows.clear()
+        got, got_errs = reproducing_integral(counted, K.domain, idxs, p, **grid)
+        assert max(rows) <= budget and sum(rows) == (8 ** 3 + 5 ** 3) * 512
+        for idx in idxs:
+            assert abs(got[idx] - vals[idx]) <= 1e-13 * abs(vals[idx])
+            assert abs(got_errs[idx] - errs[idx]) <= 1e-13 * max(1.0, abs(vals[idx]))
+
+
+def test_reproducing_pass_memory_is_bounded():
+    K = kernel_ball_disk_lift(1, 1)
+    tracemalloc.start()
+    try:
+        reproducing_integral(K, K.domain, [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_reproducing_integral_rejects_bad_arguments():
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
@@ -359,7 +396,9 @@ def test_reproducing_integral_rejects_bad_arguments():
         reproducing_integral(K, spec, [(-1, 0, 0)], p, **grid)
     with pytest.raises(SpecError):
         reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p, **grid)
-    for bad in (dict(n_rad=0), dict(n_rad_check=0)):
+    for bad in (dict(n_rad=0), dict(n_rad_check=0), dict(n_rad=-3), dict(n_rad=2.5),
+                dict(n_rad_check=2.5), dict(n_rad=True), dict(n_rad_check=False),
+                dict(n_rad=None)):
         with pytest.raises(ValueError):
             reproducing_integral(K, spec, [(1, 0, 0)], p, **{**grid, **bad})
 
