@@ -63,12 +63,10 @@ def _run_cases(cases, workers: int):
         return [f.result() for f in futures]
 
 
-def _write_csv(path, header, rows, comment=""):
-    """The CSV, after the line ``comment`` if any, to ``path`` (stdout for None)."""
+def _write_csv(path, header, rows):
+    """The CSV to ``path`` (stdout for None)."""
     with (open(path, "w", encoding="utf-8", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as f:
-        if comment:
-            f.write(comment + "\n")
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
@@ -377,14 +375,19 @@ def cmd_sample(args) -> int:
     spec = load_spec(args.spec)
     res = sample_interior(spec, args.count, seed=args.seed,
                           w_radius=args.w_radius, box_radius=args.box_radius)
-    header = ["i"] + [f"c{j}_{part}" for j in range(spec.dim) for part in ("re", "im")]
-    rows = [[i] + [_fmt(x) for c in pt for x in (c.real, c.imag)]
-            for i, pt in enumerate(res.points)]
     if args.out:
-        _write_csv(args.out, header, rows,
-                   f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
-                   f"volume_estimate={_fmt(res.volume_estimate)} "
-                   f"draws={res.draws} truncated_w={res.truncated_w}")
+        header = ["i"] + [f"c{j}_{part}" for j in range(spec.dim) for part in ("re", "im")]
+        # csv.writer's row, formatted as _fmt does: "%.17g" is f"{x:.17g}"
+        row = "%d" + ",%.17g" * (2 * spec.dim) + "\r\n"
+        flat = res.points.view(float).reshape(len(res.points), -1)
+        with open(args.out, "w", encoding="utf-8", newline="") as f:
+            f.write(f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
+                    f"volume_estimate={_fmt(res.volume_estimate)} "
+                    f"draws={res.draws} truncated_w={res.truncated_w}\n")
+            csv.writer(f).writerow(header)
+            for start in range(0, len(flat), 4096):   # memory bounded for any --count
+                block = flat[start:start + 4096].tolist()
+                f.write("".join(row % (i, *x) for i, x in enumerate(block, start)))
     print(f"accepted={len(res.points)} acceptance_ratio={_fmt(res.acceptance_ratio)} "
           f"volume_estimate={_fmt(res.volume_estimate)}")
     return EXIT_OK

@@ -327,10 +327,13 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     panels drawn well inside the domain).  The acceptance ratio times the
     box volume is an unbiased estimate of the domain volume (for V-lifted
     domains: of the w-truncated volume).  SamplingError when
-    SAMPLE_MAX_DRAWS draws do not give ``count`` points.
+    SAMPLE_MAX_DRAWS draws do not give ``count`` points; ValueError for a
+    seed outside [0, 2**64), the Philox key range.
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     given = (w_radius,) if box_radius is None else (w_radius, box_radius)
     if not all(math.isfinite(r) and r > 0 for r in given):
         raise ValueError("w_radius and box_radius must be finite and positive")
@@ -342,14 +345,18 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     n_total = 0
     draws = 0
     batch = 0
+    # one chunk-sized buffer: batch-sized temporaries landed wherever the
+    # heap had room, so the peak memory varied with the heap's layout
+    u = np.empty((SAMPLE_CHUNK, spec.dim, 2))
     while n_total < count:
         rng = _batch_generator(seed, batch)
         batch += 1
-        # chunk-sized temporaries: batch-sized ones landed wherever the heap
-        # had room, so the peak memory varied with the heap's layout
         for _ in range(SAMPLE_BATCH // SAMPLE_CHUNK):
-            u = rng.uniform(-1.0, 1.0, size=(SAMPLE_CHUNK, spec.dim, 2))
-            pts = (u[:, :, 0] + 1j * u[:, :, 1]) * rad
+            # rng.uniform(-1, 1) computes -1 + 2 * next_double: the same bits
+            rng.random(out=u)
+            u *= 2.0
+            u -= 1.0
+            pts = u.view(complex)[:, :, 0] * rad
             accepted.append(pts[shadow_contains(spec, np.abs(pts) ** 2)])
             n_total += len(accepted[-1])
         draws += SAMPLE_BATCH

@@ -14,7 +14,7 @@ import bergman.cli as cli
 from bergman.cli import _fmt, _load_points, main
 from bergman.catalog import (ball_disk_lift_spec, ball_exp_lift_spec, chain_stage_spec,
                              closed_form_families, disk_spec, interior_pairs)
-from bergman.domains import SpecError, contains, spec_to_dict
+from bergman.domains import SpecError, contains, sample_interior, spec_to_dict
 from bergman.kernels import Kernel, closed_form_for, kernel_ball
 from bergman.lifting import compose_pipeline
 from bergman.oracle import series_kernel
@@ -399,6 +399,33 @@ def test_sample_writes_csv(disk_files, tmp_path):
     assert len(lines) == 27
 
 
+@pytest.mark.parametrize("spec, count, box", [
+    (disk_spec(), 25, None),
+    (chain_stage_spec(5), 40, "0.5"),
+    (ball_exp_lift_spec(1, 2, (2.0,)), 9000, None),
+], ids=["disk", "stage5", "exp_lift_12_g2-two-blocks"])
+def test_sample_csv_bytes_match_csv_writer(tmp_path, capsys, spec, count, box):
+    specf = tmp_path / "spec.json"
+    specf.write_text(json.dumps(spec_to_dict(spec)))
+    out = tmp_path / "pts.csv"
+    argv = ["sample", "--spec", str(specf), "--count", str(count), "--seed", "31",
+            "--out", str(out)] + (["--box-radius", box] if box else [])
+    assert main(argv) == 0
+    res = sample_interior(spec, count, seed=31, box_radius=box and float(box))
+    want = io.StringIO(newline="")
+    want.write(f"# acceptance_ratio={res.acceptance_ratio:.17g} "
+               f"volume_estimate={res.volume_estimate:.17g} "
+               f"draws={res.draws} truncated_w={res.truncated_w}\n")
+    w = csv.writer(want)
+    w.writerow(["i"] + [f"c{j}_{part}" for j in range(spec.dim) for part in ("re", "im")])
+    w.writerows([i] + [f"{x:.17g}" for c in pt for x in (c.real, c.imag)]
+                for i, pt in enumerate(res.points))
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
+    assert capsys.readouterr().out == (
+        f"accepted={count} acceptance_ratio={res.acceptance_ratio:.17g} "
+        f"volume_estimate={res.volume_estimate:.17g}\n")
+
+
 def test_bad_spec_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -487,8 +514,12 @@ def _exit_code(argv):
     ["sample", "--count", "3", "--w-radius", "-3"],
     ["eval", "--cap", "-3"],
     ["eval", "--cap", "1000", "--mode", "series"],
+    ["sample", "--count", "3", "--seed", "-1"],
+    ["sample", "--count", "3", "--seed", str(1 << 64)],
+    ["verify", "--suite", "symmetry", "--seed", "-1"],
 ], ids=["tol-nan", "tol-zero", "box-radius-nan", "box-radius-inf", "w-radius-negative",
-        "cap-negative", "cap-too-large"])
+        "cap-negative", "cap-too-large", "sample-seed-negative", "sample-seed-too-large",
+        "verify-seed-negative"])
 def test_bad_numeric_flag_exits_2(lifted_ball_file, tmp_path, capsys, argv):
     pts = tmp_path / "p.json"
     pts.write_text(json.dumps([[[0.1, 0.0], [0.2, 0.0], [0.1, 0.0]]]))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.domains import (BaseDomain, DomainSpec, LiftStep,
-                             SingularEvaluationError, SpecError, contains,
-                             defining_function, sample_interior, slice_map,
-                             spec_from_dict, spec_to_dict, star_shape_check)
+from bergman.domains import (SAMPLE_BATCH, SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep,
+                             SingularEvaluationError, SpecError, _batch_generator,
+                             box_radii, contains, defining_function, sample_interior,
+                             shadow_contains, slice_map, spec_from_dict, spec_to_dict,
+                             star_shape_check)
 from bergman.catalog import (ball_spec, egg_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec, chain_stage_spec, polydisk_spec)
 
@@ -118,6 +119,47 @@ def test_sample_rejects_bad_radius(radius, value):
     # inf made SAMPLE_MAX_DRAWS draws before failing
     with pytest.raises(ValueError, match="finite and positive"):
         sample_interior(ball_exp_lift_spec(1, 1, (1.0,)), 10, seed=1, **{radius: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 70)])
+def test_sample_rejects_seed_out_of_range(seed):
+    # Philox takes a 64-bit key: these seeds raised OverflowError
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        sample_interior(disk_spec(), 10, seed=seed)
+
+
+def _reference_sample(spec, count, seed, box_radius=None):
+    """The draw loop written with rng.uniform(-1, 1) and u0 + 1j*u1 per chunk."""
+    rad = np.array(box_radii(spec))
+    if box_radius is not None:
+        rad = np.minimum(rad, box_radius)
+    accepted, batch = [], 0
+    while sum(map(len, accepted)) < count:
+        rng = _batch_generator(seed, batch)
+        batch += 1
+        for _ in range(SAMPLE_BATCH // SAMPLE_CHUNK):
+            u = rng.uniform(-1.0, 1.0, (SAMPLE_CHUNK, spec.dim, 2))
+            pts = (u[:, :, 0] + 1j * u[:, :, 1]) * rad
+            accepted.append(pts[shadow_contains(spec, np.abs(pts) ** 2)])
+    pts = np.concatenate(accepted)
+    draws = batch * SAMPLE_BATCH
+    return pts[:count], draws, len(pts) / draws
+
+
+@pytest.mark.parametrize("spec, count, seed, box_radius", [
+    (chain_stage_spec(2), 3000, (1 << 64) - 1, None),
+    (chain_stage_spec(3), 3000, 6, None),
+    (chain_stage_spec(4), 1000, 7, None),
+    (chain_stage_spec(5), 300, 8, None),
+    (ball_exp_lift_spec(1, 2, (2.0,)), 3000, 9, None),
+    (chain_stage_spec(3), 3000, 10, 0.6),
+], ids=["stage2", "stage3", "stage4", "stage5", "exp_lift_12_g2", "stage3-box"])
+def test_sample_draw_stream_matches_reference(spec, count, seed, box_radius):
+    res = sample_interior(spec, count, seed=seed, box_radius=box_radius)
+    pts, draws, ratio = _reference_sample(spec, count, seed, box_radius)
+    assert np.array_equal(res.points, pts)
+    assert res.draws == draws
+    assert res.acceptance_ratio == ratio
 
 
 def test_sample_deterministic_for_seed():
