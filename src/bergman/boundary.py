@@ -14,7 +14,6 @@ and for a single V-step domain at a degenerate-gradient point the weight is
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -43,28 +42,24 @@ def _single_lift(spec: DomainSpec, kinds=("U",)):
     return spec.lifts[0]
 
 
-def _wirtinger_gradient(spec: DomainSpec, p, indices, step: float) -> np.ndarray:
-    """Central-difference Wirtinger gradient of the defining function,
-    d r / d z_j = (d_x - i d_y)/2, for j in ``indices``; the four stencil
-    points of every j are one panel."""
-    indices = list(indices)
-    P = np.tile(np.array(p, dtype=complex), (4 * len(indices), 1))
-    P[np.arange(len(P)), np.repeat(indices, 4)] += np.tile(
-        [step, -step, 1j * step, -1j * step], len(indices))
+def star_gradient(spec: DomainSpec, p) -> np.ndarray:
+    """Central-difference Wirtinger gradient of the defining function in the
+    stars, d r / d z_j = (d_x - i d_y)/2 with step 1e-6; the four stencil
+    points of every star are one panel."""
+    step = 1e-6
+    stars = spec.star_indices()
+    P = np.tile(np.array(p, dtype=complex), (4 * len(stars), 1))
+    P[np.arange(len(P)), np.repeat(stars, 4)] += np.tile(
+        [step, -step, 1j * step, -1j * step], len(stars))
     v = defining_function(spec, P.T)
     dx = (v[0::4] - v[1::4]) / (2 * step)
     dy = (v[2::4] - v[3::4]) / (2 * step)
     return 0.5 * (dx - 1j * dy)
 
 
-def star_gradient(spec: DomainSpec, p, step: float = 1e-6) -> np.ndarray:
-    """Numeric Wirtinger gradient of the defining function in the stars."""
-    return _wirtinger_gradient(spec, p, spec.star_indices(), step)
-
-
-def stratify_point(spec: DomainSpec, p, boundary_tol: float = 1e-10,
-                   grad_tol: float = 1e-8) -> Stratum:
-    """Classify a boundary point of a single U-step domain."""
+def stratify_point(spec: DomainSpec, p) -> Stratum:
+    """Classify a boundary point of a single U-step domain: on the boundary
+    means |r| <= 1e-10, a degenerate star gradient has norm below 1e-8."""
     _single_lift(spec)
     p = tuple(complex(c) for c in p)
     z, zp, (w,) = spec.split(p)
@@ -73,25 +68,25 @@ def stratify_point(spec: DomainSpec, p, boundary_tol: float = 1e-10,
         if any(abs(c) > 1e-8 for c in z):
             raise BoundaryError("|w| = 1 boundary points require z = 0")
         r0 = defining_function(spec, (0.0,) * len(z) + zp + (0.0,))
-        if r0 < -boundary_tol:
+        if r0 < -1e-10:
             return Stratum.S3
-        if r0 <= boundary_tol:
+        if r0 <= 1e-10:
             return Stratum.S4
         raise BoundaryError("point lies outside the domain closure")
     if aw > 1.0:
         raise BoundaryError("point lies outside the domain closure")
     r = defining_function(spec, p)
-    if abs(r) > boundary_tol:
+    if abs(r) > 1e-10:
         raise BoundaryError(f"point is not on the boundary (r = {r:.3e})")
     g = star_gradient(spec, p)
-    return Stratum.S2 if float(np.linalg.norm(g)) < grad_tol else Stratum.S1
+    return Stratum.S2 if float(np.linalg.norm(g)) < 1e-8 else Stratum.S1
 
 
 # ---------------------------------------------------------------------------
 # approach regions and default paths
 
 
-def _region_w2(spec: DomainSpec, q_exp: float):
+def _region_w2(spec: DomainSpec):
     if spec.base.kind != KIND_ELLIPSOID:
         raise BoundaryError("boundary probes need an ellipsoid base")
     n = spec.base.n_star
@@ -101,7 +96,7 @@ def _region_w2(spec: DomainSpec, q_exp: float):
         lhs = 0.0
         for c, xj, pj in zip(p[:n], x, spec.base.exponents):
             rj = np.where(xj > 0, pj * xj ** (pj - 1.0), pj if pj == 1.0 else 0.0)
-            lhs += (abs(c) ** 2 * rj) ** q_exp
+            lhs += (abs(c) ** 2 * rj) ** 0.5
         return valid & (lhs < -r)
 
     return ok
@@ -144,7 +139,6 @@ class ApproachPath:
     stratum: Stratum
     point_fn: object
     region_fn: object
-    params: dict = field(default_factory=dict)
     levels: int = 12
     panel: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
@@ -185,29 +179,29 @@ class ApproachPath:
 
 
 def default_path(spec: DomainSpec, target, stratum: Stratum,
-                 params: dict | None = None, levels: int = 12) -> ApproachPath:
-    """Documented default approach path for the given stratum.
+                 levels: int = 12) -> ApproachPath:
+    """Documented default approach path for the given stratum, along the
+    direction (1, ..., 1)/sqrt(n) of the star block.
 
     U-step domains: S2 shrinks the star block like t^2 at fixed w, S3 sends
-    |w|^2 to 1 like 1-t with |z_j| = t^(1+p_j/2), S4 combines both.  For a
-    V-step domain pass S2: the path approaches the degenerate-gradient
-    point (0, z0', w0) inside the exhaustion region with exponents s_j,
+    |w|^2 to 1 like 1-t with |z_j| = 0.5 t^(1+p_j/2), p_j = 2 alpha_j, S4
+    combines both; the S2 region takes exponent q = 1/2.  For a V-step
+    domain pass S2: the path approaches the degenerate-gradient point
+    (0, z0', w0) inside the exhaustion region with exponents s_j = 1/2,
     from a z scale 0.25 exp(-max_j gamma_j |w0|^2) that keeps the first
     level inside that region.
     """
-    params = dict(params or {})
     target = tuple(complex(c) for c in target)
     step = _single_lift(spec, kinds=("U", "V"))
     z0, zp0, (w0,) = spec.split(target)
     n = len(z0)
-    direction = params.get("direction", tuple(1.0 / math.sqrt(n) for _ in range(n)))
+    direction = tuple(1.0 / math.sqrt(n) for _ in range(n))
     if step.kind == "V":
         if stratum != Stratum.S2:
             raise BoundaryError("V-step probes classify their targets as S2 "
                                 "(degenerate star gradient)")
-        s_exps = params.setdefault("s", tuple(0.5 for _ in range(n)))
-        scale = params.setdefault(
-            "z_scale", 0.25 * math.exp(-max(step.weights) * abs(w0[0]) ** 2))
+        s_exps = tuple(0.5 for _ in range(n))
+        scale = 0.25 * math.exp(-max(step.weights) * abs(w0[0]) ** 2)
 
         def point_fn(t):
             z = [scale * d * t ** (1.0 / s) for d, s in zip(direction, s_exps)]
@@ -215,10 +209,9 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
             return tuple(z) + tuple(zp) + (w0[0],)
 
         return ApproachPath(spec, target, stratum, point_fn,
-                            _region_ws_v(spec, s_exps), params, levels).validate()
+                            _region_ws_v(spec, s_exps), levels).validate()
 
     if stratum == Stratum.S2:
-        q_exp = params.setdefault("q", 0.5)
         alphas = step.weights
         aw2 = abs(w0[0]) ** 2
 
@@ -229,20 +222,20 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
             return tuple(z) + tuple(zp) + (w0[0],)
 
         return ApproachPath(spec, target, stratum, point_fn,
-                            _region_w2(spec, q_exp), params, levels).validate()
+                            _region_w2(spec), levels).validate()
 
     if stratum in (Stratum.S3, Stratum.S4):
         if abs(abs(w0[0]) - 1.0) > 1e-8:
             raise BoundaryError("S3 and S4 targets lie on the |w| = 1 face")
-        p_exps = params.setdefault("p", tuple(2.0 * a for a in step.weights))
+        p_exps = tuple(2.0 * a for a in step.weights)
         if any(pj <= a for pj, a in zip(p_exps, step.weights)):
-            raise BoundaryError("region exponents must exceed the lift weights")
+            raise BoundaryError("S3 and S4 probes need every lift weight positive "
+                                "(region exponent 2 alpha_j > alpha_j)")
         phase = w0[0] / abs(w0[0])
-        scale = params.setdefault("z_scale", 0.5)
         shrink = stratum == Stratum.S4
 
         def point_fn(t):
-            z = [scale * d * t * t ** (pj / 2.0)
+            z = [0.5 * d * t * t ** (pj / 2.0)
                  for d, pj in zip(direction, p_exps)]
             zp = [((1.0 - t / 2.0) if shrink else 1.0) * c for c in zp0]
             w = math.sqrt(1.0 - t) * phase
@@ -250,11 +243,11 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
 
         region = _region_w3(spec, p_exps)
         if stratum == Stratum.S4:
-            w2 = _region_w2(spec, params.setdefault("q", 0.5))
+            w2 = _region_w2(spec)
             w3 = region
             region = lambda p: w2(p) & w3(p)
         return ApproachPath(spec, target, stratum, point_fn, region,
-                            params, levels).validate()
+                            levels).validate()
 
     raise BoundaryError("S1 points are smooth strongly pseudoconvex; no "
                         "weighted probe is defined there")
@@ -317,21 +310,12 @@ class ProbeReport:
     converged: bool
     predicted: float | None = None
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k", "t", "kernel", "weighted", "extrapolated"])
-            for k, (t, kv, wv, ev) in enumerate(
-                    zip(self.ts, self.kernel_values, self.weighted,
-                        self.extrapolated), start=1):
-                w.writerow([k, f"{t:.17g}", f"{kv:.17g}", f"{wv:.17g}",
-                            f"{ev:.17g}"])
 
-
-def weighted_limit(K, path: ApproachPath, weight, spread_tol: float = 0.02) -> ProbeReport:
+def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
     """Diagonal kernel values times the weight along the path grid, with a
     Richardson-extrapolated limit (first-order model, least-squares order
-    check; falls back to the last value when the order fit is poor).
+    check; falls back to the last value when the order fit is poor),
+    converged when the last three values spread by at most 2%.
 
     The levels are one panel: one kernel call and one weight call on its
     coordinate columns.  The levels from the first non-finite kernel value
@@ -377,7 +361,7 @@ def weighted_limit(K, path: ApproachPath, weight, spread_tol: float = 0.02) -> P
                        extrapolated=[float(e) for e in extr], limit=limit,
                        spread=spread, r_squared=float(r2),
                        used_richardson=used_rich, diverged=diverged,
-                       converged=(not diverged) and spread <= spread_tol)
+                       converged=(not diverged) and spread <= 0.02)
 
 
 def predicted_limit(spec: DomainSpec, target, stratum: Stratum) -> float | None:
@@ -410,20 +394,17 @@ def predicted_limit(spec: DomainSpec, target, stratum: Stratum) -> float | None:
 # Levi form probe
 
 
-def levi_min_eigenvalue(spec: DomainSpec, p, step: float = 1e-4) -> float:
+def levi_min_eigenvalue(spec: DomainSpec, p) -> float:
     """Smallest eigenvalue of the complex Hessian of the defining function
     restricted to the complex tangent space at a smooth boundary point.
 
-    Second derivatives by central differences on the underlying real
-    coordinates; the tangent-space restriction uses an orthonormal
-    complement of the Wirtinger gradient.
+    First and second derivatives by central differences with step 1e-4 on
+    the underlying real coordinates; the tangent-space restriction uses an
+    orthonormal complement of the Wirtinger gradient.
     """
-    p = tuple(complex(c) for c in p)
+    step = 1e-4
     d = spec.dim
-    x0 = np.array(p, dtype=complex).view(float)
-    grad = _wirtinger_gradient(spec, p, range(d), step)
-    if np.linalg.norm(grad) < 1e-8:
-        raise BoundaryError("gradient vanishes; the tangent space is undefined")
+    x0 = np.array([complex(c) for c in p]).view(float)
     # one panel: x0, x0 +- e_a and x0 +- e_a +- e_b for b < a
     E = step * np.eye(2 * d)
     a, b = np.tril_indices(2 * d, -1)
@@ -431,6 +412,10 @@ def levi_min_eigenvalue(spec: DomainSpec, p, step: float = 1e-4) -> float:
                    x0 - E[a] + E[b], x0 - E[a] - E[b]])
     f = defining_function(spec, X.view(complex).T)
     f0, fp, fm, pp, pm, mp, mm = np.split(f, np.cumsum([1, 2 * d, 2 * d] + [len(a)] * 3))
+    dr = (fp - fm) / (2 * step)
+    grad = 0.5 * (dr[0::2] - 1j * dr[1::2])
+    if np.linalg.norm(grad) < 1e-8:
+        raise BoundaryError("gradient vanishes; the tangent space is undefined")
     hr = np.diag((fp - 2 * f0 + fm) / step ** 2)
     hr[a, b] = hr[b, a] = (pp - pm - mp + mm) / (4 * step ** 2)
     H = 0.25 * ((hr[0::2, 0::2] + hr[1::2, 1::2])

@@ -15,7 +15,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,13 +43,6 @@ SUITES = ("symmetry", "reproducing", "series", "dirichlet",
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BERGMAN_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _run_cases(cases, workers: int):
@@ -255,7 +247,7 @@ def _suite_dirichlet(tol, seed):
     cases = []
     for s, k, c in _dirichlet_grid():
         def case(s=s, k=k, c=c):
-            quad, closed = dirichlet_identity_check(s, c, k)
+            quad, closed = dirichlet_identity_check(s, c)
             err = abs(quad - closed) / max(abs(closed), 1e-300)
             return _case(f"s={s},k={k},c={c}", err, tol)
         cases.append(case)
@@ -357,7 +349,10 @@ def cmd_boundary(args) -> int:
     report = weighted_limit(K, path, args.weight)
     report.predicted = predicted_limit(spec, target, stratum)
     if args.out:
-        report.to_csv(args.out)
+        _write_csv(args.out, ["k", "t", "kernel", "weighted", "extrapolated"],
+                   [[k, *map(_fmt, row)] for k, row in enumerate(zip(
+                       report.ts, report.kernel_values, report.weighted,
+                       report.extrapolated), start=1)])
     line = (f"limit={_fmt(report.limit)} spread={_fmt(report.spread)} "
             f"converged={report.converged}")
     if report.predicted is not None:
@@ -410,6 +405,13 @@ def _nonnegative(text: str) -> int:
     return v
 
 
+def _seed(text: str) -> int:
+    v = int(text)
+    if not 0 <= v < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {text!r}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bergman",
@@ -428,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
-    pv.add_argument("--seed", type=int, default=2024)
+    pv.add_argument("--seed", type=_seed, default=2024)
     pv.add_argument("--tol", type=_positive, default=None)
-    pv.add_argument("--workers", type=int, default=_default_workers())
+    pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", default=None)
     pv.set_defaults(fn=cmd_verify)
 
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="rejection-sample interior points")
     ps.add_argument("--spec", required=True)
     ps.add_argument("--count", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--w-radius", type=_positive, default=3.0)
     ps.add_argument("--box-radius", type=_positive, default=None)
     ps.add_argument("--out", default=None)
@@ -455,12 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# one parser per value of BERGMAN_WORKERS, the --workers default
-_parser = functools.lru_cache(maxsize=4)(lambda workers_env: build_parser())
+# built on the first call, not at import: it costs about a millisecond
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser(os.environ.get("BERGMAN_WORKERS")).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SpecError, SamplingError, BoundaryError, LiftError, IntegrationError,

@@ -311,8 +311,8 @@ def box_radii(spec: DomainSpec, w_radius: float = DEFAULT_W_RADIUS) -> tuple:
 
 
 def _batch_generator(seed: int, batch: int) -> np.random.Generator:
-    # counter-based: disjoint counter ranges per batch reproduce the
-    # serial stream under any sharding
+    # counter-based: batch b reads the disjoint counter range from b * 2**70,
+    # so the stream is fixed per seed
     bitgen = np.random.Philox(key=np.uint64(seed), counter=batch * (1 << 70))
     return np.random.Generator(bitgen)
 
@@ -397,7 +397,7 @@ def star_shape_check(spec, trials: int = 128, seed: int = 7) -> bool:
         pts = np.asarray(spec.sample(trials, seed))
         member = spec.contains
     stars = spec.star_indices()
-    rng = _batch_generator(seed + 1, 0)
+    rng = _batch_generator((seed + 1) % (1 << 64), 0)   # a Philox key for every seed
     u = rng.uniform(0.0, 1.0, size=(len(pts), len(stars)))
     th = rng.uniform(0.0, 2.0 * math.pi, size=(len(pts), len(stars)))
     Q = np.array(pts, dtype=complex)

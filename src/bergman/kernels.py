@@ -83,12 +83,6 @@ class Kernel:
         v = self(p, p)
         return np.real(v) if isinstance(v, np.ndarray) and v.ndim else complex(v).real
 
-    def with_arity(self, n: int, m: int, w_dims=()) -> "Kernel":
-        k = Kernel(self.fn, n, m, w_dims, domain=self.domain, name=self.name)
-        if k.dim != self.dim:
-            raise ValueError("arity change must preserve the dimension")
-        return k
-
     def scaled(self, factor: float) -> "Kernel":
         """Pointwise multiple (test probe for reproducing-property drift)."""
         return Kernel(lambda p, cq: factor * self.fn(p, cq), self.n, self.m,
@@ -328,7 +322,7 @@ def closed_form_for(spec: DomainSpec) -> Kernel | None:
     if not spec.lifts:
         if b.kind == KIND_POLYDISK:
             k = kernel_polydisk(b.dim)
-            return k.with_arity(b.n_star, b.m_passive)
+            return Kernel(k.fn, b.n_star, b.m_passive, domain=spec, name=k.name)
         non_unit = [(j, p) for j, p in enumerate(b.exponents) if p != 1.0]
         if not non_unit:
             return kernel_ball(b.dim, b.n_star)

@@ -99,8 +99,8 @@ def test_criterion_4_dirichlet_identity():
     grid = [(s, k, c) for s in (0.5, 1.0, 1.7, 3.0)
             for k in (1, 2, 3) for c in cs[k]][:30]
     worst = 0.0
-    for s, k, c in grid:
-        quad, closed = dirichlet_identity_check(s, c, k)
+    for s, _, c in grid:
+        quad, closed = dirichlet_identity_check(s, c)
         worst = max(worst, abs(quad - closed) / abs(closed))
     ok, dt = _report("criterion-4 dirichlet", worst, 1e-8, t0,
                      extra=f"cases={len(grid)}")

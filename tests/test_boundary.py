@@ -11,8 +11,8 @@ from bergman.boundary import (ApproachPath, BoundaryError, Stratum,
                               weighted_limit)
 from bergman.catalog import (ball_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec)
-from bergman.domains import (SpecError, contains, defining_function,
-                             sample_interior)
+from bergman.domains import (BaseDomain, DomainSpec, LiftStep, SpecError,
+                             contains, defining_function, sample_interior)
 from bergman.kernels import (Kernel, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift)
 from bergman.lifting import compose_pipeline
@@ -55,7 +55,7 @@ def test_stratification_partitions_boundary():
             else:
                 hi = mid
         b = tuple(lo * p)
-        s = stratify_point(SPEC, b, boundary_tol=1e-6)
+        s = stratify_point(SPEC, b)
         labels.append(s)
         assert s in (Stratum.S1, Stratum.S2)
     # z = 0 slices
@@ -82,8 +82,11 @@ def test_default_path_stays_inside():
 
 
 def test_default_path_rejects_bad_region_exponents():
-    with pytest.raises(BoundaryError):
-        default_path(SPEC, (0, 0.5, 1.0), Stratum.S3, params={"p": (0.5,)})
+    # the S3 region exponent 2 alpha_j exceeds alpha_j only for alpha_j > 0
+    spec = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
+                      (LiftStep("U", (1.0, 0.0), 1),))
+    with pytest.raises(BoundaryError, match="lift weight positive"):
+        default_path(spec, (0, 0, 1.0), Stratum.S3)
 
 
 def test_s2_probe_limit():
@@ -135,7 +138,8 @@ def test_v_probe_strong_weight_near_unit_w(m):
     spec = ball_exp_lift_spec(1, m, (2.0,))
     target = (0, 1.0) + (0,) * (m - 1) + (0.99,)
     path = default_path(spec, target, Stratum.S2)
-    assert path.params["z_scale"] == pytest.approx(0.25 * math.exp(-2.0 * 0.99 ** 2))
+    # first level t = 1/2: z = scale * t^(1/s) with s = 1/2
+    assert path.panel[0, 0] == pytest.approx(0.25 * math.exp(-2.0 * 0.99 ** 2) * 0.25)
     rep = weighted_limit(kernel_ball_exp_lift(1, m, (2.0,)), path, "rho")
     want = predicted_limit(spec, target, Stratum.S2)
     assert rep.converged
@@ -203,16 +207,6 @@ def test_disk_radial_probe():
     rep = weighted_limit(kernel_ball(1), path,
                          lambda p: (1 - abs(p[0]) ** 2) ** 2)
     assert abs(rep.limit - 1 / PI) * PI < 1e-3
-
-
-def test_probe_report_csv(tmp_path):
-    path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
-    rep = weighted_limit(kernel_ball_disk_lift(1, 1), path, "r")
-    out = tmp_path / "probe.csv"
-    rep.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k,t,kernel,weighted,extrapolated"
-    assert len(lines) == len(rep.ts) + 1
 
 
 def test_levi_ball():

@@ -281,15 +281,6 @@ def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
             (_fmt(v.real), _fmt(v.imag), _fmt(sv.tail_bound))
 
 
-def test_main_reads_workers_env_on_every_call(monkeypatch):
-    seen = []
-    monkeypatch.setattr(cli, "_run_cases", lambda cases, workers: seen.append(workers) or [])
-    for value in ("2", "3", "2"):
-        monkeypatch.setenv("BERGMAN_WORKERS", value)
-        assert main(["verify", "--suite", "levi"]) == 0
-    assert seen == [2, 3, 2]
-
-
 def test_verify_dirichlet_passes(capsys):
     rc = main(["verify", "--suite", "dirichlet"])
     assert rc == 0
@@ -326,13 +317,6 @@ def test_verify_worker_count_does_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_verify_workers_default_from_env(monkeypatch):
-    monkeypatch.setenv("BERGMAN_WORKERS", "3")
-    from bergman.cli import build_parser
-    args = build_parser().parse_args(["verify", "--suite", "levi"])
-    assert args.workers == 3
-
-
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", "--suite", "nonsense"])
@@ -355,7 +339,9 @@ def test_boundary_probe_s2(lifted_ball_file, tmp_path, capsys):
     assert "predicted=" in line and "converged=True" in line
     rel = float(line.split("rel=")[1].split()[0])
     assert rel < 0.01
-    assert out.read_text().startswith("k,t,kernel,weighted,extrapolated")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,t,kernel,weighted,extrapolated"
+    assert len(lines) == 12 + 1     # one row per level of the default grid
 
 
 def test_boundary_probe_v_fixture(tmp_path, capsys):
@@ -517,9 +503,11 @@ def _exit_code(argv):
     ["sample", "--count", "3", "--seed", "-1"],
     ["sample", "--count", "3", "--seed", str(1 << 64)],
     ["verify", "--suite", "symmetry", "--seed", "-1"],
+    ["verify", "--suite", "dirichlet", "--seed", "-1"],
+    ["verify", "--suite", "levi", "--seed", str(1 << 64)],
 ], ids=["tol-nan", "tol-zero", "box-radius-nan", "box-radius-inf", "w-radius-negative",
         "cap-negative", "cap-too-large", "sample-seed-negative", "sample-seed-too-large",
-        "verify-seed-negative"])
+        "verify-seed-negative", "dirichlet-seed-negative", "levi-seed-too-large"])
 def test_bad_numeric_flag_exits_2(lifted_ball_file, tmp_path, capsys, argv):
     pts = tmp_path / "p.json"
     pts.write_text(json.dumps([[[0.1, 0.0], [0.2, 0.0], [0.1, 0.0]]]))

@@ -196,6 +196,7 @@ def test_star_shape_check():
     assert star_shape_check(ball_disk_lift_spec(1, 1), trials=128, seed=7)
     assert star_shape_check(polydisk_spec(2), trials=128, seed=7)
     assert not star_shape_check(_Annulus(), trials=128, seed=7)
+    assert star_shape_check(disk_spec(), seed=2 ** 64 - 1)    # the largest seed
 
 
 def test_star_shape_all_fixture_specs():

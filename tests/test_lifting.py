@@ -6,10 +6,11 @@ import pytest
 
 from bergman.catalog import (ball_spec, ball_disk_lift_spec,
                              chain_stage_spec, interior_pairs)
-from bergman.domains import LiftStep
+from bergman.domains import BaseDomain, DomainSpec, LiftStep
 from bergman.jets import Jet, JetOrderError, fresh_tag
-from bergman.kernels import (kernel_ball, kernel_egg, kernel_ball_disk_lift,
-                             kernel_ball_exp_lift, kernel_chain_stage3, kernel_product)
+from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
+                             kernel_ball_disk_lift, kernel_ball_exp_lift,
+                             kernel_chain_stage3, kernel_product)
 from bergman.lifting import (LiftError, compose_pipeline, lift_U, lift_V,
                              slice_kernel)
 from bergman.oracle import reproducing_integral, series_kernel
@@ -155,21 +156,26 @@ def test_mixed_weight_lift_matches_series():
 
 
 def test_mixed_pipeline_partial_weights_matches_series():
-    # plane-fibered then disk-fibered step over a two-star ball, with one
-    # star coordinate skipped by the second step
-    from bergman.domains import BaseDomain, DomainSpec
     from bergman.oracle import get_norm_table
-    spec = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
-                      (LiftStep("V", (0.5, 1.2), 1),
-                       LiftStep("U", (0.7, 0.0, 0.4), 1)))
-    K = compose_pipeline(spec)
-    table = get_norm_table(spec, 22)
-    worst = 0.0
-    for p, q in interior_pairs(spec, 5, seed=54, box_radius=0.35):
-        sv = series_kernel(spec, p, q, 22, table=table)
-        v = complex(K(p, q))
-        worst = max(worst, abs(v - sv.value) / abs(v))
-    assert worst < 1e-3
+    specs = [
+        # plane-fibered then disk-fibered step over a two-star ball, with one
+        # star coordinate skipped by the second step
+        DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
+                   (LiftStep("V", (0.5, 1.2), 1), LiftStep("U", (0.7, 0.0, 0.4), 1))),
+        # a polydisk base with a passive coordinate
+        DomainSpec(BaseDomain("Polydisk", 1, 1), (LiftStep("U", (1.0,), 1),)),
+    ]
+    for spec in specs:
+        base = DomainSpec(spec.base, ())
+        assert closed_form_for(base).domain == base
+        K = compose_pipeline(spec)
+        table = get_norm_table(spec, 22)
+        worst = 0.0
+        for p, q in interior_pairs(spec, 5, seed=54, box_radius=0.35):
+            sv = series_kernel(spec, p, q, 22, table=table)
+            v = complex(K(p, q))
+            worst = max(worst, abs(v - sv.value) / abs(v))
+        assert worst < 1e-3, spec
 
 
 def test_stage5_pipeline_matches_series():

@@ -1,6 +1,7 @@
 """The traced benchmark (perfbench/tracing.py) patches names in the
 bergman modules by attribute; installing and restoring it fails when one
-of those names has gone."""
+of those names has gone.  Its workloads (perfbench/workloads.py) send
+fixed CLI argv, which must keep parsing."""
 
 import importlib.util
 import time
@@ -28,3 +29,19 @@ def test_traced_benchmark_installs_and_restores():
     finally:
         restore()
     assert (cli.contains, oracle.series_kernel, oracle.shadow_contains) == before
+
+
+def test_benchmark_argv_parse():
+    from bergman.cli import build_parser
+
+    parse = build_parser().parse_args
+    args = parse(["verify", "--suite", "levi", "--workers", "1"])
+    assert (args.suite, args.workers) == ("levi", 1)
+    args = parse(["boundary", "--spec", "s.json", "--target", "[[0,0],[1,0],[0,0]]",
+                  "--stratum", "S2", "--weight", "r"])
+    assert (args.stratum, args.weight) == ("S2", "r")
+    args = parse(["sample", "--spec", "s.json", "--count", "2000", "--seed", "5",
+                  "--out", "p.csv"])
+    assert (args.count, args.seed, args.out) == (2000, 5, "p.csv")
+    args = parse(["eval", "--spec", "s.json", "--points", "p.json", "--mode", "lifted"])
+    assert (args.points, args.mode) == ("p.json", "lifted")
