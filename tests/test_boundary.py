@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -11,8 +12,10 @@ from bergman.boundary import (ApproachPath, BoundaryError, Stratum,
                               weighted_limit)
 from bergman.catalog import (ball_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec)
+from bergman.cli import _fmt, main
 from bergman.domains import (BaseDomain, DomainSpec, LiftStep, SpecError,
-                             contains, defining_function, sample_interior)
+                             contains, defining_function, sample_interior,
+                             spec_to_dict)
 from bergman.kernels import (Kernel, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift)
 from bergman.lifting import compose_pipeline
@@ -207,6 +210,24 @@ def test_disk_radial_probe():
     rep = weighted_limit(kernel_ball(1), path,
                          lambda p: (1 - abs(p[0]) ** 2) ** 2)
     assert abs(rep.limit - 1 / PI) * PI < 1e-3
+
+
+def test_probe_report_csv(tmp_path, capsys):
+    # the probe CSV is written by `boundary --out`; it holds one row per level
+    # of the report that weighted_limit returns for the same kernel and target
+    path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
+    rep = weighted_limit(compose_pipeline(SPEC), path, "r")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_dict(SPEC)))
+    out = tmp_path / "probe.csv"
+    assert main(["boundary", "--spec", str(spec), "--target", "[[0,0],[1,0],[0,0]]",
+                 "--stratum", "S2", "--weight", "r", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "k,t,kernel,weighted,extrapolated"
+    assert len(lines) == len(rep.ts) + 1
+    assert lines[1:] == [",".join([str(k), *map(_fmt, row)]) for k, row in enumerate(
+        zip(rep.ts, rep.kernel_values, rep.weighted, rep.extrapolated), start=1)]
 
 
 def test_levi_ball():
