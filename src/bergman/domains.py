@@ -28,8 +28,7 @@ import numpy as np
 KIND_ELLIPSOID = "GeneralizedComplexEllipsoid"
 KIND_POLYDISK = "Polydisk"
 
-SAMPLE_BATCH = 1 << 16
-SAMPLE_CHUNK = 1 << 12      # rows drawn and tested at a time, in a batch's stream
+SAMPLE_CHUNK = 1 << 12      # rows drawn and tested at a time
 SAMPLE_MAX_DRAWS = 10 ** 7
 DEFAULT_W_RADIUS = 3.0
 
@@ -310,11 +309,9 @@ def box_radii(spec: DomainSpec, w_radius: float = DEFAULT_W_RADIUS) -> tuple:
     return tuple(radii)
 
 
-def _batch_generator(seed: int, batch: int) -> np.random.Generator:
-    # counter-based: batch b reads the disjoint counter range from b * 2**70,
-    # so the stream is fixed per seed
-    bitgen = np.random.Philox(key=np.uint64(seed), counter=batch * (1 << 70))
-    return np.random.Generator(bitgen)
+def _philox(seed: int) -> np.random.Generator:
+    # counter-based, keyed by the seed: one fixed stream per seed
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
@@ -322,13 +319,21 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
                     box_radius: float | None = None) -> SampleResult:
     """Seed-deterministic rejection sampling from the bounding polydisk.
 
-    Coordinates are drawn uniformly from the square [-R, R]^2 per complex
-    coordinate.  ``box_radius`` overrides every radius (used for probe
-    panels drawn well inside the domain).  The acceptance ratio times the
-    box volume is an unbiased estimate of the domain volume (for V-lifted
-    domains: of the w-truncated volume).  SamplingError when
-    SAMPLE_MAX_DRAWS draws do not give ``count`` points; ValueError for a
-    seed outside [0, 2**64), the Philox key range.
+    The domains are complete Reinhardt, so membership depends only on the
+    squared moduli x_j = |c_j|^2, and x_j uniform on [0, R_j^2) is |c_j|^2
+    for c_j uniform on the disk of radius R_j.  Each chunk of SAMPLE_CHUNK
+    rows draws x from one Philox stream per seed and tests it with
+    ``shadow_contains``; only the accepted rows then draw one angle per
+    coordinate from the same stream, c = sqrt(x) e^{2 pi i theta}, and
+    keep the rows that ``contains`` also accepts.  Sampling stops after
+    the chunk that reaches ``count``; ``draws`` counts the rows of every
+    chunk drawn.  ``box_radius`` caps every radius (used for probe panels
+    drawn well inside the domain).  The acceptance ratio times the
+    polydisk volume prod(pi R_j^2) estimates the domain volume; V-step w
+    coordinates are unbounded, so there it is the volume truncated at the
+    box and ``truncated_w`` is set.  SamplingError when SAMPLE_MAX_DRAWS
+    draws do not give ``count`` points; ValueError for a seed outside
+    [0, 2**64), the Philox key range.
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
@@ -340,26 +345,21 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     radii = box_radii(spec, w_radius)
     if box_radius is not None:
         radii = tuple(min(r, float(box_radius)) for r in radii)
-    rad = np.array(radii)
+    rad2 = np.square(radii)
+    rng = _philox(seed)
     accepted = []
     n_total = 0
     draws = 0
-    batch = 0
-    # one chunk-sized buffer: batch-sized temporaries landed wherever the
-    # heap had room, so the peak memory varied with the heap's layout
-    u = np.empty((SAMPLE_CHUNK, spec.dim, 2))
+    # one reused chunk buffer, so peak memory does not follow the heap layout
+    x = np.empty((SAMPLE_CHUNK, spec.dim))
     while n_total < count:
-        rng = _batch_generator(seed, batch)
-        batch += 1
-        for _ in range(SAMPLE_BATCH // SAMPLE_CHUNK):
-            # rng.uniform(-1, 1) computes -1 + 2 * next_double: the same bits
-            rng.random(out=u)
-            u *= 2.0
-            u -= 1.0
-            pts = u.view(complex)[:, :, 0] * rad
-            accepted.append(pts[shadow_contains(spec, np.abs(pts) ** 2)])
-            n_total += len(accepted[-1])
-        draws += SAMPLE_BATCH
+        rng.random(out=x)
+        x *= rad2
+        inner = x[shadow_contains(spec, x)]
+        c = np.sqrt(inner) * np.exp(2j * np.pi * rng.random(inner.shape))
+        accepted.append(c[contains(spec, tuple(c.T))])
+        n_total += len(accepted[-1])
+        draws += SAMPLE_CHUNK
         if draws >= SAMPLE_MAX_DRAWS and n_total < max(1, draws * 1e-6):
             raise SamplingError(
                 f"acceptance ratio below 1e-6 after {draws} draws")
@@ -368,14 +368,13 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
                 f"only {n_total}/{count} interior points after {draws} draws")
     pts = np.concatenate(accepted, axis=0)
     ratio = len(pts) / draws
-    box_vol = float(np.prod((2.0 * rad) ** 2))
     return SampleResult(
         points=pts[:count],
         acceptance_ratio=ratio,
-        volume_estimate=ratio * box_vol,
+        volume_estimate=ratio * float(np.prod(np.pi * rad2)),
         draws=draws,
         box_radii=radii,
-        truncated_w=bool(spec.v_w_indices()) and box_radius is None,
+        truncated_w=bool(spec.v_w_indices()),
     )
 
 
@@ -397,7 +396,7 @@ def star_shape_check(spec, trials: int = 128, seed: int = 7) -> bool:
         pts = np.asarray(spec.sample(trials, seed))
         member = spec.contains
     stars = spec.star_indices()
-    rng = _batch_generator((seed + 1) % (1 << 64), 0)   # a Philox key for every seed
+    rng = _philox((seed + 1) % (1 << 64))   # a Philox key for every seed
     u = rng.uniform(0.0, 1.0, size=(len(pts), len(stars)))
     th = rng.uniform(0.0, 2.0 * math.pi, size=(len(pts), len(stars)))
     Q = np.array(pts, dtype=complex)

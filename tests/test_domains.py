@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.domains import (SAMPLE_BATCH, SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep,
-                             SingularEvaluationError, SpecError, _batch_generator,
-                             box_radii, contains, defining_function, sample_interior,
-                             shadow_contains, slice_map, spec_from_dict, spec_to_dict,
-                             star_shape_check)
+from bergman.domains import (SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep,
+                             SingularEvaluationError, SpecError, box_radii, contains,
+                             defining_function, sample_interior, shadow_contains,
+                             slice_map, spec_from_dict, spec_to_dict, star_shape_check)
 from bergman.catalog import (ball_spec, egg_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec, chain_stage_spec, polydisk_spec)
+from bergman.oracle import monomial_norm_full
 
 FIXTURE_SPECS = {
     "disk": disk_spec(),
@@ -97,8 +97,10 @@ def test_slice_map_unwinds_membership():
 
 
 def test_sample_disk_acceptance_ratio():
-    res = sample_interior(disk_spec(), 10 ** 5, seed=3)
-    assert res.acceptance_ratio == pytest.approx(math.pi / 4, abs=0.01)
+    # the disk is its own bounding polydisk; the ball takes half of D^2
+    assert sample_interior(disk_spec(), 10 ** 5, seed=3).acceptance_ratio == 1.0
+    res = sample_interior(ball_spec(2), 10 ** 5, seed=3)
+    assert res.acceptance_ratio == pytest.approx(0.5, abs=0.01)
 
 
 def test_sample_ball2_volume():
@@ -129,20 +131,23 @@ def test_sample_rejects_seed_out_of_range(seed):
 
 
 def _reference_sample(spec, count, seed, box_radius=None):
-    """The draw loop written with rng.uniform(-1, 1) and u0 + 1j*u1 per chunk."""
-    rad = np.array(box_radii(spec))
+    """The polar draw loop, written out: per chunk, squared moduli from
+    rng.uniform(0, R^2), the shadow test, then rng.uniform(0, 1) angles
+    for the accepted rows only and the one-point-route re-check."""
+    rad2 = np.array(box_radii(spec)) ** 2
     if box_radius is not None:
-        rad = np.minimum(rad, box_radius)
-    accepted, batch = [], 0
+        rad2 = np.minimum(rad2, box_radius ** 2)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    accepted, chunks = [], 0
     while sum(map(len, accepted)) < count:
-        rng = _batch_generator(seed, batch)
-        batch += 1
-        for _ in range(SAMPLE_BATCH // SAMPLE_CHUNK):
-            u = rng.uniform(-1.0, 1.0, (SAMPLE_CHUNK, spec.dim, 2))
-            pts = (u[:, :, 0] + 1j * u[:, :, 1]) * rad
-            accepted.append(pts[shadow_contains(spec, np.abs(pts) ** 2)])
+        chunks += 1
+        x = rng.uniform(0.0, rad2, (SAMPLE_CHUNK, spec.dim))
+        x = x[shadow_contains(spec, x)]
+        theta = rng.uniform(0.0, 1.0, x.shape)
+        pts = np.sqrt(x) * np.exp(2j * np.pi * theta)
+        accepted.append(pts[[contains(spec, tuple(p)) for p in pts]])
     pts = np.concatenate(accepted)
-    draws = batch * SAMPLE_BATCH
+    draws = chunks * SAMPLE_CHUNK
     return pts[:count], draws, len(pts) / draws
 
 
@@ -172,6 +177,42 @@ def test_sample_v_domain_truncation_flagged():
     res = sample_interior(ball_exp_lift_spec(1, 1, (1.0,)), 100, seed=1)
     assert res.truncated_w
     assert max(abs(p[2]) for p in res.points) <= 3.0
+
+
+def test_sample_box_radius_keeps_truncation_flag():
+    # a box radius above every bound draws the same box and points; the
+    # V-step w is still cut off at its radius
+    spec = ball_exp_lift_spec(1, 1, (1.0,))
+    plain = sample_interior(spec, 100, seed=1)
+    boxed = sample_interior(spec, 100, seed=1, box_radius=5.0)
+    assert boxed.box_radii == plain.box_radii == (1.0, 1.0, 3.0)
+    assert np.array_equal(boxed.points, plain.points)
+    assert boxed.truncated_w
+
+
+@pytest.mark.parametrize("spec", [chain_stage_spec(3), chain_stage_spec(5),
+                                  ball_exp_lift_spec(1, 2, (2.0,))],
+                         ids=["stage3", "stage5", "exp_lift_12_g2"])
+def test_sample_distribution_matches_oracle(spec):
+    # the volume and the mean |z_j|^2 of the sample against the monomial
+    # norms: ||1||^2 and ||z_j||^2 / ||1||^2.  A uniform radius in place of
+    # a uniform squared modulus fails it.
+    res = sample_interior(spec, 2 * 10 ** 4, seed=5)
+    volume = monomial_norm_full(spec, (0,) * spec.dim).value
+    assert res.volume_estimate == pytest.approx(volume, rel=0.02)
+    means = np.mean(np.abs(res.points) ** 2, axis=0)
+    want = [monomial_norm_full(spec, e).value / volume
+            for e in np.eye(spec.dim, dtype=int)]
+    assert means == pytest.approx(want, rel=0.03)
+
+
+@pytest.mark.parametrize("box_radius", [None, 0.5])
+@pytest.mark.parametrize("stage", [2, 3, 4, 5, 6])
+def test_sample_points_inside_one_at_a_time(stage, box_radius):
+    spec = chain_stage_spec(stage)
+    res = sample_interior(spec, 500, seed=stage, box_radius=box_radius)
+    assert len(res.points) == 500
+    assert all(contains(spec, tuple(p)) for p in res.points)
 
 
 class _Annulus:
