@@ -327,9 +327,13 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     coordinate from the same stream, c = sqrt(x) e^{2 pi i theta}, and
     keep the rows that ``contains`` also accepts.  Sampling stops after
     the chunk that reaches ``count``; ``draws`` counts the rows of every
-    chunk drawn.  ``box_radius`` caps every radius (used for probe panels
-    drawn well inside the domain).  The acceptance ratio times the
-    polydisk volume prod(pi R_j^2) estimates the domain volume; V-step w
+    chunk drawn.  ``box_radius`` b restricts the sample to the square
+    [-b, b]^2 in every coordinate (used for probe panels drawn well inside
+    the domain): each radius is capped at b sqrt 2, the disk around that
+    square, and the re-check also drops the rows outside it, so the points
+    are uniform on the domain cut to the square.  The acceptance ratio
+    times the polydisk volume prod(pi R_j^2) estimates the volume of the
+    domain, cut to the square when ``box_radius`` is given; V-step w
     coordinates are unbounded, so there it is the volume truncated at the
     box and ``truncated_w`` is set.  SamplingError when SAMPLE_MAX_DRAWS
     draws do not give ``count`` points; ValueError for a seed outside
@@ -344,7 +348,8 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
         raise ValueError("w_radius and box_radius must be finite and positive")
     radii = box_radii(spec, w_radius)
     if box_radius is not None:
-        radii = tuple(min(r, float(box_radius)) for r in radii)
+        # the disk around the square [-b, b]^2, whose corners reach b sqrt 2
+        radii = tuple(min(r, float(box_radius) * math.sqrt(2.0)) for r in radii)
     rad2 = np.square(radii)
     rng = _philox(seed)
     accepted = []
@@ -357,7 +362,10 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
         x *= rad2
         inner = x[shadow_contains(spec, x)]
         c = np.sqrt(inner) * np.exp(2j * np.pi * rng.random(inner.shape))
-        accepted.append(c[contains(spec, tuple(c.T))])
+        keep = contains(spec, tuple(c.T))
+        if box_radius is not None:
+            keep &= (np.maximum(abs(c.real), abs(c.imag)) <= box_radius).all(axis=1)
+        accepted.append(c[keep])
         n_total += len(accepted[-1])
         draws += SAMPLE_CHUNK
         if draws >= SAMPLE_MAX_DRAWS and n_total < max(1, draws * 1e-6):

@@ -133,10 +133,17 @@ def test_sample_rejects_seed_out_of_range(seed):
 def _reference_sample(spec, count, seed, box_radius=None):
     """The polar draw loop, written out: per chunk, squared moduli from
     rng.uniform(0, R^2), the shadow test, then rng.uniform(0, 1) angles
-    for the accepted rows only and the one-point-route re-check."""
+    for the accepted rows only and the one-point-route re-check, which
+    with a box radius b also asks for |Re c|, |Im c| <= b."""
     rad2 = np.array(box_radii(spec)) ** 2
     if box_radius is not None:
-        rad2 = np.minimum(rad2, box_radius ** 2)
+        rad2 = np.minimum(rad2, (box_radius * math.sqrt(2.0)) ** 2)
+
+    def keep(p):
+        in_square = box_radius is None or all(
+            max(abs(c.real), abs(c.imag)) <= box_radius for c in p)
+        return contains(spec, tuple(p)) and in_square
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     accepted, chunks = [], 0
     while sum(map(len, accepted)) < count:
@@ -145,7 +152,7 @@ def _reference_sample(spec, count, seed, box_radius=None):
         x = x[shadow_contains(spec, x)]
         theta = rng.uniform(0.0, 1.0, x.shape)
         pts = np.sqrt(x) * np.exp(2j * np.pi * theta)
-        accepted.append(pts[[contains(spec, tuple(p)) for p in pts]])
+        accepted.append(pts[[keep(p) for p in pts]])
     pts = np.concatenate(accepted)
     draws = chunks * SAMPLE_CHUNK
     return pts[:count], draws, len(pts) / draws
@@ -158,13 +165,29 @@ def _reference_sample(spec, count, seed, box_radius=None):
     (chain_stage_spec(5), 300, 8, None),
     (ball_exp_lift_spec(1, 2, (2.0,)), 3000, 9, None),
     (chain_stage_spec(3), 3000, 10, 0.6),
-], ids=["stage2", "stage3", "stage4", "stage5", "exp_lift_12_g2", "stage3-box"])
+    (chain_stage_spec(6), 100, 6, None),
+    (chain_stage_spec(5), 500, 5, 0.5),
+], ids=["stage2", "stage3", "stage4", "stage5", "exp_lift_12_g2", "stage3-box",
+        "stage6", "stage5-box"])
 def test_sample_draw_stream_matches_reference(spec, count, seed, box_radius):
     res = sample_interior(spec, count, seed=seed, box_radius=box_radius)
     pts, draws, ratio = _reference_sample(spec, count, seed, box_radius)
     assert np.array_equal(res.points, pts)
     assert res.draws == draws
     assert res.acceptance_ratio == ratio
+
+
+def test_sample_box_radius_is_a_square():
+    # box_radius b gives points uniform on the domain cut to [-b, b]^2 per
+    # coordinate: on the disk at b = 0.6 the cut is the whole square, of
+    # area 1.44 and mean |z|^2 = 2 b^2 / 3 (a disk of radius b gives b^2 / 2)
+    res = sample_interior(disk_spec(), 2 * 10 ** 4, seed=3, box_radius=0.6)
+    assert res.volume_estimate == pytest.approx(1.44, rel=0.02)
+    assert np.mean(np.abs(res.points) ** 2) == pytest.approx(0.24, rel=0.03)
+    # in the square's corners |z_j|^2 reaches 0.72, so the 2-ball's boundary
+    # |z|^2 = 1 is within reach (a disk of radius b stops at 0.72)
+    pts = sample_interior(ball_spec(2), 2000, seed=3, box_radius=0.6).points
+    assert np.max(np.sum(np.abs(pts) ** 2, axis=1)) > 0.95
 
 
 def test_sample_deterministic_for_seed():
@@ -204,15 +227,6 @@ def test_sample_distribution_matches_oracle(spec):
     want = [monomial_norm_full(spec, e).value / volume
             for e in np.eye(spec.dim, dtype=int)]
     assert means == pytest.approx(want, rel=0.03)
-
-
-@pytest.mark.parametrize("box_radius", [None, 0.5])
-@pytest.mark.parametrize("stage", [2, 3, 4, 5, 6])
-def test_sample_points_inside_one_at_a_time(stage, box_radius):
-    spec = chain_stage_spec(stage)
-    res = sample_interior(spec, 500, seed=stage, box_radius=box_radius)
-    assert len(res.points) == 500
-    assert all(contains(spec, tuple(p)) for p in res.points)
 
 
 class _Annulus:
