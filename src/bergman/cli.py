@@ -203,8 +203,8 @@ def _suite_symmetry(tol, seed):
 
 
 def _suite_lift_equivalence(tol, seed):
-    from .kernels import (kernel_ball, kernel_egg, kernel_ball_disk_lift,
-                          kernel_ball_exp_lift)
+    from .kernels import (kernel_ball, kernel_egg, kernel_egg_inflated,
+                          kernel_ball_disk_lift, kernel_ball_exp_lift)
     from .lifting import lift_U, lift_V
     fams = [
         ("egg", kernel_egg(1, 2.0),
@@ -213,6 +213,11 @@ def _suite_lift_equivalence(tol, seed):
          lambda: lift_U(kernel_ball(2, n_star=1), (1.0,), 1)),
         ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,)),
          lambda: lift_V(kernel_ball(2, n_star=1), (1.0,), 1)),
+        # two acted coordinates
+        ("egg_inflated_w3", kernel_egg_inflated(2, 3, 2.0),
+         lambda: lift_U(kernel_ball(2), (0.5, 0.5), 3)),
+        ("ball_exp_lift_2star", kernel_ball_exp_lift(2, 1, (0.7, 1.3)),
+         lambda: lift_V(kernel_ball(3, n_star=2), (0.7, 1.3), 1)),
     ]
     cases = []
     for name, closed, build in fams:

@@ -1,10 +1,11 @@
 """Truncated holomorphic Taylor jets and shared scalar utilities.
 
 A :class:`Jet` carries the value of a holomorphic expression together with
-its mixed partial derivatives (as Taylor coefficients) up to a fixed total
-degree in a set of designated coordinates.  Feeding jets through a kernel
-evaluator is how every differential operator in this package is applied:
-no formula is ever differentiated by hand.
+its Taylor coefficients in one variable s up to a fixed order.  Feeding
+jets through a kernel evaluator is how every differential operator in this
+package is applied: a lift seeds its coordinates along the Euler flow
+u_l e^{a_l s}, so the Euler operator becomes d/ds, and no formula is ever
+differentiated by hand.
 
 Jet coefficients may themselves be jets (nested lifts) or numpy arrays
 (vectorised evaluation); the arithmetic only assumes ring operations.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from math import factorial
 
 import numpy as np
@@ -142,133 +142,75 @@ def abs2(x):
     return x.real * x.real + x.imag * x.imag
 
 
-def _binom_real(e: float, i: int) -> float:
-    out = 1.0
-    for j in range(i):
-        out *= (e - j) / (j + 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # jets
 
 
-def _zero_index(nvars: int) -> tuple:
-    return (0,) * nvars
-
-
 class Jet:
-    """Truncated Taylor expansion of a holomorphic quantity.
+    """Truncated Taylor series in one variable s.
 
-    ``coeffs`` maps a multi-index ``(k_1, ..., k_nvars)`` with total degree
-    at most ``order`` to the Taylor coefficient of ``prod_j (dz_j)^{k_j}``.
-    The mixed partial derivative of the underlying function is the
-    coefficient times the product of factorials of the index.
+    ``coeffs`` is a list of length ``order + 1``; ``coeffs[i]`` is the
+    Taylor coefficient of s**i, so the i-th derivative in s is i! times it.
 
-    ``tag`` identifies the seeding batch.  Jets of equal tag share a
-    variable set and convolve; a jet of lower tag entering an operation is
+    ``tag`` identifies the seeding batch.  Jets of equal tag share the
+    variable and convolve; a jet of lower tag entering an operation is
     treated as a scalar coefficient (independent directions nest, with the
     higher tag outermost).
     """
 
-    __slots__ = ("order", "nvars", "coeffs", "tag")
+    __slots__ = ("order", "coeffs", "tag")
 
-    def __init__(self, order: int, nvars: int, coeffs: dict, tag: int = 0):
+    def __init__(self, order: int, coeffs: list, tag: int = 0):
         if order < 0 or order > MAX_JET_ORDER:
             raise JetOrderError(f"jet order {order} outside 0..{MAX_JET_ORDER}")
-        if nvars < 1:
-            raise ValueError("jet needs at least one variable")
         self.order = order
-        self.nvars = nvars
         self.coeffs = coeffs
         self.tag = tag
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int, nvars: int, tag: int = 0) -> "Jet":
-        return cls(order, nvars, {_zero_index(nvars): value}, tag)
+    def constant(cls, value, order: int, tag: int = 0) -> "Jet":
+        return cls(order, [value] + [0.0] * order, tag)
 
     @classmethod
-    def variable(cls, value, var: int, order: int, nvars: int, tag: int = 0) -> "Jet":
-        """Seed jet ``value + dz_var``."""
-        if not 0 <= var < nvars:
-            raise ValueError("variable index out of range")
-        coeffs = {_zero_index(nvars): value}
-        if order >= 1:
-            unit = tuple(1 if j == var else 0 for j in range(nvars))
-            coeffs[unit] = 1.0
-        return cls(order, nvars, coeffs, tag)
+    def variable(cls, value, order: int, tag: int = 0) -> "Jet":
+        """Seed jet ``value + ds``."""
+        return cls(order, ([value, 1.0] + [0.0] * order)[:order + 1], tag)
 
     # -- accessors ----------------------------------------------------
 
     def value(self):
-        return self.coeffs.get(_zero_index(self.nvars), 0.0)
+        return self.coeffs[0]
 
-    def coefficient(self, index: tuple):
-        if len(index) != self.nvars:
-            raise ValueError("index arity mismatch")
-        if sum(index) > self.order:
-            raise JetOrderError("coefficient beyond the truncation order")
-        return self.coeffs.get(tuple(index), 0.0)
+    def coefficient(self, i: int):
+        if not 0 <= i <= self.order:
+            raise JetOrderError(f"coefficient {i} outside 0..{self.order}")
+        return self.coeffs[i]
 
-    def derivative(self, index: tuple):
-        """Mixed partial derivative for the given multi-index."""
-        scale = 1
-        for k in index:
-            scale *= factorial(k)
-        return self.coefficient(index) * scale
-
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        kept = {k: v for k, v in self.coeffs.items() if sum(k) <= order}
-        return Jet(order, self.nvars, kept, self.tag)
-
-    def partial(self, var: int) -> "Jet":
-        """d/dz_var, one order lower."""
-        if self.order == 0:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        out: dict = {}
-        for k, v in self.coeffs.items():
-            if k[var] == 0:
-                continue
-            kk = list(k)
-            kk[var] -= 1
-            out[tuple(kk)] = v * k[var]
-        return Jet(self.order - 1, self.nvars, out, self.tag)
+    def derivative(self, i: int):
+        """i-th derivative in s."""
+        return self.coefficient(i) * factorial(i)
 
     # -- ring operations ----------------------------------------------
 
     __array_ufunc__ = None  # keep numpy from elementwise-broadcasting over jets
 
     def _is_peer(self, other) -> bool:
-        if not isinstance(other, Jet) or other.tag != self.tag:
-            return False
-        if other.nvars != self.nvars:
-            raise ValueError("jets of equal tag must share a variable set")
-        return True
+        return isinstance(other, Jet) and other.tag == self.tag
 
     def __add__(self, other):
         if isinstance(other, Jet) and other.tag > self.tag:
             return other.__add__(self)
         if self._is_peer(other):
-            o = min(self.order, other.order)
-            a, b = self.truncate(o), other.truncate(o)
-            out = dict(a.coeffs)
-            for k, v in b.coeffs.items():
-                out[k] = out[k] + v if k in out else v
-            return Jet(o, self.nvars, out, self.tag)
-        z = _zero_index(self.nvars)
-        out = dict(self.coeffs)
-        out[z] = out[z] + other if z in out else other
-        return Jet(self.order, self.nvars, out, self.tag)
+            return Jet(min(self.order, other.order),
+                       [a + b for a, b in zip(self.coeffs, other.coeffs)], self.tag)
+        return Jet(self.order, [self.coeffs[0] + other] + self.coeffs[1:], self.tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, self.nvars,
-                   {k: -v for k, v in self.coeffs.items()}, self.tag)
+        return Jet(self.order, [-v for v in self.coeffs], self.tag)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -282,20 +224,16 @@ class Jet:
         if isinstance(other, Jet) and other.tag > self.tag:
             return other.__mul__(self)
         if self._is_peer(other):
+            a, b = self.coeffs, other.coeffs
             o = min(self.order, other.order)
-            a, b = self.truncate(o), other.truncate(o)
-            out: dict = {}
-            for k1, v1 in a.coeffs.items():
-                d1 = sum(k1)
-                for k2, v2 in b.coeffs.items():
-                    if d1 + sum(k2) > o:
-                        continue
-                    key = tuple(i + j for i, j in zip(k1, k2))
-                    term = v1 * v2
-                    out[key] = out[key] + term if key in out else term
-            return Jet(o, self.nvars, out, self.tag)
-        return Jet(self.order, self.nvars,
-                   {k: v * other for k, v in self.coeffs.items()}, self.tag)
+            out = []
+            for n in range(o + 1):
+                acc = a[0] * b[n]
+                for i in range(1, n + 1):
+                    acc = acc + a[i] * b[n - i]
+                out.append(acc)
+            return Jet(o, out, self.tag)
+        return Jet(self.order, [v * other for v in self.coeffs], self.tag)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -308,56 +246,49 @@ class Jet:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def _nilpotent(self):
-        rest = {k: v for k, v in self.coeffs.items() if sum(k) > 0}
-        return Jet(self.order, self.nvars, rest, self.tag)
-
-    def _one(self):
-        return Jet.constant(1.0, self.order, self.nvars, self.tag)
+    # Taylor-mode recurrences: each output coefficient n comes from the
+    # input coefficients 1..n and the output coefficients below n.
 
     def reciprocal(self) -> "Jet":
-        c = self.value()
-        ic = ainv(c)
-        n = self._nilpotent()
-        # 1/(c+n) = (1/c) * sum_i (-n/c)^i
-        term = self._one()
-        acc = self._one()
-        step = n * (-1.0) * ic
-        for _ in range(self.order):
-            term = term * step
-            acc = acc + term
-        return acc * ic
+        a = self.coeffs
+        out = [ainv(a[0])]
+        for n in range(1, self.order + 1):
+            acc = a[1] * out[n - 1]
+            for k in range(2, n + 1):
+                acc = acc + a[k] * out[n - k]
+            out.append(-out[0] * acc)
+        return Jet(self.order, out, self.tag)
 
     def exp(self) -> "Jet":
-        c = self.value()
-        n = self._nilpotent()
-        acc = self._one()
-        term = self._one()
-        for i in range(1, self.order + 1):
-            term = term * n * (1.0 / i)
-            acc = acc + term
-        return acc * aexp(c)
+        a = self.coeffs
+        out = [aexp(a[0])]
+        for n in range(1, self.order + 1):
+            acc = a[1] * out[n - 1]
+            for k in range(2, n + 1):
+                acc = acc + (k * a[k]) * out[n - k]
+            out.append(acc * (1.0 / n))
+        return Jet(self.order, out, self.tag)
 
     def __pow__(self, exponent):
         e = float(exponent)
         if e.is_integer():
             n = int(e)
             if n == 0:
-                return self._one()
+                return Jet.constant(1.0, self.order, self.tag)
             if n < 0:
                 return self.reciprocal().__pow__(-n)
             return _int_pow(self, n)
-        # generalized binomial series around the (invertible) constant term
-        c = self.value()
-        head = apow(c, e)
-        ratio = self._nilpotent() * ainv(c)
-        acc = self._one()
-        term = self._one()
-        for i in range(1, self.order + 1):
-            term = term * ratio
-            acc = acc + term * _binom_real(e, i)
-        return acc * head
+        # a (a^e)' = e a' a^e, on the principal branch of the constant term
+        a = self.coeffs
+        out = [apow(a[0], e)]
+        inv = ainv(a[0])
+        for n in range(1, self.order + 1):
+            acc = ((e + 1.0) - n) * a[1] * out[n - 1]
+            for k in range(2, n + 1):
+                acc = acc + (((e + 1.0) * k - n) * a[k]) * out[n - k]
+            out.append(acc * (inv * (1.0 / n)))
+        return Jet(self.order, out, self.tag)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Jet(order={self.order}, nvars={self.nvars}, coeffs={self.coeffs})"
+        return f"Jet(order={self.order}, coeffs={self.coeffs}, tag={self.tag})"
 

@@ -22,7 +22,7 @@ from .jets import (MAX_JET_ORDER, Jet, NonFiniteError, aconj, aexp, apow,
 
 def _all_finite(v) -> bool:
     if isinstance(v, Jet):
-        return all(_all_finite(c) for c in v.coeffs.values())
+        return all(_all_finite(c) for c in v.coeffs)
     if isinstance(v, np.ndarray):
         return bool(np.all(np.isfinite(v)))
     return cmath.isfinite(complex(v))
@@ -157,11 +157,11 @@ def kernel_egg_inflated(n: int, m: int, p: float) -> Kernel:
         t = _dot(pt[n:], cq[n:])
         if m == 1:
             return pref * core(t, s)
-        tj = Jet.variable(t, 0, order=m - 1, nvars=1, tag=fresh_tag())
+        tj = Jet.variable(t, order=m - 1, tag=fresh_tag())
         jet = core(tj, s)
         if not isinstance(jet, Jet) or jet.tag != tj.tag:
             raise NonFiniteError("inflation jet collapsed unexpectedly")
-        return pref * jet.derivative((m - 1,))
+        return pref * jet.derivative(m - 1)
 
     return Kernel(fn, n=n, m=0, w_dims=(m,), domain=egg_spec(n, p, m),
                   name=f"egg(n={n},m={m},p={p})")

@@ -4,16 +4,18 @@ Given a kernel evaluator on a star-shaped Hartogs base, these transforms
 produce the kernel evaluator one lift up: the slice kernel (the base kernel
 moved to a fixed-w cross-section by the biholomorphic transformation rule)
 is evaluated on jet-valued star coordinates at a twisted argument, and a
-polynomial in the Euler operators z_j d/dz_j is applied to the jet.
+polynomial in the Euler operator E = sum_l a_l u_l d/du_l is applied to it.
 
-For a w block of dimension k the operator is a product of k factors; the
-factors are polynomials in the same Euler operators, hence commute, so the
-application order is immaterial (regression-tested).
+E is d/ds of g(s) = G(u_l e^{a_l s}) at s = 0, so one jet variable s serves
+every acted coordinate: for a w block of dimension k the operator
+prod_i (c_i + E) applied to G is sum_j sigma_{k-j}(c) j! g_j, with sigma the
+elementary symmetric functions of the k constants c_i and g_j the Taylor
+coefficients of g.
 """
 
 from __future__ import annotations
 
-from math import pi
+from math import factorial, pi
 
 from .domains import DomainSpec, LiftStep, slice_scales
 from .jets import (MAX_JET_ORDER, Jet, JetOrderError, abs2, aexp, apow,
@@ -62,16 +64,13 @@ def _slice_fn(base: Kernel, step: LiftStep, stars, t):
     return fn
 
 
-def _apply_factors(G: Jet, u_jets, weights, consts):
-    """Apply the product over ``consts`` of (c*I + sum_l w_l u_l d/du_l) to
-    the jet G; each factor consumes one jet order."""
-    cur = G
+def _operator_weights(consts):
+    """Weights j! sigma_{k-j}(consts), j = 0..k, that turn the s-Taylor
+    coefficients g_j into prod_i (c_i + d/ds) g at s = 0."""
+    poly = [1.0]  # ascending coefficients of prod_i (c_i + x)
     for c in consts:
-        nxt = c * cur.truncate(cur.order - 1)
-        for l, wl in enumerate(weights):
-            nxt = nxt + wl * u_jets[l].truncate(cur.order - 1) * cur.partial(l)
-        cur = nxt
-    return cur.value()
+        poly = [c * a + b for a, b in zip(poly + [0.0], [0.0] + poly)]
+    return [factorial(j) * v for j, v in enumerate(poly)]
 
 
 def _lifted_domain(base: Kernel, step: LiftStep) -> DomainSpec | None:
@@ -80,7 +79,7 @@ def _lifted_domain(base: Kernel, step: LiftStep) -> DomainSpec | None:
     return DomainSpec(base.domain.base, base.domain.lifts + (step,))
 
 
-def _make_lift(base: Kernel, step: LiftStep, factor_order) -> Kernel:
+def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
     k = step.w_dim
     stars = base.star_indices()
     if len(step.weights) != len(stars):
@@ -93,12 +92,9 @@ def _make_lift(base: Kernel, step: LiftStep, factor_order) -> Kernel:
     wsum = sum(step.weights)
     d_in = base.dim
     is_u = step.kind == "U"
-    if factor_order is None:
-        factor_order = tuple(range(1, k + 1))
-    elif sorted(factor_order) != list(range(1, k + 1)):
-        raise LiftError("factor order must be a permutation of 1..k")
-    consts = tuple((j + wsum) if is_u else wsum for j in factor_order)
+    op = _operator_weights([(j + wsum) if is_u else wsum for j in range(1, k + 1)])
     act_w = tuple(a for _, a in acted)
+    flow = [[a ** i / factorial(i) for i in range(1, k + 1)] for a in act_w]
 
     def fn(p, cq):
         w = p[d_in:]
@@ -119,36 +115,37 @@ def _make_lift(base: Kernel, step: LiftStep, factor_order) -> Kernel:
             pref = aexp(wsum * shift) / pi ** k
         tag = fresh_tag()
         pp = list(p[:d_in])
-        u_jets = []
-        for l, (j, _) in enumerate(acted):
-            u = pp[j] * arg_scale[l]
-            jet = Jet.variable(u, l, order=k, nvars=len(acted), tag=tag)
-            u_jets.append(jet)
-            pp[j] = jet
+        for (j, _), sc, f in zip(acted, arg_scale, flow):
+            u = pp[j] * sc  # seeded along the Euler flow u e^{a s}
+            pp[j] = Jet(k, [u] + [u * fi for fi in f], tag)
         G = sfn(tuple(pp), tuple(cq[:d_in]))
-        if not (isinstance(G, Jet) and G.tag == tag):
-            G = Jet.constant(G, k, len(acted), tag=tag)
-        return pref * _apply_factors(G, u_jets, act_w, consts)
+        g = G.coeffs if isinstance(G, Jet) and G.tag == tag else [G]
+        acc = op[0] * g[0]
+        for c, gj in zip(op[1:], g[1:]):
+            acc = acc + c * gj
+        return pref * acc
 
     return Kernel(fn, base.n, base.m, base.w_dims + (k,),
                   domain=_lifted_domain(base, step),
                   name=f"lift{step.kind}[{base.name}]")
 
 
-def lift_U(base: Kernel, alpha, k: int = 1, factor_order=None) -> Kernel:
+def lift_U(base: Kernel, alpha, k: int = 1) -> Kernel:
     """Kernel evaluator on the disk-fibered lift with weights alpha and a
-    w block of dimension k.
+    w block of dimension k: prod_{i=1..k} (i + |alpha| + E) applied to the
+    twisted slice kernel, with E = d/ds along u_l e^{alpha_l s}.
 
     A zero entry leaves the matching star coordinate untouched (passive for
     this lift); at least one entry must be positive.
     """
-    return _make_lift(base, LiftStep("U", tuple(alpha), k), factor_order)
+    return _make_lift(base, LiftStep("U", tuple(alpha), k))
 
 
-def lift_V(base: Kernel, gamma, k: int = 1, factor_order=None) -> Kernel:
+def lift_V(base: Kernel, gamma, k: int = 1) -> Kernel:
     """Kernel evaluator on the plane-fibered lift with weights gamma and a
-    w block of dimension k."""
-    return _make_lift(base, LiftStep("V", tuple(gamma), k), factor_order)
+    w block of dimension k: (|gamma| + E)^k applied to the twisted slice
+    kernel, with E = d/ds along u_l e^{gamma_l s}."""
+    return _make_lift(base, LiftStep("V", tuple(gamma), k))
 
 
 def base_kernel(base_domain) -> Kernel:
@@ -171,5 +168,5 @@ def compose_pipeline(spec: DomainSpec) -> Kernel:
     closed form.  An empty lift stack returns the base evaluator itself."""
     K = base_kernel(spec.base)
     for step in spec.lifts:
-        K = _make_lift(K, step, None)
+        K = _make_lift(K, step)
     return K

@@ -315,6 +315,9 @@ def test_verify_worker_count_does_not_change_output(tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    cases = [line.split(",")[1] for line in outs[0].decode().splitlines()[1:]]
+    assert cases == ["egg", "ball_disk_lift", "ball_exp_lift",
+                     "egg_inflated_w3", "ball_exp_lift_2star"]
 
 
 def test_verify_unknown_suite_usage_error(capsys):

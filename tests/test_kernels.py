@@ -161,12 +161,12 @@ def test_jet_derivative_matches_finite_difference():
 
             tag = fresh_tag()
             pp = list(p)
-            pp[j] = Jet.variable(p[j], 0, order=1, nvars=1, tag=tag)
+            pp[j] = Jet.variable(p[j], order=1, tag=tag)
             jet = K(pp, q)
             fd, cr = holomorphic_derivative_fd(f, complex(p[j]))
             assert cr < 1e-6 * max(1.0, abs(fd)), (name, j)
             scale = max(abs(fd), abs(complex(K(p, q))))
-            assert abs(jet.derivative((1,)) - fd) <= 1e-6 * scale, (name, j)
+            assert abs(jet.derivative(1) - fd) <= 1e-6 * scale, (name, j)
 
 
 def test_overflow_is_an_error():
