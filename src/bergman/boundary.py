@@ -42,21 +42,6 @@ def _single_lift(spec: DomainSpec, kinds=("U",)):
     return spec.lifts[0]
 
 
-def star_gradient(spec: DomainSpec, p) -> np.ndarray:
-    """Central-difference Wirtinger gradient of the defining function in the
-    stars, d r / d z_j = (d_x - i d_y)/2 with step 1e-6; the four stencil
-    points of every star are one panel."""
-    step = 1e-6
-    stars = spec.star_indices()
-    P = np.tile(np.array(p, dtype=complex), (4 * len(stars), 1))
-    P[np.arange(len(P)), np.repeat(stars, 4)] += np.tile(
-        [step, -step, 1j * step, -1j * step], len(stars))
-    v = defining_function(spec, P.T)
-    dx = (v[0::4] - v[1::4]) / (2 * step)
-    dy = (v[2::4] - v[3::4]) / (2 * step)
-    return 0.5 * (dx - 1j * dy)
-
-
 def stratify_point(spec: DomainSpec, p) -> Stratum:
     """Classify a boundary point of a single U-step domain: on the boundary
     means |r| <= 1e-10, a degenerate star gradient has norm below 1e-8."""
@@ -78,7 +63,7 @@ def stratify_point(spec: DomainSpec, p) -> Stratum:
     r = defining_function(spec, p)
     if abs(r) > 1e-10:
         raise BoundaryError(f"point is not on the boundary (r = {r:.3e})")
-    g = star_gradient(spec, p)
+    g, _ = _stencil(spec, p, spec.star_indices(), 1e-6)
     return Stratum.S2 if float(np.linalg.norm(g)) < 1e-8 else Stratum.S1
 
 
@@ -394,33 +379,42 @@ def predicted_limit(spec: DomainSpec, target, stratum: Stratum) -> float | None:
 # Levi form probe
 
 
-def levi_min_eigenvalue(spec: DomainSpec, p) -> float:
-    """Smallest eigenvalue of the complex Hessian of the defining function
-    restricted to the complex tangent space at a smooth boundary point.
-
-    First and second derivatives by central differences with step 1e-4 on
-    the underlying real coordinates; the tangent-space restriction uses an
-    orthonormal complement of the Wirtinger gradient.
-    """
-    step = 1e-4
-    d = spec.dim
+def _stencil(spec: DomainSpec, p, coords, step: float):
+    """Wirtinger gradient d r / d z_j and complex Hessian d^2 r / dz_j dz-bar_k
+    of the defining function at p over the coordinates ``coords``, by
+    central differences with the given step on their real and imaginary
+    parts.  The stencil points are one panel: p, p +- e_a and p +- e_a +- e_b
+    for b < a, over the real directions a, b of ``coords``."""
     x0 = np.array([complex(c) for c in p]).view(float)
-    # one panel: x0, x0 +- e_a and x0 +- e_a +- e_b for b < a
-    E = step * np.eye(2 * d)
-    a, b = np.tril_indices(2 * d, -1)
+    real = (2 * np.asarray(coords)[:, None] + (0, 1)).ravel()
+    n = len(real)
+    E = np.zeros((n, len(x0)))
+    E[np.arange(n), real] = step
+    a, b = np.tril_indices(n, -1)
     X = np.vstack([x0, x0 + E, x0 - E, x0 + E[a] + E[b], x0 + E[a] - E[b],
                    x0 - E[a] + E[b], x0 - E[a] - E[b]])
     f = defining_function(spec, X.view(complex).T)
-    f0, fp, fm, pp, pm, mp, mm = np.split(f, np.cumsum([1, 2 * d, 2 * d] + [len(a)] * 3))
+    f0, fp, fm, pp, pm, mp, mm = np.split(f, np.cumsum([1, n, n] + [len(a)] * 3))
     dr = (fp - fm) / (2 * step)
-    grad = 0.5 * (dr[0::2] - 1j * dr[1::2])
-    if np.linalg.norm(grad) < 1e-8:
-        raise BoundaryError("gradient vanishes; the tangent space is undefined")
     hr = np.diag((fp - 2 * f0 + fm) / step ** 2)
     hr[a, b] = hr[b, a] = (pp - pm - mp + mm) / (4 * step ** 2)
     H = 0.25 * ((hr[0::2, 0::2] + hr[1::2, 1::2])
                 + 1j * (hr[0::2, 1::2] - hr[1::2, 0::2]))
-    H = 0.5 * (H + H.conj().T)
+    return 0.5 * (dr[0::2] - 1j * dr[1::2]), 0.5 * (H + H.conj().T)
+
+
+def levi_min_eigenvalue(spec: DomainSpec, p) -> float:
+    """Smallest eigenvalue of the complex Hessian of the defining function
+    restricted to the complex tangent space at a smooth boundary point.
+
+    Gradient and Hessian from ``_stencil`` over every coordinate with step
+    1e-4; the tangent-space restriction uses an orthonormal complement of
+    the Wirtinger gradient.
+    """
+    d = spec.dim
+    grad, H = _stencil(spec, p, range(d), 1e-4)
+    if np.linalg.norm(grad) < 1e-8:
+        raise BoundaryError("gradient vanishes; the tangent space is undefined")
     g = grad.conj().reshape(-1, 1)
     qmat, _ = np.linalg.qr(np.concatenate([g, np.eye(d, dtype=complex)], axis=1))
     basis = qmat[:, 1:d]

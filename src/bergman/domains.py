@@ -295,9 +295,6 @@ class SampleResult:
     box_radii: tuple
     truncated_w: bool
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 def box_radii(spec: DomainSpec, w_radius: float = DEFAULT_W_RADIUS) -> tuple:
     """Per-coordinate bounding radii.  Every bounded coordinate of the
@@ -368,9 +365,6 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
         accepted.append(c[keep])
         n_total += len(accepted[-1])
         draws += SAMPLE_CHUNK
-        if draws >= SAMPLE_MAX_DRAWS and n_total < max(1, draws * 1e-6):
-            raise SamplingError(
-                f"acceptance ratio below 1e-6 after {draws} draws")
         if draws >= SAMPLE_MAX_DRAWS and n_total < count:
             raise SamplingError(
                 f"only {n_total}/{count} interior points after {draws} draws")

@@ -170,10 +170,6 @@ class Jet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int, tag: int = 0) -> "Jet":
-        return cls(order, [value] + [0.0] * order, tag)
-
-    @classmethod
     def variable(cls, value, order: int, tag: int = 0) -> "Jet":
         """Seed jet ``value + ds``."""
         return cls(order, ([value, 1.0] + [0.0] * order)[:order + 1], tag)
@@ -272,12 +268,7 @@ class Jet:
     def __pow__(self, exponent):
         e = float(exponent)
         if e.is_integer():
-            n = int(e)
-            if n == 0:
-                return Jet.constant(1.0, self.order, self.tag)
-            if n < 0:
-                return self.reciprocal().__pow__(-n)
-            return _int_pow(self, n)
+            return apow(self, e)
         # a (a^e)' = e a' a^e, on the principal branch of the constant term
         a = self.coeffs
         out = [apow(a[0], e)]

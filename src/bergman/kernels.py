@@ -31,9 +31,10 @@ def _all_finite(v) -> bool:
 class Kernel:
     """Kernel evaluator contract.
 
-    ``arity`` records the coordinate layout (n star, m passive, w blocks);
-    lifts use it to align their weights.  ``domain`` is the DomainSpec the
-    evaluator reproduces on, when known.
+    ``fn(p, cq)`` takes the second point conjugated.  Coordinates are n
+    star, m passive, then one block per entry of ``w_dims``; lifts act on
+    ``star_indices()``.  ``domain`` is the DomainSpec the evaluator
+    reproduces on, when known.
     """
 
     def __init__(self, fn, n: int, m: int = 0, w_dims=(), domain: DomainSpec | None = None,
@@ -44,10 +45,6 @@ class Kernel:
         self.w_dims = tuple(int(k) for k in w_dims)
         self.domain = domain
         self.name = name
-
-    @property
-    def arity(self):
-        return (self.n, self.m, self.w_dims)
 
     @property
     def dim(self) -> int:
@@ -89,7 +86,7 @@ class Kernel:
                       self.w_dims, domain=self.domain, name=f"{factor}*{self.name}")
 
     def __repr__(self):  # pragma: no cover
-        return f"Kernel({self.name}, arity={self.arity})"
+        return f"Kernel({self.name}, n={self.n}, m={self.m}, w_dims={self.w_dims})"
 
 
 def _dot(ps, cqs):

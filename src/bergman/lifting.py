@@ -20,7 +20,7 @@ from math import factorial, pi
 from .domains import DomainSpec, LiftStep, slice_scales
 from .jets import (MAX_JET_ORDER, Jet, JetOrderError, abs2, aexp, apow,
                    fresh_tag)
-from .kernels import Kernel, closed_form_for
+from .kernels import Kernel, _dot, closed_form_for
 
 
 class LiftError(ValueError):
@@ -102,9 +102,7 @@ def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
         eta2 = _sqnorm(ebar)
         # raises SingularEvaluationError at ||eta|| >= 1, before any power
         sfn = _slice_fn(base, step, stars, eta2)
-        t = 0.0
-        for wj, ej in zip(w, ebar):
-            t = t + wj * ej
+        t = _dot(w, ebar)
         if is_u:
             inv = apow(1.0 - t, -1)
             arg_scale = [apow((1.0 - eta2) * inv, a) for a in act_w]

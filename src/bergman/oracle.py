@@ -166,13 +166,6 @@ def dirichlet_identity_check(s: float, c):
 # monomial norms
 
 
-@dataclass(frozen=True)
-class NormEntry:
-    value: float
-    error: float
-    method: str
-
-
 def _base_shadow_integral(spec: DomainSpec, A):
     """int over the base shadow of prod x^{a_j} dx (no pi factors), with its
     error, for every row a of the exponent matrix A."""
@@ -223,16 +216,16 @@ def _monomial_norms(spec: DomainSpec, E):
     return value, np.abs(value) * rel_err
 
 
-def monomial_norm_full(spec: DomainSpec, idx) -> NormEntry:
-    """Squared L2 norm of the monomial with exponent vector idx, with an
-    error estimate and the method tag: the one-row case of _monomial_norms."""
+def monomial_norm_full(spec: DomainSpec, idx) -> tuple:
+    """(value, error) of the squared L2 norm of the monomial with exponent
+    vector idx: the one-row case of _monomial_norms."""
     idx = tuple(int(i) for i in idx)
     if len(idx) != spec.dim:
         raise SpecError("monomial index arity mismatch")
     if any(i < 0 for i in idx):
         raise SpecError("monomial exponents must be nonnegative")
     value, error = _monomial_norms(spec, np.array([idx], dtype=np.intp))
-    return NormEntry(value=float(value[0]), error=float(error[0]), method="quadrature")
+    return float(value[0]), float(error[0])
 
 
 def exponent_matrix(dim: int, degree_cap: int) -> np.ndarray:
@@ -252,7 +245,7 @@ class NormTable:
     ``exponents`` matrix with its ``norms`` and ``errors`` vectors, the first
     row ``offsets[d]`` of each degree shell d, and ``gather``, each exponent's
     flat index into a (dim, cap + 1) array of powers.  ``entries``, the same
-    table as a dict of NormEntry, is built only when read."""
+    table as a dict of (value, error) pairs, is built only when read."""
 
     def __init__(self, spec: DomainSpec | None, exponents, norms, errors):
         self.spec = spec
@@ -284,8 +277,8 @@ class NormTable:
 
     @cached_property
     def entries(self) -> dict:
-        return {tuple(a): NormEntry(v, e, "quadrature") for a, v, e in
-                zip(self.exponents.tolist(), self.norms.tolist(), self.errors.tolist())}
+        return dict(zip(map(tuple, self.exponents.tolist()),
+                        zip(self.norms.tolist(), self.errors.tolist())))
 
     def degree_cap(self) -> int:
         return len(self.offsets) - 2
@@ -306,9 +299,6 @@ class SeriesValue:
     tail_bound: float
     cap_used: int
     shells: list
-
-    def __complex__(self):
-        return complex(self.value)
 
 
 def _fsum(re, im) -> complex:
@@ -531,16 +521,18 @@ def _polar_pass(K, spec, indices, p, n_rad, n_ang):
     return totals, totals_half
 
 
-def reproducing_check(K, spec: DomainSpec, idx, p) -> float:
-    """Relative residual |int K(p; q-bar) q^idx dV - p^idx| /
-    max(|p^idx|, 1e-6), the integral by ``reproducing_integral`` at its
-    defaults (so up to 3 coordinates)."""
-    idx = tuple(int(i) for i in idx)
+def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:
+    """{idx: relative residual |int K(p; q-bar) q^idx dV - p^idx| /
+    max(|p^idx|, 1e-6)} for every index in ``indices``, the integrals from
+    one ``reproducing_integral`` call at its defaults (so up to 3
+    coordinates)."""
     p = tuple(complex(c) for c in p)
     if not contains(spec, p):
         raise SpecError("reproducing check needs an interior point")
-    integral = reproducing_integral(K, spec, [idx], p)[0][idx]
-    target = 1.0 + 0j
-    for pj, e in zip(p, idx):
-        target *= pj ** e
-    return abs(integral - target) / max(abs(target), 1e-6)
+    out = {}
+    for idx, integral in reproducing_integral(K, spec, indices, p)[0].items():
+        target = 1.0 + 0j
+        for pj, e in zip(p, idx):
+            target *= pj ** e
+        out[idx] = abs(integral - target) / max(abs(target), 1e-6)
+    return out

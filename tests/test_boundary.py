@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from bergman.boundary import (ApproachPath, BoundaryError, Stratum,
+from bergman.boundary import (ApproachPath, BoundaryError, Stratum, _stencil,
                               default_path, expected_weight,
                               levi_min_eigenvalue, make_weight,
-                              predicted_limit, star_gradient, stratify_point,
-                              weighted_limit)
+                              predicted_limit, stratify_point, weighted_limit)
 from bergman.catalog import (ball_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec)
 from bergman.cli import _fmt, main
@@ -124,6 +123,7 @@ def test_s4_probe_limit():
     rep = weighted_limit(kernel_ball_disk_lift(1, 1), path, "product")
     want = 4 / PI ** 3
     assert abs(rep.limit - want) / want < 0.01
+    assert predicted_limit(SPEC, (0, 1.0, 1.0), Stratum.S4) == pytest.approx(want)
 
 
 def test_v_probe_limit():
@@ -437,4 +437,5 @@ def test_stencil_panels_equal_one_point_stencils():
     for spec, p in cases:
         assert levi_min_eigenvalue(spec, p) == _one_point_levi(spec, p)
         want = _one_point_gradient(spec, p, spec.star_indices(), 1e-6)
-        assert np.array_equal(star_gradient(spec, p), want)
+        # the gradient stratify_point classifies with
+        assert np.array_equal(_stencil(spec, p, spec.star_indices(), 1e-6)[0], want)

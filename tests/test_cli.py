@@ -281,6 +281,29 @@ def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
             (_fmt(v.real), _fmt(v.imag), _fmt(sv.tail_bound))
 
 
+def test_eval_closed_mode_without_closed_form_exits_2(tmp_path, capsys):
+    specf, ptsf = tmp_path / "stage4.json", tmp_path / "pts.json"
+    specf.write_text(json.dumps(spec_to_dict(chain_stage_spec(4))))
+    ptsf.write_text(json.dumps([[[0.1, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
+    out = tmp_path / "eval.csv"
+    rc = main(["eval", "--spec", str(specf), "--points", str(ptsf),
+               "--mode", "closed", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no hand-coded closed form matches this spec\n"
+    assert not out.exists()
+
+
+def test_eval_series_convergence_error_flags_its_row_only(tmp_path):
+    # the shells at |z| = 0.995 decay too slowly for cap 40; the row at 0.3
+    # keeps its value, 1 / (pi (1 - 0.09)^2) on the disk
+    entries = [[[0.3, 0.0]], [[0.995, 0.0]]]
+    rc, rows = _eval_rows(tmp_path, disk_spec(), entries, "series", "--cap", "40")
+    assert rc == 2
+    assert [row["error"] for row in rows] == ["", "ConvergenceError"]
+    assert (rows[1]["series_re"], rows[1]["series_im"], rows[1]["series_tail"]) == ("", "", "")
+    assert _value(rows[0], "series") == pytest.approx(1 / (math.pi * 0.91 ** 2), rel=1e-9)
+
+
 def test_verify_dirichlet_passes(capsys):
     rc = main(["verify", "--suite", "dirichlet"])
     assert rc == 0
@@ -293,6 +316,18 @@ def test_verify_levi_passes(capsys):
     rc = main(["verify", "--suite", "levi"])
     assert rc == 0
     assert "3/3 passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite, n_cases", [("series", 8), ("reproducing", 6)])
+def test_verify_oracle_suites_pass(suite, n_cases, tmp_path, capsys):
+    out = tmp_path / f"{suite}.csv"
+    rc = main(["verify", "--suite", suite, "--out", str(out)])
+    assert rc == 0
+    assert f"{suite}: {n_cases}/{n_cases} passed" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert lines[0] == "suite,case,measured,tolerance,status"
+    assert len(lines) == 1 + n_cases
+    assert all(line.startswith(f"{suite},") and line.endswith(",PASS") for line in lines[1:])
 
 
 def test_verify_symmetry_with_workers(capsys, tmp_path):

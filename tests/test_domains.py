@@ -221,10 +221,10 @@ def test_sample_distribution_matches_oracle(spec):
     # norms: ||1||^2 and ||z_j||^2 / ||1||^2.  A uniform radius in place of
     # a uniform squared modulus fails it.
     res = sample_interior(spec, 2 * 10 ** 4, seed=5)
-    volume = monomial_norm_full(spec, (0,) * spec.dim).value
+    volume = monomial_norm_full(spec, (0,) * spec.dim)[0]
     assert res.volume_estimate == pytest.approx(volume, rel=0.02)
     means = np.mean(np.abs(res.points) ** 2, axis=0)
-    want = [monomial_norm_full(spec, e).value / volume
+    want = [monomial_norm_full(spec, e)[0] / volume
             for e in np.eye(spec.dim, dtype=int)]
     assert means == pytest.approx(want, rel=0.03)
 

@@ -183,3 +183,25 @@ def test_nested_tags_keep_directions_independent():
     assert inner_df_dy.coefficient(1) == pytest.approx(1.0)  # d2 f / dx dy
     assert f.value().value() == pytest.approx(6.0)              # f itself
 
+
+
+def test_jet_sum_with_lower_tag_on_the_left_nests_it():
+    # x + y hands the sum to y, the higher tag, as x * y does
+    t1, t2 = fresh_tag(), fresh_tag()
+    x = Jet.variable(2.0 + 0j, order=1, tag=t1)
+    y = Jet.variable(3.0 + 0j, order=1, tag=t2)
+    s = x + y
+    assert s.tag == t2 and s.coefficient(1) == 1.0
+    inner = s.value()
+    assert isinstance(inner, Jet) and inner.tag == t1
+    assert inner.coeffs == [5.0, 1.0]
+
+
+def test_jet_scalar_division_and_integer_powers():
+    z0 = 0.5 + 0.25j
+    x = Jet.variable(z0, order=2)
+    # 2 / (z0 + s) = 2/z0 - 2 s/z0^2 + 2 s^2/z0^3
+    assert (2.0 / x).coeffs == pytest.approx([2 / z0, -2 / z0 ** 2, 2 / z0 ** 3], rel=1e-14)
+    assert (x ** 2).coeffs == pytest.approx([z0 * z0, 2 * z0, 1.0], rel=1e-15)
+    assert (x ** -1).coeffs == x.reciprocal().coeffs
+    assert x ** 0 == 1.0 and type(x ** 0) is float

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bergman.catalog import closed_form_families, interior_pairs, interior_points
+from bergman.catalog import closed_form_families, egg_spec, interior_pairs, interior_points
+from bergman.domains import KIND_ELLIPSOID, BaseDomain, DomainSpec
 from bergman.jets import Jet, NonFiniteError, fresh_tag
 from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
                              kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
                              kernel_chain_stage3, kernel_polydisk,
                              kernel_product, polydisk_spec)
+from bergman.lifting import compose_pipeline
 
 from finite_difference import holomorphic_derivative_fd
 
@@ -188,6 +190,17 @@ def test_closed_form_recognition():
         assert found is not None, name
         p, q = interior_pairs(spec, 1, seed=15, box_radius=0.4)[0]
         assert complex(found(p, q)) == pytest.approx(complex(K(p, q)), rel=1e-12)
+    # two recognition branches no family reaches, each against a lift
+    # pipeline: the ball base under uniform U weights with a w block of 3,
+    # and the lift-free ellipsoid |z1|^4 + |z2|^2 + |z3|^2 < 1, which is the
+    # disk lifted by U weight 1/2 with a w block of 2
+    ellipsoid = DomainSpec(BaseDomain(KIND_ELLIPSOID, 1, 2, (2.0, 1.0, 1.0)))
+    for spec, lifted in ((egg_spec(2, 1.5, 3), egg_spec(2, 1.5, 3)),
+                         (ellipsoid, egg_spec(1, 2.0, 2))):
+        found = closed_form_for(spec)
+        p, q = interior_pairs(spec, 1, seed=15, box_radius=0.4)[0]
+        want = complex(compose_pipeline(lifted)(p, q))
+        assert complex(found(p, q)) == pytest.approx(want, rel=1e-12)
     # stage-4 has no hand-coded closed form
     from bergman.catalog import chain_stage_spec
     assert closed_form_for(chain_stage_spec(4, 2.0, 1.5)) is None
