@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -56,13 +57,15 @@ def _run_cases(cases, workers: int):
         return [f.result() for f in futures]
 
 
-def _write_csv(path, header, rows):
-    """The CSV to ``path`` (stdout for None)."""
+def _write_csv(path, header, rows=(), text=()):
+    """The CSV to ``path`` (stdout for None): the header and ``rows`` through
+    csv.writer, then ``text``, rows already in csv.writer's format."""
     with (open(path, "w", encoding="utf-8", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+        f.writelines(text)
 
 
 def _wire_point(value, what):
@@ -78,24 +81,38 @@ def _wire_point(value, what):
     raise SpecError(f"{what} must be a list of [re, im] number pairs")
 
 
+def _all_lists(items, length):
+    """Whether every item is a list of the given length."""
+    return set(map(type, items)) <= {list} and set(map(len, items)) <= {length}
+
+
 def _load_points(path, dim):
+    """The pairs of a points file as two (n, dim) complex arrays P and Q.
+    Whole lists are checked at once; only when a check fails does the
+    per-point pass run, to name the first bad point."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     if not isinstance(data, list):
         raise SpecError("points file must hold a JSON list")
-    pairs = []
-    for i, entry in enumerate(data):
-        if isinstance(entry, dict):
-            if "p" not in entry:
-                raise SpecError(f"point {i} is missing field 'p'")
-            p = _wire_point(entry["p"], f"point {i}")
-            q = _wire_point(entry.get("q", entry["p"]), f"point {i}")
-        else:
-            p = q = _wire_point(entry, f"point {i}")
+    # a missing p reads as None, which fails the checks below
+    ps = [e.get("p") if isinstance(e, dict) else e for e in data]
+    qs = [e.get("q", e.get("p")) if isinstance(e, dict) else e for e in data]
+    n, pts = len(data), ps + qs
+    if _all_lists(pts, dim):
+        coords = list(itertools.chain.from_iterable(pts))
+        if _all_lists(coords, 2):
+            nums = list(itertools.chain.from_iterable(coords))
+            if set(map(type, nums)) <= {int, float}:
+                with contextlib.suppress(OverflowError):  # an int beyond the float range
+                    Z = np.array(nums, dtype=float).view(complex).reshape(2 * n, dim)
+                    return Z[:n], Z[n:]
+    for i, (entry, p, q) in enumerate(zip(data, ps, qs)):
+        if isinstance(entry, dict) and "p" not in entry:
+            raise SpecError(f"point {i} is missing field 'p'")
+        p, q = _wire_point(p, f"point {i}"), _wire_point(q, f"point {i}")
         if len(p) != dim or len(q) != dim:
             raise SpecError(f"point {i} has the wrong dimension")
-        pairs.append((p, q))
-    return pairs
+    raise AssertionError("points failed a whole-list check but no per-point check")
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +128,19 @@ def _panel_values(K, P, Q, rows, out, errors):
         block = np.array(rows[start:start + EVAL_BLOCK], dtype=int)
         while len(block):
             try:
-                v = np.broadcast_to(K(tuple(P[:, block]), tuple(Q[:, block])), block.shape)
+                out[block] = K(tuple(P[:, block]), tuple(Q[:, block]))
             except NonFiniteError as e:
                 bad = np.arange(len(block)) if e.rows is None else e.rows
                 for i in block[bad].tolist():
                     errors[i] = type(e).__name__
                 block = np.delete(block, bad)
                 continue
-            for i, x in zip(block.tolist(), v.tolist()):
-                out[i] = x
             break
 
 
 def cmd_eval(args) -> int:
     spec = load_spec(args.spec)
-    pairs = _load_points(args.points, spec.dim)
+    P, Q = _load_points(args.points, spec.dim)
     modes = ("closed", "lifted", "series") if args.mode == "all" else (args.mode,)
     kernels = {"closed": closed_form_for(spec)} if "closed" in modes else {}
     if kernels.get("closed", True) is None:
@@ -138,38 +153,47 @@ def cmd_eval(args) -> int:
               + ["series_tail"] * ("series" in modes)
               + [f"delta_{modes[0]}_{m}" for m in modes[1:]] + ["error"])
 
-    n = len(pairs)
-    P, Q = np.array(pairs, dtype=complex).reshape(n, 2, spec.dim).transpose(1, 0, 2)
+    n = len(P)
     # overflow is flagged per row, not warned of; a row failing one mode skips the rest
     with np.errstate(all="ignore"):
-        inside = contains(spec, P.T) & contains(spec, Q.T)
-        errors = ["" if ok else "exterior" for ok in inside.tolist()]
-        vals, tails = {}, [None] * n
+        inside = contains(spec, np.concatenate([P, Q]).T)
+        errors = ["" if ok else "exterior" for ok in (inside[:n] & inside[n:]).tolist()]
+        vals, tails, done = {}, np.zeros(n), np.zeros(n, dtype=int)
         for mode in modes:
-            out = vals[mode] = [None] * n
+            out = vals[mode] = np.zeros(n, dtype=complex)
             todo = [i for i in range(n) if not errors[i]]
             if mode != "series":
                 _panel_values(kernels[mode], P.T, Q.T, todo, out, errors)
-                continue
-            for i in todo:
-                try:
-                    sv = series_kernel(spec, *pairs[i], args.cap, table=table)
-                    out[i], tails[i] = complex(sv.value), sv.tail_bound
-                except (ConvergenceError, NonFiniteError, IntegrationError) as e:
-                    errors[i] = type(e).__name__
+            else:
+                for i in todo:
+                    try:
+                        sv = series_kernel(spec, tuple(P[i]), tuple(Q[i]), args.cap,
+                                           table=table)
+                        out[i], tails[i] = sv.value, sv.tail_bound
+                    except (ConvergenceError, NonFiniteError, IntegrationError) as e:
+                        errors[i] = type(e).__name__
+            done += np.array([not e for e in errors], dtype=bool)  # per row: modes with a value
+        # Python's abs of a complex is libm's hypot; numpy's abs can differ in the last bit
+        ref = vals[modes[0]]
+        cols = ([c for m in modes for c in (vals[m].real, vals[m].imag)]
+                + [tails] * ("series" in modes)
+                + [np.hypot(d.real, d.imag) / np.maximum(np.hypot(ref.real, ref.imag), 1e-300)
+                   for d in (vals[m] - ref for m in modes[1:])])
+    # the mode each column belongs to: an error row keeps the modes it passed
+    owner = ([j for j in range(len(modes)) for _ in "ri"]
+             + [len(modes) - 1] * ("series" in modes) + list(range(1, len(modes))))
+    row = "%d" + ",%.17g" * len(cols) + ",\r\n"   # csv.writer's row, empty error field
 
-    rows = []
-    for i in range(n):
-        got = [vals[m][i] for m in modes]
-        row = [i] + [x for v in got for x in
-                     ((_fmt(v.real), _fmt(v.imag)) if v is not None else ("", ""))]
-        if "series" in modes:
-            row.append(_fmt(tails[i]) if tails[i] is not None else "")
-        ref = got[0]
-        row += [_fmt(abs(v - ref) / max(abs(ref), 1e-300))
-                if ref is not None and v is not None else "" for v in got[1:]]
-        rows.append(row + [errors[i]])
-    _write_csv(args.out, header, rows)
+    def line(i, xs):
+        if not errors[i]:
+            return row % (i, *xs)
+        return ",".join([str(i), *(_fmt(x) if j < done[i] else "" for x, j in zip(xs, owner)),
+                         errors[i]]) + "\r\n"
+
+    _write_csv(args.out, header, text=(
+        "".join(line(i, xs) for i, xs in enumerate(
+            np.stack([c[start:start + EVAL_BLOCK] for c in cols], axis=1).tolist(), start))
+        for start in range(0, n, EVAL_BLOCK)))
     return EXIT_INPUT if any(errors) else EXIT_OK
 
 

@@ -567,23 +567,133 @@ _json_values = st.recursive(
 _numbers = st.integers(-3, 3) | st.floats(allow_nan=True, allow_infinity=True)
 _wire_points = st.lists(st.lists(_numbers, min_size=2, max_size=2)
                         | _json_values, max_size=3)
+# bools, and ints that round to a float or overflow it, where a number belongs
+_odd_numbers = st.booleans() | st.sampled_from(
+    [2 ** 64 + 1, 2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970, 10 ** 400, -10 ** 400])
+_pairs = st.lists(_numbers, min_size=2, max_size=2)
+_points = st.lists(_pairs, min_size=2, max_size=2)
+_near_points = st.lists(_pairs | st.lists(_numbers | _odd_numbers, min_size=2, max_size=2),
+                        min_size=2, max_size=2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_wire_points | st.fixed_dictionaries(
-    {"p": _wire_points}, optional={"q": _wire_points}) | _json_values, max_size=3)
-    | _json_values)
+def _points_files(points):
+    return st.lists(points | st.fixed_dictionaries({"p": points}, optional={"q": points}),
+                    max_size=4)
+
+
+def _reference_points(data, dim):
+    """The points-file rules one point at a time: complex(re, im) per pair,
+    and the five messages in the order the per-point checks meet them."""
+    if not isinstance(data, list):
+        raise SpecError("points file must hold a JSON list")
+
+    def point(value, i):
+        if type(value) is list and all(
+                type(c) is list and len(c) == 2
+                and type(c[0]) in (int, float) and type(c[1]) in (int, float)
+                for c in value):
+            try:
+                return [complex(re, im) for re, im in value]
+            except OverflowError:
+                raise SpecError(f"point {i} is out of range") from None
+        raise SpecError(f"point {i} must be a list of [re, im] number pairs")
+
+    ps, qs = [], []
+    for i, entry in enumerate(data):
+        if isinstance(entry, dict):
+            if "p" not in entry:
+                raise SpecError(f"point {i} is missing field 'p'")
+            p, q = point(entry["p"], i), point(entry.get("q", entry["p"]), i)
+        else:
+            p = q = point(entry, i)
+        if len(p) != dim or len(q) != dim:
+            raise SpecError(f"point {i} has the wrong dimension")
+        ps.append(p)
+        qs.append(q)
+    return tuple(np.array(side, dtype=complex).reshape(len(side), dim) for side in (ps, qs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points_files(_points) | _points_files(_near_points)
+       | st.lists(_wire_points | st.fixed_dictionaries(
+           {"p": _wire_points}, optional={"q": _wire_points}) | _json_values, max_size=3)
+       | _json_values)
 def test_points_loader_fuzz_gives_points_or_spec_error(data):
+    # the whole-list loader gives the reference's arrays bit for bit (NaN
+    # and -0.0 included) or its SpecError text; the reference reads what
+    # the file holds (JSON keeps no NaN payload)
+    text = json.dumps(data)
+    try:
+        want = _reference_points(json.loads(text), 2)
+    except SpecError as e:
+        want = str(e)
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(data, f)
+            f.write(text)
         try:
-            pairs = _load_points(path, 2)
-        except SpecError:
-            return
+            got = _load_points(path, 2)
+        except SpecError as e:
+            got = str(e)
     finally:
         os.unlink(path)
-    for p, q in pairs:
-        assert len(p) == len(q) == 2
-        assert all(isinstance(c, complex) for c in p + q)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def test_points_loader_valid_file_skips_per_point_pass(tmp_path, monkeypatch):
+    # the per-point pass only names a bad point; a valid file never reaches it
+    def fail(value, what):
+        raise AssertionError("per-point pass ran on a valid points file")
+
+    monkeypatch.setattr(cli, "_wire_point", fail)
+    spec = chain_stage_spec(3)
+    pairs = interior_pairs(spec, 512, seed=23)
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps([{"p": _wire(p), "q": _wire(q)} for p, q in pairs]))
+    P, Q = _load_points(path, spec.dim)
+    assert P.shape == Q.shape == (512, spec.dim)
+    assert P.tolist() == [list(p) for p, _ in pairs]
+    assert Q.tolist() == [list(q) for _, q in pairs]
+
+
+def test_eval_error_row_bytes_match_csv_writer(tmp_path, monkeypatch):
+    # one row of each kind under --mode all: interior; exterior; closed
+    # NonFiniteError (lifted and series skipped); series ConvergenceError
+    # (closed and lifted kept, with their delta)
+    spec = disk_spec()
+    disk = kernel_ball(1)
+
+    def fn(p, cq):
+        return np.where(p[0] == 0.25, np.divide(1.0, p[0] - 0.25), disk.fn(p, cq))
+
+    closed = Kernel(fn, n=1, domain=spec, name="poles")
+    monkeypatch.setattr(cli, "closed_form_for", lambda s: closed)
+    ps, q = [0.1 + 0.05j, 1.5, 0.25, 0.995], 0.2 - 0.1j
+    entries = [{"p": _wire((ps[0],)), "q": _wire((q,))}, _wire((ps[1],)),
+               {"p": _wire((ps[2],)), "q": _wire((q,))}, _wire((ps[3],))]
+    rc, _ = _eval_rows(tmp_path, spec, entries, "all", "--cap", "40")
+    assert rc == 2
+    # the closed and lifted panels hold the rows that reach them, rows 0 and 3
+    P, Q = (np.array([ps[0], ps[3]]),), (np.array([q, ps[3]]),)
+    vals = {"closed": closed(P, Q).tolist(), "lifted": compose_pipeline(spec)(P, Q).tolist()}
+    sv = series_kernel(spec, (ps[0],), (q,), 40)
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(["i", "closed_re", "closed_im", "lifted_re", "lifted_im", "series_re",
+                "series_im", "series_tail", "delta_closed_lifted", "delta_closed_series",
+                "error"])
+    c, l, s = vals["closed"][0], vals["lifted"][0], complex(sv.value)
+    w.writerow([0] + [_fmt(x) for x in (c.real, c.imag, l.real, l.imag, s.real, s.imag,
+                                        sv.tail_bound, abs(l - c) / abs(c), abs(s - c) / abs(c))]
+               + [""])
+    w.writerow([1] + [""] * 9 + ["exterior"])
+    w.writerow([2] + [""] * 9 + ["NonFiniteError"])
+    c, l = vals["closed"][1], vals["lifted"][1]
+    w.writerow([3] + [_fmt(x) for x in (c.real, c.imag, l.real, l.imag)] + ["", "", "",
+               _fmt(abs(l - c) / abs(c)), "", "ConvergenceError"])
+    assert (tmp_path / "eval.csv").read_bytes() == want.getvalue().encode("utf-8")
