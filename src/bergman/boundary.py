@@ -24,6 +24,8 @@ from .domains import (KIND_ELLIPSOID, DomainSpec, SpecError, contains,
                       defining_function, unwound_point)
 from .jets import NonFiniteError
 
+PROBE_LEVELS = 12       # path levels t = 2^-1 ... 2^-PROBE_LEVELS
+
 
 class BoundaryError(ValueError):
     """Point/stratum/weight combination the probes cannot honor."""
@@ -124,12 +126,11 @@ class ApproachPath:
     stratum: Stratum
     point_fn: object
     region_fn: object
-    levels: int = 12
     panel: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
     def grid(self):
-        return [2.0 ** (-k) for k in range(1, self.levels + 1)]
+        return [2.0 ** (-k) for k in range(1, PROBE_LEVELS + 1)]
 
     def points(self, ts) -> np.ndarray:
         """The path at every t of ts as a (len(ts), dim) complex panel: one
@@ -163,10 +164,10 @@ class ApproachPath:
         return self
 
 
-def default_path(spec: DomainSpec, target, stratum: Stratum,
-                 levels: int = 12) -> ApproachPath:
+def default_path(spec: DomainSpec, target, stratum: Stratum) -> ApproachPath:
     """Documented default approach path for the given stratum, along the
-    direction (1, ..., 1)/sqrt(n) of the star block.
+    direction (1, ..., 1)/sqrt(n) of the star block, validated at its
+    PROBE_LEVELS levels.
 
     U-step domains: S2 shrinks the star block like t^2 at fixed w, S3 sends
     |w|^2 to 1 like 1-t with |z_j| = 0.5 t^(1+p_j/2), p_j = 2 alpha_j, S4
@@ -194,7 +195,7 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
             return tuple(z) + tuple(zp) + (w0[0],)
 
         return ApproachPath(spec, target, stratum, point_fn,
-                            _region_ws_v(spec, s_exps), levels).validate()
+                            _region_ws_v(spec, s_exps)).validate()
 
     if stratum == Stratum.S2:
         alphas = step.weights
@@ -207,7 +208,7 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
             return tuple(z) + tuple(zp) + (w0[0],)
 
         return ApproachPath(spec, target, stratum, point_fn,
-                            _region_w2(spec), levels).validate()
+                            _region_w2(spec)).validate()
 
     if stratum in (Stratum.S3, Stratum.S4):
         if abs(abs(w0[0]) - 1.0) > 1e-8:
@@ -231,8 +232,7 @@ def default_path(spec: DomainSpec, target, stratum: Stratum,
             w2 = _region_w2(spec)
             w3 = region
             region = lambda p: w2(p) & w3(p)
-        return ApproachPath(spec, target, stratum, point_fn, region,
-                            levels).validate()
+        return ApproachPath(spec, target, stratum, point_fn, region).validate()
 
     raise BoundaryError("S1 points are smooth strongly pseudoconvex; no "
                         "weighted probe is defined there")

@@ -39,9 +39,6 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EVAL_BLOCK = 4096       # rows per eval kernel call: memory does not grow with the file
 
-SUITES = ("symmetry", "reproducing", "series", "dirichlet",
-          "lift-equivalence", "levi")
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -319,7 +316,7 @@ def _suite_levi(tol, seed):
     def weak_case():
         spec = ball_exp_lift_spec(1, 1, (1.0,))
         v = levi_min_eigenvalue(spec, (0.0, 1.0, 0.4))
-        return _case("ball-exp-lift-weak", abs(v), 1e-6)
+        return _case("ball-exp-lift-weak", abs(v), tol)
 
     return [ball_case, s1_case, weak_case]
 
@@ -335,8 +332,7 @@ _SUITE_BUILDERS = {
 
 
 def cmd_verify(args) -> int:
-    builder, default_tol = _SUITE_BUILDERS[args.suite]
-    tol = args.tol if args.tol is not None else default_tol
+    builder, tol = _SUITE_BUILDERS[args.suite]
     cases = builder(tol, args.seed)
     results = _run_cases(cases, args.workers)
     n_fail = sum(not r["passed"] for r in results)
@@ -368,7 +364,7 @@ def cmd_boundary(args) -> int:
             file=sys.stderr)
         return EXIT_INPUT
     K = compose_pipeline(spec)
-    path = default_path(spec, target, stratum, levels=args.levels)
+    path = default_path(spec, target, stratum)
     report = weighted_limit(K, path, args.weight)
     report.predicted = predicted_limit(spec, target, stratum)
     if args.out:
@@ -391,8 +387,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = load_spec(args.spec)
-    res = sample_interior(spec, args.count, seed=args.seed,
-                          w_radius=args.w_radius, box_radius=args.box_radius)
+    res = sample_interior(spec, args.count, seed=args.seed, box_radius=args.box_radius)
     if args.out:
         header = ["i"] + [f"c{j}_{part}" for j in range(spec.dim) for part in ("re", "im")]
         # csv.writer's row, formatted as _fmt does: "%.17g" is f"{x:.17g}"
@@ -452,9 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_eval)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", required=True, choices=SUITES)
+    pv.add_argument("--suite", required=True, choices=tuple(_SUITE_BUILDERS))
     pv.add_argument("--seed", type=_seed, default=2024)
-    pv.add_argument("--tol", type=_positive, default=None)
     pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", default=None)
     pv.set_defaults(fn=cmd_verify)
@@ -465,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help='JSON [[re,im],...] boundary point')
     pb.add_argument("--stratum", required=True, choices=("S2", "S3", "S4"))
     pb.add_argument("--weight", required=True, choices=WEIGHT_NAMES)
-    pb.add_argument("--levels", type=int, default=12)
     pb.add_argument("--out", default=None)
     pb.set_defaults(fn=cmd_boundary)
 
@@ -473,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--spec", required=True)
     ps.add_argument("--count", type=int, required=True)
     ps.add_argument("--seed", type=_seed, default=0)
-    ps.add_argument("--w-radius", type=_positive, default=3.0)
     ps.add_argument("--box-radius", type=_positive, default=None)
     ps.add_argument("--out", default=None)
     ps.set_defaults(fn=cmd_sample)

@@ -135,9 +135,6 @@ class DomainSpec:
         (all lifts applied when omitted)."""
         return list(self._star_sets[len(self.lifts) if upto is None else upto])
 
-    def truncated(self, n_lifts: int) -> "DomainSpec":
-        return DomainSpec(self.base, self.lifts[:n_lifts])
-
     def split(self, p):
         """Partition a point into (z, z', w-blocks)."""
         p = tuple(p)
@@ -312,7 +309,6 @@ def _philox(seed: int) -> np.random.Generator:
 
 
 def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
-                    w_radius: float = DEFAULT_W_RADIUS,
                     box_radius: float | None = None) -> SampleResult:
     """Seed-deterministic rejection sampling from the bounding polydisk.
 
@@ -331,19 +327,18 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     are uniform on the domain cut to the square.  The acceptance ratio
     times the polydisk volume prod(pi R_j^2) estimates the volume of the
     domain, cut to the square when ``box_radius`` is given; V-step w
-    coordinates are unbounded, so there it is the volume truncated at the
-    box and ``truncated_w`` is set.  SamplingError when SAMPLE_MAX_DRAWS
-    draws do not give ``count`` points; ValueError for a seed outside
-    [0, 2**64), the Philox key range.
+    coordinates are unbounded and are drawn within DEFAULT_W_RADIUS, so
+    there it is the volume truncated at that radius and ``truncated_w`` is
+    set.  SamplingError when SAMPLE_MAX_DRAWS draws do not give ``count``
+    points; ValueError for a seed outside [0, 2**64), the Philox key range.
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    given = (w_radius,) if box_radius is None else (w_radius, box_radius)
-    if not all(math.isfinite(r) and r > 0 for r in given):
-        raise ValueError("w_radius and box_radius must be finite and positive")
-    radii = box_radii(spec, w_radius)
+    if box_radius is not None and not (math.isfinite(box_radius) and box_radius > 0):
+        raise ValueError("box_radius must be finite and positive")
+    radii = box_radii(spec)
     if box_radius is not None:
         # the disk around the square [-b, b]^2, whose corners reach b sqrt 2
         radii = tuple(min(r, float(box_radius) * math.sqrt(2.0)) for r in radii)

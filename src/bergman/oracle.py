@@ -35,6 +35,9 @@ DEFAULT_QUAD_W_RADIUS = 4.5
 # largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
+SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
+N_RAD, N_RAD_CHECK = 14, 10   # Gauss-Legendre nodes per coordinate: reproducing value, check
+N_ANG = 512              # reproducing lattice points, a power of 2 up to 2048
 POLAR_ROWS = 8192        # kernel rows (radial nodes x lattice points) per call
 
 
@@ -313,13 +316,12 @@ def _fsum(re, im) -> complex:
 
 
 def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
-                  table: NormTable | None = None,
-                  shell_tol: float = 1e-9) -> SeriesValue:
+                  table: NormTable | None = None) -> SeriesValue:
     """Kernel value as the monomial series sum (p q-bar)^a / ||z^a||^2.
 
     Terms are computed SHELL_BLOCK degree shells at a time, each block one
     numpy gather of the table's cumulative powers; each degree shell is
-    summed with math.fsum, up to two shells in a row below shell_tol of the
+    summed with math.fsum, up to two shells in a row below SHELL_TOL of the
     running sum, and later blocks are never computed.  The tail bound
     extrapolates the last two shells geometrically.  Shells that stop
     decaying raise ConvergenceError, an overflowing sum NonFiniteError.
@@ -354,8 +356,8 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
             shell = _fsum(re[lo:hi], im[lo:hi])
             shells.append(shell)
             running += shell
-            if deg >= 2 and abs(shells[-1]) < shell_tol * abs(running) \
-                    and abs(shells[-2]) < shell_tol * abs(running):
+            if deg >= 2 and abs(shells[-1]) < SHELL_TOL * abs(running) \
+                    and abs(shells[-2]) < SHELL_TOL * abs(running):
                 cap_used = deg
                 break
     mags = [abs(s) for s in shells]
@@ -364,7 +366,7 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
         ratio = mags[-1] / mags[-2] if mags[-2] > 0.0 else math.inf
         if ratio < 1.0:
             tail = mags[-1] * ratio / (1.0 - ratio)
-        elif mags[-1] > shell_tol * max(abs(running), 1e-300):
+        elif mags[-1] > SHELL_TOL * max(abs(running), 1e-300):
             raise ConvergenceError(
                 "series shells are not decaying; point too close to the boundary")
         else:
@@ -409,41 +411,34 @@ def _nested_bounds(spec: DomainSpec, order, filled: np.ndarray, j: int,
 
 
 # Korobov generators z (z_1 = 1) of the 2048-point rank-1 lattice per
-# dimension; a smaller power-of-2 n_ang uses z mod n_ang, the embedded
+# dimension; a smaller power-of-2 N_ANG uses z mod N_ANG, the embedded
 # lattice.  From an exact search, the smallest degree of a mode a >= 0 that
 # aliases onto a bin of degree <= 2 (<= 4 for d = 2) is, at N = 2048/512/256,
 # 293/74/37 for d = 2 and 128/32/16 for d = 3.
 LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912)}
-LATTICE_SIZES = frozenset(2 ** k for k in range(1, 12))
 
 
-def reproducing_integral(K, spec: DomainSpec, indices, p,
-                         n_rad: int = 14, n_rad_check: int = 10,
-                         n_ang: int = 512):
+def reproducing_integral(K, spec: DomainSpec, indices, p):
     """Deterministic polar-quadrature values of int K(p; q-bar) q^idx dV(q)
     for every index in ``indices``; returns ({idx: value}, {idx: err}).
 
-    Radial: nested Gauss-Legendre over the shadow with bisected bounds,
-    linear in every squared modulus (plane-fibered w coordinates are cut
-    at DEFAULT_QUAD_W_RADIUS).  Angular: the rank-1 lattice of n_ang points
-    theta_i = 2 pi ((i z) mod n_ang) / n_ang, z from LATTICE_GENERATORS,
+    Radial: nested Gauss-Legendre with N_RAD nodes per coordinate over the
+    shadow with bisected bounds, linear in every squared modulus
+    (plane-fibered w coordinates are cut at DEFAULT_QUAD_W_RADIUS).
+    Angular: the rank-1 lattice of N_ANG points
+    theta_i = 2 pi ((i z) mod N_ANG) / N_ANG, z from LATTICE_GENERATORS,
     with residues in integer arithmetic.  Bin idx is the lattice mean of
     K e^(i idx.theta), exact unless a mode of the kernel's one-sided
     angular spectrum aliases onto it.  The error estimate combines a
-    coarser radial pass with the embedded n_ang/2 lattice (its even
-    points).  Supported up to 3 coordinates; n_ang is a power of 2 up to
-    2048.  Repeated indices count once; negative ones raise ``SpecError``,
-    two that share a lattice residue raise ``IntegrationError``; no
-    indices return ({}, {}) without calling K.
+    coarser radial pass of N_RAD_CHECK nodes with the embedded N_ANG/2
+    lattice (its even points).  Supported up to 3 coordinates.  Repeated
+    indices count once; negative ones raise ``SpecError``, two that share a
+    lattice residue raise ``IntegrationError``; no indices return ({}, {})
+    without calling K.
     """
     d = spec.dim
     if d > 3:
         raise IntegrationError("polar quadrature supported up to 3 coordinates")
-    if not (isinstance(n_ang, (int, np.integer)) and n_ang in LATTICE_SIZES):
-        raise ValueError("n_ang must be a power of 2 from 2 to 2048")
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-               for n in (n_rad, n_rad_check)):
-        raise ValueError("n_rad and n_rad_check must be integers of at least 1")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
     if any(len(idx) != d for idx in indices):
         raise SpecError("index arity mismatch")
@@ -451,13 +446,13 @@ def reproducing_integral(K, spec: DomainSpec, indices, p,
         raise SpecError("reproducing indices must be non-negative")
     if not indices:
         return {}, {}
-    z = [zc % n_ang for zc in LATTICE_GENERATORS[d]]
-    residues = {sum(e * zc for e, zc in zip(idx, z)) % n_ang for idx in indices}
+    z = [zc % N_ANG for zc in LATTICE_GENERATORS[d]]
+    residues = {sum(e * zc for e, zc in zip(idx, z)) % N_ANG for idx in indices}
     if len(residues) < len(indices):
         raise IntegrationError("two requested indices alias on the angular "
-                               "lattice; raise n_ang")
-    full, full_half = _polar_pass(K, spec, indices, p, n_rad, n_ang)
-    check, _ = _polar_pass(K, spec, indices, p, n_rad_check, n_ang)
+                               "lattice; raise N_ANG")
+    full, full_half = _polar_pass(K, spec, indices, p, N_RAD, N_ANG)
+    check, _ = _polar_pass(K, spec, indices, p, N_RAD_CHECK, N_ANG)
     errs = {idx: abs(full[idx] - check[idx]) + abs(full[idx] - full_half[idx])
             for idx in indices}
     return full, errs

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -265,6 +266,22 @@ def test_eval_seed_flag_removed(lifted_ball_file, tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--suite", "levi"], ["--tol", "1"]),
+    (["sample", "--count", "3"], ["--w-radius", "3"]),
+    (["boundary", "--target", "[[0,0],[1,0],[0,0]]", "--stratum", "S2", "--weight", "r"],
+     ["--levels", "12"]),
+], ids=["tol", "w-radius", "levels"])
+def test_removed_flag_exits_2(lifted_ball_file, capsys, argv, flag):
+    # settings with one value in use are constants: the suite gates,
+    # DEFAULT_W_RADIUS and PROBE_LEVELS
+    if argv[0] != "verify":
+        argv = argv + ["--spec", str(lifted_ball_file)]
+    assert _exit_code(argv) == 0
+    assert _exit_code(argv + flag) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
     # the series route stays one pair at a time: its columns are the
     # formatted values of series_kernel itself
@@ -355,14 +372,30 @@ def test_verify_worker_count_does_not_change_output(tmp_path):
                      "egg_inflated_w3", "ball_exp_lift_2star"]
 
 
+def test_cli_option_inventory():
+    # every option of every subcommand: a new flag needs an edit here
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for act in p._actions for o in act.option_strings}
+           for name, p in sub.choices.items()}
+    common = {"-h", "--help", "--out"}
+    assert got == {
+        "eval": common | {"--spec", "--points", "--mode", "--cap"},
+        "verify": common | {"--suite", "--seed", "--workers"},
+        "boundary": common | {"--spec", "--target", "--stratum", "--weight"},
+        "sample": common | {"--spec", "--count", "--seed", "--box-radius"},
+    }
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", "--suite", "nonsense"])
     assert e.value.code == 2
 
 
-def test_verify_tightened_tolerance_fails(capsys):
-    rc = main(["verify", "--suite", "dirichlet", "--tol", "1e-30"])
+def test_verify_tightened_tolerance_fails(capsys, monkeypatch):
+    monkeypatch.setitem(cli._SUITE_BUILDERS, "dirichlet", (cli._suite_dirichlet, 1e-30))
+    rc = main(["verify", "--suite", "dirichlet"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -531,11 +564,8 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "levi", "--tol", "nan"],
-    ["verify", "--suite", "levi", "--tol", "0"],
     ["sample", "--count", "3", "--box-radius", "nan"],
     ["sample", "--count", "3", "--box-radius", "inf"],
-    ["sample", "--count", "3", "--w-radius", "-3"],
     ["eval", "--cap", "-3"],
     ["eval", "--cap", "1000", "--mode", "series"],
     ["sample", "--count", "3", "--seed", "-1"],
@@ -543,9 +573,9 @@ def _exit_code(argv):
     ["verify", "--suite", "symmetry", "--seed", "-1"],
     ["verify", "--suite", "dirichlet", "--seed", "-1"],
     ["verify", "--suite", "levi", "--seed", str(1 << 64)],
-], ids=["tol-nan", "tol-zero", "box-radius-nan", "box-radius-inf", "w-radius-negative",
-        "cap-negative", "cap-too-large", "sample-seed-negative", "sample-seed-too-large",
-        "verify-seed-negative", "dirichlet-seed-negative", "levi-seed-too-large"])
+], ids=["box-radius-nan", "box-radius-inf", "cap-negative", "cap-too-large",
+        "sample-seed-negative", "sample-seed-too-large", "verify-seed-negative",
+        "dirichlet-seed-negative", "levi-seed-too-large"])
 def test_bad_numeric_flag_exits_2(lifted_ball_file, tmp_path, capsys, argv):
     pts = tmp_path / "p.json"
     pts.write_text(json.dumps([[[0.1, 0.0], [0.2, 0.0], [0.1, 0.0]]]))

@@ -203,13 +203,14 @@ def test_series_matches_exp_lift_closed_form():
     assert abs(complex(sv.value) - v) / v < 1e-3
 
 
-def test_series_diagonal_real_positive_monotone():
+def test_series_diagonal_real_positive_monotone(monkeypatch):
+    monkeypatch.setattr(oracle, "SHELL_TOL", 0.0)
     spec = ball_disk_lift_spec(1, 1)
     table = get_norm_table(spec, 24)
     p = (0.2, 0.3, 0.4)
     prev = 0.0
     for cap in range(0, 24, 4):
-        sv = series_kernel(spec, p, p, cap, table=table, shell_tol=0.0)
+        sv = series_kernel(spec, p, p, cap, table=table)
         assert abs(complex(sv.value).imag) < 1e-15
         assert complex(sv.value).real >= prev - 1e-15
         prev = complex(sv.value).real
@@ -290,13 +291,21 @@ def _lattice_sums(K, spec, idxs, p, n_rad, n_ang):
             {idx: mean(half, n_ang // 2) for idx, (_, half) in terms.items()})
 
 
-def test_reproducing_integral_matches_brute_force_lattice_sum():
+def _grid(monkeypatch, n_rad, n_rad_check, n_ang=oracle.N_ANG):
+    """Set a smaller reproducing_integral grid; monkeypatch undoes it."""
+    monkeypatch.setattr(oracle, "N_RAD", n_rad)
+    monkeypatch.setattr(oracle, "N_RAD_CHECK", n_rad_check)
+    monkeypatch.setattr(oracle, "N_ANG", n_ang)
+
+
+def test_reproducing_integral_matches_brute_force_lattice_sum(monkeypatch):
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
     idxs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     # 32 is the smallest lattice on which these seven bins do not alias
-    vals, errs = reproducing_integral(K, spec, idxs, p, n_rad=4, n_rad_check=3, n_ang=32)
+    _grid(monkeypatch, 4, 3, 32)
+    vals, errs = reproducing_integral(K, spec, idxs, p)
     full, half = _lattice_sums(K, spec, idxs, p, 4, 32)
     check, _ = _lattice_sums(K, spec, idxs, p, 3, 32)
     for idx in idxs:
@@ -328,22 +337,22 @@ def _one_sided_alias_degree(z, n, max_degree, bound=400):
 def test_lattice_generators_alias_degrees():
     gens = oracle.LATTICE_GENERATORS
     assert all(z[0] == 1 for z in gens.values())
-    assert max(oracle.LATTICE_SIZES) == 2048
     want = {1: (2, {2048: 2048, 512: 512, 256: 256}),
             2: (4, {2048: 293, 512: 74, 256: 37}),
             3: (2, {2048: 128, 512: 32, 256: 16})}
+    assert oracle.N_ANG in want[3][1]
     for d, (max_degree, degrees) in want.items():
         for n, deg in degrees.items():
             assert _one_sided_alias_degree(gens[d], n, max_degree) == deg, (d, n)
 
 
-def test_reproducing_integral_repeated_index_counts_once():
+def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2, 0.1, 0.3)
-    grid = dict(n_rad=4, n_rad_check=3, n_ang=8)
-    once = reproducing_integral(K, spec, [(1, 0, 0)], p, **grid)
-    twice = reproducing_integral(K, spec, [(1, 0, 0), (0, 0, 1), (1, 0, 0)], p, **grid)
+    _grid(monkeypatch, 4, 3, 8)
+    once = reproducing_integral(K, spec, [(1, 0, 0)], p)
+    twice = reproducing_integral(K, spec, [(1, 0, 0), (0, 0, 1), (1, 0, 0)], p)
     assert twice[0][(1, 0, 0)] == once[0][(1, 0, 0)]
     assert twice[1][(1, 0, 0)] == once[1][(1, 0, 0)]
     assert list(twice[0]) == [(1, 0, 0), (0, 0, 1)]
@@ -354,8 +363,8 @@ def test_reproducing_integral_repeated_index_counts_once():
 def test_reproducing_blocks_match_default_pass(K, monkeypatch):
     idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
-    grid = dict(n_rad=8, n_rad_check=5)      # 8^3 and 5^3 radial nodes
-    vals, errs = reproducing_integral(K, K.domain, idxs, p, **grid)
+    _grid(monkeypatch, 8, 5)                  # 8^3 and 5^3 radial nodes
+    vals, errs = reproducing_integral(K, K.domain, idxs, p)
     rows = []
 
     def counted(pt, qs):
@@ -366,7 +375,7 @@ def test_reproducing_blocks_match_default_pass(K, monkeypatch):
     for budget in (512, 3 * 512):
         monkeypatch.setattr(oracle, "POLAR_ROWS", budget)
         rows.clear()
-        got, got_errs = reproducing_integral(counted, K.domain, idxs, p, **grid)
+        got, got_errs = reproducing_integral(counted, K.domain, idxs, p)
         assert max(rows) <= budget and sum(rows) == (8 ** 3 + 5 ** 3) * 512
         for idx in idxs:
             assert abs(got[idx] - vals[idx]) <= 1e-13 * abs(vals[idx])
@@ -388,26 +397,13 @@ def test_reproducing_integral_rejects_bad_arguments():
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2, 0.1, 0.3)
-    grid = dict(n_rad=4, n_rad_check=3, n_ang=8)
     with pytest.raises(SpecError):
-        reproducing_integral(K, spec, [(-1, 0, 0)], p, **grid)
+        reproducing_integral(K, spec, [(-1, 0, 0)], p)
     with pytest.raises(SpecError):
-        reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p, **grid)
-    for bad in (dict(n_rad=0), dict(n_rad_check=0), dict(n_rad=-3), dict(n_rad=2.5),
-                dict(n_rad_check=2.5), dict(n_rad=True), dict(n_rad_check=False),
-                dict(n_rad=None)):
-        with pytest.raises(ValueError):
-            reproducing_integral(K, spec, [(1, 0, 0)], p, **{**grid, **bad})
+        reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p)
 
 
-@pytest.mark.parametrize("n_ang", [0, -4, 1, 12, 4096, 512.0])
-def test_reproducing_integral_rejects_bad_lattice_size(n_ang):
-    with pytest.raises(ValueError):
-        reproducing_integral(kernel_ball_disk_lift(1, 1), ball_disk_lift_spec(1, 1),
-                             [(0, 0, 0)], (0.2, 0.1, 0.3), n_ang=n_ang)
-
-
-def test_reproducing_integral_rejects_aliased_indices():
+def test_reproducing_integral_rejects_aliased_indices(monkeypatch):
     K = kernel_ball_disk_lift(1, 1)
     calls = []
 
@@ -416,16 +412,16 @@ def test_reproducing_integral_rejects_aliased_indices():
         return K(p, q)
 
     # on 16 points the 3-d generator is (1, 12, 0): bin (0, 0, 1) lands on (0, 0, 0)
+    _grid(monkeypatch, 2, 1, 16)
     with pytest.raises(IntegrationError):
-        reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3),
-                             n_rad=2, n_rad_check=1, n_ang=16)
+        reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3))
     assert not calls
-    reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3),
-                         n_rad=2, n_rad_check=1, n_ang=32)
+    _grid(monkeypatch, 2, 1, 32)
+    reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3))
     assert calls
 
 
-def test_reproducing_integral_empty_indices_skip_the_kernel():
+def test_reproducing_integral_empty_indices_skip_the_kernel(monkeypatch):
     K = kernel_ball_disk_lift(1, 1)
     calls = []
 
@@ -435,8 +431,8 @@ def test_reproducing_integral_empty_indices_skip_the_kernel():
 
     assert reproducing_integral(counted, ball_disk_lift_spec(1, 1), [], (0.2, 0.1, 0.3)) == ({}, {})
     assert not calls
-    reproducing_integral(counted, ball_disk_lift_spec(1, 1), [(0, 0, 0)], (0.2, 0.1, 0.3),
-                         n_rad=2, n_rad_check=1, n_ang=4)
+    _grid(monkeypatch, 2, 1, 4)
+    reproducing_integral(counted, ball_disk_lift_spec(1, 1), [(0, 0, 0)], (0.2, 0.1, 0.3))
     assert calls
 
 
@@ -481,15 +477,16 @@ def test_series_agreement_panel_all_families():
             assert sv.tail_bound < 1e-4, name
 
 
-def test_series_matches_closed_form_to_round_off_near_origin():
+def test_series_matches_closed_form_to_round_off_near_origin(monkeypatch):
     # the 1e-3 gate would miss a slipped exponent column or shell offset
     # (the egg and the lift are not symmetric in their coordinates, so a
-    # permuted column shows there); shell_tol=0 sums every shell to the cap
+    # permuted column shows there); SHELL_TOL 0 sums every shell to the cap
+    monkeypatch.setattr(oracle, "SHELL_TOL", 0.0)
     for name in ("disk", "disk_x_disk", "ball2", "egg_p2", "ball_disk_lift_11"):
         spec, K = closed_form_families()[name]
         table = get_norm_table(spec, 30)
         for p, q in interior_pairs(spec, 5, seed=7, box_radius=0.25):
-            sv = series_kernel(spec, p, q, 30, table=table, shell_tol=0.0)
+            sv = series_kernel(spec, p, q, 30, table=table)
             assert sv.cap_used == 30, name
             v = complex(K(p, q))
             assert sv.tail_bound < 1e-14, name
@@ -557,7 +554,7 @@ def _outcome(fn, *args, **kw):
     return repr((sv.value, sv.tail_bound, sv.cap_used, sv.shells))
 
 
-def test_series_blocks_bitwise_equal_one_pass():
+def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
     specs = dict(closed_form_families())
     specs.update({f"stage{k}": (chain_stage_spec(k), None) for k in (2, 3, 4)})
     caps = set()
@@ -567,7 +564,9 @@ def test_series_blocks_bitwise_equal_one_pass():
                  + interior_pairs(spec, 8, seed=32, box_radius=None))
         for (p, q), tol in product(pairs, (1e-9, 0.0)):
             want = _outcome(_series_one_pass, spec, p, q, 30, table, shell_tol=tol)
-            got = _outcome(series_kernel, spec, p, q, 30, table=table, shell_tol=tol)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "SHELL_TOL", tol)
+                got = _outcome(series_kernel, spec, p, q, 30, table=table)
             assert got == want, name
         # a cap-30 table read at lower caps
         for (p, q), cap in product(pairs, (13, 17)):
