@@ -2,8 +2,8 @@
 
 Each entry pairs a DomainSpec with its hand-coded closed-form kernel, so
 the CLI suites and the tests draw from one place.  Panels of seeded
-interior point pairs come from the rejection sampler restricted to a
-smaller bounding box (scaling any interior point toward the origin stays
+interior point pairs come from the sampler's polydisk proposal cut to a
+smaller box (scaling any interior point toward the origin stays
 inside: the domains are complete Reinhardt).
 """
 

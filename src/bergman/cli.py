@@ -396,7 +396,7 @@ def cmd_sample(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             f.write(f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
                     f"volume_estimate={_fmt(res.volume_estimate)} "
-                    f"draws={res.draws} truncated_w={res.truncated_w}\n")
+                    f"draws={res.draws}\n")
             csv.writer(f).writerow(header)
             for start in range(0, len(flat), 4096):   # memory bounded for any --count
                 block = flat[start:start + 4096].tolist()
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default=None)
     pb.set_defaults(fn=cmd_boundary)
 
-    ps = sub.add_parser("sample", help="rejection-sample interior points")
+    ps = sub.add_parser("sample", help="draw uniform interior points")
     ps.add_argument("--spec", required=True)
     ps.add_argument("--count", type=int, required=True)
     ps.add_argument("--seed", type=_seed, default=0)

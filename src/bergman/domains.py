@@ -12,8 +12,8 @@ on the vector of squared moduli (the "shadow"), and every coordinate may be
 shrunk independently without leaving the domain.
 
 One rule, ``lift_factor``, writes the lift substitution: membership, the
-defining function, the slice maps and the lifted kernels' slice scales
-use it, for one point and for a panel alike.
+defining function, the slice maps, the exact sampler and the lifted
+kernels' slice scales use it, for one point and for a panel alike.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ KIND_POLYDISK = "Polydisk"
 
 SAMPLE_CHUNK = 1 << 12      # rows drawn and tested at a time
 SAMPLE_MAX_DRAWS = 10 ** 7
-DEFAULT_W_RADIUS = 3.0
 
 
 class SpecError(ValueError):
@@ -42,7 +41,7 @@ class SingularEvaluationError(ArithmeticError):
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling failed to find interior points."""
+    """Sampling cannot give the requested interior points."""
 
 
 @dataclass(frozen=True)
@@ -286,14 +285,12 @@ def slice_map(spec: DomainSpec, lift_index: int, p):
 @dataclass
 class SampleResult:
     points: np.ndarray          # (count, dim) complex
-    acceptance_ratio: float
+    acceptance_ratio: float     # points kept / rows drawn
     volume_estimate: float
     draws: int
-    box_radii: tuple
-    truncated_w: bool
 
 
-def box_radii(spec: DomainSpec, w_radius: float = DEFAULT_W_RADIUS) -> tuple:
+def box_radii(spec: DomainSpec, w_radius: float) -> tuple:
     """Per-coordinate bounding radii.  Every bounded coordinate of the
     family satisfies |c| < 1; V-step w coordinates are unbounded and get
     the truncation radius."""
@@ -308,29 +305,65 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def chain_volume(spec: DomainSpec) -> float:
+    """Volume of the domain in closed form: the base's
+    pi^n prod Gamma(1+1/p_j) / Gamma(1+sum 1/p_j) (pi^n for a polydisk),
+    times per lift with weight sum A and w-block size k
+    pi^k Gamma(A+1) / Gamma(A+k+1) under a U-step, pi^k / A^k under a V-step."""
+    q = [1.0 / p for p in spec.base.exponents]
+    log_v = (spec.dim * math.log(math.pi) + sum(math.lgamma(1.0 + a) for a in q)
+             - math.lgamma(1.0 + sum(q)))
+    for step in spec.lifts:
+        A, k = sum(step.weights), step.w_dim
+        log_v += (math.lgamma(A + 1.0) - math.lgamma(A + k + 1.0) if step.kind == "U"
+                  else -k * math.log(A))
+    return math.exp(log_v)
+
+
+def _chain_shadow(spec: DomainSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n rows of squared moduli, uniform on the domain's shadow.  At fixed
+    w a lift's slice is the domain one lift down scaled by the lift factor
+    at -a_j, so the base is drawn first and then t = ||w||^2 per lift,
+    innermost first: Beta(k, A+1) under a U-step, Gamma(k, scale 1/A)
+    under a V-step, split over a w-block of k > 1 by Dirichlet(1, ..., 1)."""
+    base, x = spec.base, np.empty((n, spec.dim))
+    if base.kind == KIND_ELLIPSOID:
+        # y ~ Dirichlet(1/p_1, ..., 1/p_n, 1) and x_j = y_j^(1/p_j)
+        q = 1.0 / np.array(base.exponents)
+        x[:, :base.dim] = rng.dirichlet(np.append(q, 1.0), n)[:, :-1] ** q
+    else:
+        x[:, :base.dim] = rng.random((n, base.dim))
+    for i, step in enumerate(spec.lifts):
+        A, k = sum(step.weights), step.w_dim
+        t = rng.beta(k, A + 1.0, n) if step.kind == "U" else rng.gamma(k, 1.0 / A, n)
+        for j, a in zip(spec._star_sets[i], step.weights):
+            if a:
+                x[:, j] *= lift_factor(step.kind, -a, t)
+        split = rng.dirichlet(np.ones(k), n) if k > 1 else 1.0
+        x[:, spec._w_slices[i]] = t[:, None] * split
+    return x
+
+
 def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
                     box_radius: float | None = None) -> SampleResult:
-    """Seed-deterministic rejection sampling from the bounding polydisk.
+    """Seed-deterministic uniform interior points.
 
-    The domains are complete Reinhardt, so membership depends only on the
-    squared moduli x_j = |c_j|^2, and x_j uniform on [0, R_j^2) is |c_j|^2
-    for c_j uniform on the disk of radius R_j.  Each chunk of SAMPLE_CHUNK
-    rows draws x from one Philox stream per seed and tests it with
-    ``shadow_contains``; only the accepted rows then draw one angle per
-    coordinate from the same stream, c = sqrt(x) e^{2 pi i theta}, and
-    keep the rows that ``contains`` also accepts.  Sampling stops after
-    the chunk that reaches ``count``; ``draws`` counts the rows of every
-    chunk drawn.  ``box_radius`` b restricts the sample to the square
-    [-b, b]^2 in every coordinate (used for probe panels drawn well inside
-    the domain): each radius is capped at b sqrt 2, the disk around that
-    square, and the re-check also drops the rows outside it, so the points
-    are uniform on the domain cut to the square.  The acceptance ratio
-    times the polydisk volume prod(pi R_j^2) estimates the volume of the
-    domain, cut to the square when ``box_radius`` is given; V-step w
-    coordinates are unbounded and are drawn within DEFAULT_W_RADIUS, so
-    there it is the volume truncated at that radius and ``truncated_w`` is
-    set.  SamplingError when SAMPLE_MAX_DRAWS draws do not give ``count``
-    points; ValueError for a seed outside [0, 2**64), the Philox key range.
+    Points uniform on a complete Reinhardt domain are c = sqrt(x) e^{2 pi i
+    theta} with squared moduli x uniform on its shadow and one uniform
+    angle per coordinate.  Each chunk draws x, then the angles, from one
+    Philox stream per seed and keeps the rows ``contains`` accepts.  By
+    default x comes from ``_chain_shadow``, at most SAMPLE_CHUNK rows and
+    at most the missing count per chunk; nearly every row is kept, and
+    ``volume_estimate`` is ``chain_volume``.  ``box_radius`` b cuts the
+    sample to the square [-b, b]^2 per coordinate (probe panels well
+    inside the domain): chunks of SAMPLE_CHUNK rows draw x uniform on
+    [0, R_j^2), R_j = min(1, b sqrt 2) (b sqrt 2 for a V-step w), only rows
+    ``shadow_contains`` accepts get angles, the re-check drops rows outside
+    the square, and the acceptance ratio times prod(pi R_j^2) estimates
+    the cut volume.  ``draws`` counts the rows drawn.  SamplingError for a
+    count above SAMPLE_MAX_DRAWS, before any draw, or when the chunks that
+    could hold SAMPLE_MAX_DRAWS rows fall short (a V-step whose t
+    overflows); ValueError for a seed outside [0, 2**64).
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
@@ -338,41 +371,40 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if box_radius is not None and not (math.isfinite(box_radius) and box_radius > 0):
         raise ValueError("box_radius must be finite and positive")
-    radii = box_radii(spec)
-    if box_radius is not None:
-        # the disk around the square [-b, b]^2, whose corners reach b sqrt 2
-        radii = tuple(min(r, float(box_radius) * math.sqrt(2.0)) for r in radii)
-    rad2 = np.square(radii)
+    if count > SAMPLE_MAX_DRAWS:
+        raise SamplingError(f"count {count} exceeds the {SAMPLE_MAX_DRAWS} draws "
+                            "a sample may take")
     rng = _philox(seed)
-    accepted = []
-    n_total = 0
-    draws = 0
-    # one reused chunk buffer, so peak memory does not follow the heap layout
-    x = np.empty((SAMPLE_CHUNK, spec.dim))
+    accepted, n_total, draws, chunks = [], 0, 0, 0
+    if box_radius is None:
+        def propose():
+            n = min(count - n_total, SAMPLE_CHUNK)
+            return _chain_shadow(spec, rng, n), n
+    else:
+        # the disk around the square [-b, b]^2, whose corners reach b sqrt 2
+        cap = float(box_radius) * math.sqrt(2.0)
+        rad2 = np.square([min(r, cap) for r in box_radii(spec, cap)])
+        # one reused chunk buffer, so peak memory does not follow the heap layout
+        buf = np.empty((SAMPLE_CHUNK, spec.dim))
+
+        def propose():
+            np.multiply(rng.random(out=buf), rad2, out=buf)
+            return buf[shadow_contains(spec, buf)], SAMPLE_CHUNK
     while n_total < count:
-        rng.random(out=x)
-        x *= rad2
-        inner = x[shadow_contains(spec, x)]
-        c = np.sqrt(inner) * np.exp(2j * np.pi * rng.random(inner.shape))
+        if chunks * SAMPLE_CHUNK >= SAMPLE_MAX_DRAWS:
+            raise SamplingError(
+                f"only {n_total}/{count} interior points after {draws} draws")
+        x, n = propose()
+        c = np.sqrt(x) * np.exp(2j * np.pi * rng.random(x.shape))
         keep = contains(spec, tuple(c.T))
         if box_radius is not None:
             keep &= (np.maximum(abs(c.real), abs(c.imag)) <= box_radius).all(axis=1)
         accepted.append(c[keep])
         n_total += len(accepted[-1])
-        draws += SAMPLE_CHUNK
-        if draws >= SAMPLE_MAX_DRAWS and n_total < count:
-            raise SamplingError(
-                f"only {n_total}/{count} interior points after {draws} draws")
-    pts = np.concatenate(accepted, axis=0)
-    ratio = len(pts) / draws
-    return SampleResult(
-        points=pts[:count],
-        acceptance_ratio=ratio,
-        volume_estimate=ratio * float(np.prod(np.pi * rad2)),
-        draws=draws,
-        box_radii=radii,
-        truncated_w=bool(spec.v_w_indices()),
-    )
+        draws, chunks = draws + n, chunks + 1
+    ratio = n_total / draws
+    volume = chain_volume(spec) if box_radius is None else ratio * float(np.prod(np.pi * rad2))
+    return SampleResult(np.concatenate(accepted)[:count], ratio, volume, draws)
 
 
 def star_shape_check(spec, trials: int = 128, seed: int = 7) -> bool:

@@ -212,13 +212,15 @@ def kernel_ball_exp_lift(n: int, m: int, gamma) -> Kernel:
         sp = _dot(pt[n:n + m], cq[n:n + m])
         rho = 1.0 - sp
         cross = 0.0
-        for j, g in enumerate(gamma):
+        egs = [aexp(g * t) for g in gamma]
+        for j, (g, eg) in enumerate(zip(gamma, egs)):
             zz = pt[j] * cq[j]
-            eg = aexp(g * t)
             rho = rho - eg * zz
             cross = cross + g * eg * zz
-        return c * aexp(G * t) * (G * apow(rho, -(m + n + 1))
-                                  + (m + n + 1) * cross * apow(rho, -(m + n + 2)))
+        # G is a weight in every n = 1 family: reuse that weight's exponential
+        eG = egs[gamma.index(G)] if G in gamma else aexp(G * t)
+        return c * eG * (G * apow(rho, -(m + n + 1))
+                         + (m + n + 1) * cross * apow(rho, -(m + n + 2)))
 
     return Kernel(fn, n=n, m=m, w_dims=(1,), domain=ball_exp_lift_spec(n, m, gamma),
                   name=f"ball_exp_lift(n={n},m={m},gamma={gamma})")

@@ -49,7 +49,9 @@ def test_stratification_partitions_boundary():
     labels = []
     for row in pts:
         p = np.array(row)
-        lo, hi = 1.0, 4.0
+        lo, hi = 1.0, 2.0
+        while contains(SPEC, tuple(hi * p)):    # bracket the boundary crossing
+            lo, hi = hi, 2.0 * hi
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if contains(SPEC, tuple(mid * p)):

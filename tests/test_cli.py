@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bergman.cli as cli
+import bergman.domains as domains
 from bergman.cli import _fmt, _load_points, main
 from bergman.catalog import (ball_disk_lift_spec, ball_exp_lift_spec, chain_stage_spec,
                              closed_form_families, disk_spec, interior_pairs)
@@ -273,8 +274,8 @@ def test_eval_seed_flag_removed(lifted_ball_file, tmp_path, capsys):
      ["--levels", "12"]),
 ], ids=["tol", "w-radius", "levels"])
 def test_removed_flag_exits_2(lifted_ball_file, capsys, argv, flag):
-    # settings with one value in use are constants: the suite gates,
-    # DEFAULT_W_RADIUS and PROBE_LEVELS
+    # settings with one value in use are constants: the suite gates and
+    # PROBE_LEVELS; the exact sampler draws a V-step w untruncated
     if argv[0] != "verify":
         argv = argv + ["--spec", str(lifted_ball_file)]
     assert _exit_code(argv) == 0
@@ -456,6 +457,20 @@ def test_sample_writes_csv(disk_files, tmp_path):
     assert len(lines) == 27
 
 
+@pytest.mark.parametrize("box", [[], ["--box-radius", "0.5"]], ids=["exact", "box"])
+def test_sample_count_no_domain_can_fill_exits_2_at_once(disk_files, capsys, monkeypatch,
+                                                         box):
+    # a count above SAMPLE_MAX_DRAWS fails before any draw, not after 10^7
+    # draws (or, on the exact path, on a count x dim allocation)
+    def no_draws(seed):
+        raise AssertionError("drew before checking the count")
+    monkeypatch.setattr(domains, "_philox", no_draws)
+    spec, _ = disk_files
+    assert main(["sample", "--spec", str(spec), "--count", "1000000000000"] + box) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec, count, box", [
     (disk_spec(), 25, None),
     (chain_stage_spec(5), 40, "0.5"),
@@ -472,7 +487,7 @@ def test_sample_csv_bytes_match_csv_writer(tmp_path, capsys, spec, count, box):
     want = io.StringIO(newline="")
     want.write(f"# acceptance_ratio={res.acceptance_ratio:.17g} "
                f"volume_estimate={res.volume_estimate:.17g} "
-               f"draws={res.draws} truncated_w={res.truncated_w}\n")
+               f"draws={res.draws}\n")
     w = csv.writer(want)
     w.writerow(["i"] + [f"c{j}_{part}" for j in range(spec.dim) for part in ("re", "im")])
     w.writerows([i] + [f"{x:.17g}" for c in pt for x in (c.real, c.imag)]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.domains import (SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep,
-                             SingularEvaluationError, SpecError, box_radii, contains,
-                             defining_function, sample_interior, shadow_contains,
-                             slice_map, spec_from_dict, spec_to_dict, star_shape_check)
+from bergman.domains import (SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep, SamplingError,
+                             SingularEvaluationError, SpecError, chain_volume, contains,
+                             defining_function, sample_interior, shadow_contains, slice_map,
+                             spec_from_dict, spec_to_dict, star_shape_check)
 from bergman.catalog import (ball_spec, egg_spec, disk_spec, ball_disk_lift_spec,
                              ball_exp_lift_spec, chain_stage_spec, polydisk_spec)
 from bergman.oracle import monomial_norm_full
@@ -97,10 +97,15 @@ def test_slice_map_unwinds_membership():
 
 
 def test_sample_disk_acceptance_ratio():
-    # the disk is its own bounding polydisk; the ball takes half of D^2
-    assert sample_interior(disk_spec(), 10 ** 5, seed=3).acceptance_ratio == 1.0
-    res = sample_interior(ball_spec(2), 10 ** 5, seed=3)
+    # box radius 1 draws the unit polydisk: the disk is its own bounding
+    # polydisk, and the ball takes half of D^2
+    assert sample_interior(disk_spec(), 10 ** 5, seed=3,
+                           box_radius=1.0).acceptance_ratio == 1.0
+    res = sample_interior(ball_spec(2), 10 ** 5, seed=3, box_radius=1.0)
     assert res.acceptance_ratio == pytest.approx(0.5, abs=0.01)
+    # the exact draw keeps nearly every row it draws
+    for spec in (disk_spec(), ball_spec(2), chain_stage_spec(6), egg_spec(2, 1.5, 3)):
+        assert sample_interior(spec, 10 ** 4, seed=3).acceptance_ratio >= 0.999
 
 
 def test_sample_ball2_volume():
@@ -130,19 +135,19 @@ def test_sample_rejects_seed_out_of_range(seed):
         sample_interior(disk_spec(), 10, seed=seed)
 
 
-def _reference_sample(spec, count, seed, box_radius=None):
-    """The polar draw loop, written out: per chunk, squared moduli from
-    rng.uniform(0, R^2), the shadow test, then rng.uniform(0, 1) angles
-    for the accepted rows only and the one-point-route re-check, which
-    with a box radius b also asks for |Re c|, |Im c| <= b."""
-    rad2 = np.array(box_radii(spec)) ** 2
-    if box_radius is not None:
-        rad2 = np.minimum(rad2, (box_radius * math.sqrt(2.0)) ** 2)
+def _reference_box_sample(spec, count, seed, box_radius):
+    """The box path's polar draw loop, written out: per chunk, squared
+    moduli from rng.uniform(0, R^2) with R = min(1, b sqrt 2) (b sqrt 2 for
+    a V-step w), the shadow test, then rng.uniform(0, 1) angles for the
+    accepted rows only and the one-point-route re-check, which also asks
+    for |Re c|, |Im c| <= b."""
+    cap = box_radius * math.sqrt(2.0)
+    rad2 = np.array([cap if j in spec.v_w_indices() else 1.0 for j in range(spec.dim)]) ** 2
+    rad2 = np.minimum(rad2, cap ** 2)
 
     def keep(p):
-        in_square = box_radius is None or all(
+        return contains(spec, tuple(p)) and all(
             max(abs(c.real), abs(c.imag)) <= box_radius for c in p)
-        return contains(spec, tuple(p)) and in_square
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     accepted, chunks = [], 0
@@ -158,6 +163,48 @@ def _reference_sample(spec, count, seed, box_radius=None):
     return pts[:count], draws, len(pts) / draws
 
 
+def _reference_chain_sample(spec, count, seed):
+    """The exact draw, written out from its law: per chunk of at most
+    SAMPLE_CHUNK rows and at most the missing count, the ellipsoid base's
+    y ~ Dirichlet(1/p_1, ..., 1/p_n, 1) with x_j = y_j^(1/p_j) (a polydisk's
+    x uniform), then per lift t = ||w||^2 from Beta(k, A+1) (U) or
+    Gamma(k, 1/A) (V), each acted x_j times (1-t)^a_j or e^(-a_j t), the
+    w-block t times Dirichlet(1, ..., 1) when k > 1; then uniform angles
+    and the one-point-route re-check."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    base, stars = spec.base, list(range(spec.base.n_star))
+    accepted, draws = [], 0
+    while sum(map(len, accepted)) < count:
+        n = min(SAMPLE_CHUNK, count - sum(map(len, accepted)))
+        draws += n
+        if base.kind == "Polydisk":
+            cols = list(rng.uniform(0.0, 1.0, (n, base.dim)).T)
+        else:
+            inv_p = 1.0 / np.array(base.exponents)
+            y = rng.dirichlet(list(inv_p) + [1.0], n)
+            cols = list(np.power(y[:, :base.dim], inv_p).T)
+        for step in spec.lifts:
+            A = sum(step.weights)
+            if step.kind == "U":
+                t = rng.beta(step.w_dim, A + 1.0, n)
+            else:
+                t = rng.gamma(step.w_dim, 1.0 / A, n)
+            for j, a in zip(stars, step.weights):
+                if a != 0.0:
+                    cols[j] = cols[j] * ((1.0 - t) ** a if step.kind == "U"
+                                         else np.exp(-a * t))
+            split = (rng.dirichlet([1.0] * step.w_dim, n) if step.w_dim > 1
+                     else np.ones((n, 1)))
+            stars += range(len(cols), len(cols) + step.w_dim)
+            cols += list((t[:, None] * split).T)
+        x = np.column_stack(cols)
+        theta = rng.uniform(0.0, 1.0, x.shape)
+        pts = np.sqrt(x) * np.exp(2j * np.pi * theta)
+        accepted.append(pts[[contains(spec, tuple(p)) for p in pts]])
+    pts = np.concatenate(accepted)
+    return pts[:count], draws, len(pts) / draws
+
+
 @pytest.mark.parametrize("spec, count, seed, box_radius", [
     (chain_stage_spec(2), 3000, (1 << 64) - 1, None),
     (chain_stage_spec(3), 3000, 6, None),
@@ -167,11 +214,16 @@ def _reference_sample(spec, count, seed, box_radius=None):
     (chain_stage_spec(3), 3000, 10, 0.6),
     (chain_stage_spec(6), 100, 6, None),
     (chain_stage_spec(5), 500, 5, 0.5),
+    (egg_spec(2, 1.5, 3), 5000, 4, None),
+    (polydisk_spec(2), 100, 3, None),
 ], ids=["stage2", "stage3", "stage4", "stage5", "exp_lift_12_g2", "stage3-box",
-        "stage6", "stage5-box"])
+        "stage6", "stage5-box", "egg_w3", "polydisk2"])
 def test_sample_draw_stream_matches_reference(spec, count, seed, box_radius):
     res = sample_interior(spec, count, seed=seed, box_radius=box_radius)
-    pts, draws, ratio = _reference_sample(spec, count, seed, box_radius)
+    if box_radius is None:
+        pts, draws, ratio = _reference_chain_sample(spec, count, seed)
+    else:
+        pts, draws, ratio = _reference_box_sample(spec, count, seed, box_radius)
     assert np.array_equal(res.points, pts)
     assert res.draws == draws
     assert res.acceptance_ratio == ratio
@@ -196,26 +248,51 @@ def test_sample_deterministic_for_seed():
     assert np.array_equal(a, b)
 
 
-def test_sample_v_domain_truncation_flagged():
-    res = sample_interior(ball_exp_lift_spec(1, 1, (1.0,)), 100, seed=1)
-    assert res.truncated_w
-    assert max(abs(p[2]) for p in res.points) <= 3.0
+def test_sample_v_step_w_is_not_truncated():
+    # a V-step w ranges over all of C: with weight 1/4, t = |w|^2 has mean
+    # 4 and passes the old truncation at |w| = 3 in 10% of the rows, and
+    # its sample mean meets the oracle's ||w||^2 / ||1||^2
+    spec = ball_exp_lift_spec(1, 1, (0.25,))
+    res = sample_interior(spec, 2 * 10 ** 4, seed=5)
+    w2 = np.abs(res.points[:, 2]) ** 2
+    assert np.mean(w2 > 9.0) == pytest.approx(math.exp(-9.0 / 4.0), rel=0.1)
+    volume = monomial_norm_full(spec, (0, 0, 0))[0]
+    assert np.mean(w2) == pytest.approx(monomial_norm_full(spec, (0, 0, 1))[0] / volume,
+                                        rel=0.03)
 
 
-def test_sample_box_radius_keeps_truncation_flag():
-    # a box radius above every bound draws the same box and points; the
-    # V-step w is still cut off at its radius
-    spec = ball_exp_lift_spec(1, 1, (1.0,))
-    plain = sample_interior(spec, 100, seed=1)
-    boxed = sample_interior(spec, 100, seed=1, box_radius=5.0)
-    assert boxed.box_radii == plain.box_radii == (1.0, 1.0, 3.0)
-    assert np.array_equal(boxed.points, plain.points)
-    assert boxed.truncated_w
+def test_sample_box_path_caps_v_step_w_at_the_square():
+    # the box path caps a V-step w at b sqrt 2, the disk around the square
+    # [-b, b]^2, so at b = 3 the square's corners beyond |w| = 3 are reached
+    spec = ball_exp_lift_spec(1, 1, (0.1,))
+    w = sample_interior(spec, 4000, seed=2, box_radius=3.0).points[:, 2]
+    assert np.all(np.maximum(abs(w.real), abs(w.imag)) <= 3.0)
+    assert np.any(abs(w) > 3.0)
+    assert np.all(abs(w) <= 3.0 * math.sqrt(2.0))
 
 
-@pytest.mark.parametrize("spec", [chain_stage_spec(3), chain_stage_spec(5),
-                                  ball_exp_lift_spec(1, 2, (2.0,))],
-                         ids=["stage3", "stage5", "exp_lift_12_g2"])
+@pytest.mark.parametrize("spec", [chain_stage_spec(s) for s in range(2, 7)] + [
+    polydisk_spec(2), ball_exp_lift_spec(1, 2, (2.0,)), egg_spec(2, 1.5, 3)],
+    ids=[f"stage{s}" for s in range(2, 7)] + ["polydisk2", "exp_lift_12_g2", "egg_w3"])
+def test_chain_volume_matches_oracle(spec):
+    # the closed-form volume against the oracle's quadrature ||1||^2, and
+    # the exact draw reports it
+    volume = monomial_norm_full(spec, (0,) * spec.dim)[0]
+    assert chain_volume(spec) == pytest.approx(volume, rel=1e-12)
+    assert sample_interior(spec, 10, seed=1).volume_estimate == chain_volume(spec)
+
+
+def test_sample_fails_when_the_draw_overflows():
+    # weight 1e-310: the scale 1/A of the V-step's Gamma law overflows, so
+    # every w is infinite; the sampler stops after the chunks that could
+    # hold SAMPLE_MAX_DRAWS rows instead of looping
+    with pytest.raises(SamplingError, match="only 0/10"):
+        sample_interior(ball_exp_lift_spec(1, 1, (1e-310,)), 10, seed=1)
+
+
+@pytest.mark.parametrize("spec", [chain_stage_spec(3), chain_stage_spec(5), chain_stage_spec(6),
+                                  ball_exp_lift_spec(1, 2, (2.0,)), egg_spec(2, 1.5, 3)],
+                         ids=["stage3", "stage5", "stage6", "exp_lift_12_g2", "egg_w3"])
 def test_sample_distribution_matches_oracle(spec):
     # the volume and the mean |z_j|^2 of the sample against the monomial
     # norms: ||1||^2 and ||z_j||^2 / ||1||^2.  A uniform radius in place of

@@ -5,7 +5,7 @@ import pytest
 
 from bergman.catalog import closed_form_families, egg_spec, interior_pairs, interior_points
 from bergman.domains import KIND_ELLIPSOID, BaseDomain, DomainSpec
-from bergman.jets import Jet, NonFiniteError, fresh_tag
+from bergman.jets import Jet, NonFiniteError, aexp, apow, fresh_tag
 from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
                              kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
                              kernel_chain_stage3, kernel_polydisk,
@@ -104,6 +104,39 @@ def test_hermitian_symmetry_all_families():
             b = complex(K(q, p))
             worst = max(worst, abs(a.conjugate() - b) / max(abs(a), 1e-300))
         assert worst < 1e-13, name
+
+
+def _ball_exp_lift_two_exp(n, m, gamma, p, cq):
+    """kernel_ball_exp_lift as written before it reused a weight's
+    exponential: aexp(G * t) taken apart from the per-weight aexp(g * t)."""
+    c = math.factorial(m + n) / PI ** (m + n + 1)
+    G = sum(gamma)
+    t = p[-1] * cq[-1]
+    sp = 0.0
+    for a, b in zip(p[n:n + m], cq[n:n + m]):
+        sp = sp + a * b
+    rho = 1.0 - sp
+    cross = 0.0
+    for j, g in enumerate(gamma):
+        zz = p[j] * cq[j]
+        eg = aexp(g * t)
+        rho = rho - eg * zz
+        cross = cross + g * eg * zz
+    return c * aexp(G * t) * (G * apow(rho, -(m + n + 1))
+                              + (m + n + 1) * cross * apow(rho, -(m + n + 2)))
+
+
+@pytest.mark.parametrize("n, m, gamma", [(1, 1, (1.0,)), (1, 2, (2.0,)), (2, 1, (0.7, 1.3))],
+                         ids=["11", "12_g2", "21_no_weight_is_G"])
+def test_ball_exp_lift_reused_exponential_is_bitwise(n, m, gamma):
+    # one aexp fewer per row where a weight equals the weight sum G (every
+    # n = 1 family); the values stay bit for bit those of the two-exp formula
+    K = kernel_ball_exp_lift(n, m, gamma)
+    P, Q = (np.array(side) for side in zip(*interior_pairs(K.domain, 2000, seed=17)))
+    got = K(tuple(P.T), tuple(Q.T))
+    want = _ball_exp_lift_two_exp(n, m, gamma, tuple(P.T), tuple(np.conj(Q).T))
+    assert got.shape == (2000,)
+    assert np.array_equal(got, want)
 
 
 def test_diagonal_positive_all_families():
