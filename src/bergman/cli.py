@@ -282,10 +282,11 @@ def _suite_dirichlet(tol, seed):
 
 
 def _suite_reproducing(tol, seed):
-    from .kernels import kernel_ball_disk_lift, kernel_ball_exp_lift
+    from .kernels import kernel_ball_disk_lift, kernel_ball_exp_lift, kernel_chain_stage3
     fixtures = [
         ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
         ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,))),
+        ("chain_stage3", kernel_chain_stage3(2.0)),
     ]
     idxs = [tuple(idx) for idx in exponent_matrix(3, 2).tolist()]
     cases = []

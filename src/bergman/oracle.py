@@ -14,8 +14,8 @@ not modelled.)
 
 The reproducing-property integral is done in polar form as well: a
 rank-1 lattice angular rule, exact for every bin that no mode of the
-kernel's one-sided angular spectrum aliases onto, times nested
-Gauss-Legendre radial quadrature over the shadow, up to 3 coordinates,
+kernel's one-sided angular spectrum aliases onto, times a product Gauss
+rule in the lift-chain variables (``_radial_nodes``), up to 3 coordinates,
 calling the kernel on blocks of at most POLAR_ROWS = 8,192 rows.
 """
 
@@ -28,15 +28,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domains import DomainSpec, SpecError, box_radii, contains, shadow_contains
+# shadow_contains stays an oracle name: perfbench/tracing.py counts its rows here
+from .domains import (KIND_POLYDISK, BaseDomain, DomainSpec, SpecError, chain_moduli,
+                      chain_volume, contains, shadow_contains)
 from .jets import NonFiniteError, pochhammer
 
-DEFAULT_QUAD_W_RADIUS = 4.5
 # largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
 SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
-N_RAD, N_RAD_CHECK = 14, 10   # Gauss-Legendre nodes per coordinate: reproducing value, check
+N_RAD, N_RAD_CHECK = 10, 8    # Gauss nodes per chain factor (Laguerre: 2 more): value, check
+DE_LEVEL, DE_LEVEL_CHECK = 2, 1   # tanh-sinh levels of a factor with no Gauss rule
+MAX_LIFT_POWER = 64      # largest L of the U-step substitution 1 - t = s^L
 N_ANG = 512              # reproducing lattice points, a power of 2 up to 2048
 POLAR_ROWS = 8192        # kernel rows (radial nodes x lattice points) per call
 
@@ -92,9 +95,21 @@ def _de_integrate(f):
 
 
 @lru_cache(maxsize=64)
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _gauss_rule(n: int, a: float, b: float | None = None):
+    """n-node Gauss rule (nodes, weights summing to 1) by Golub-Welsch from
+    the three-term recurrence: Gauss-Jacobi for u^a (1-u)^b on (0, 1), or
+    with b None generalized Gauss-Laguerre for t^a e^-t on (0, inf)."""
+    k = np.arange(n, dtype=float)
+    if b is None:
+        diag, off = 2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a))
+    else:   # Jacobi on (-1, 1), weight (1-x)^b (1+x)^a, mapped by u = (1+x)/2
+        s, m = 2.0 * k + a + b, k[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diag = 0.5 + 0.5 * np.where(k > 0, (a * a - b * b) / (s * s + 2.0 * s),
+                                        (a - b) / (a + b + 2.0))
+        off = np.sqrt(m * (m + a) * (m + b) * (m + a + b) / (s[1:] ** 2 * (s[1:] ** 2 - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, v[0] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -380,36 +395,6 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
 # reproducing-property integral
 
 
-def _radial_order(spec: DomainSpec):
-    """Integration order for nested radial bounds: w blocks, then passive,
-    then star coordinates (bounds of later coordinates shrink first)."""
-    base = spec.base
-    order = list(range(base.dim, spec.dim))
-    order += list(range(base.n_star, base.dim))
-    order += list(range(base.n_star))
-    return order
-
-
-def _nested_bounds(spec: DomainSpec, order, filled: np.ndarray, j: int,
-                   cap: float) -> np.ndarray:
-    """Largest admissible squared modulus of coordinate order[j], given the
-    squared moduli filled for order[:j] and zeros elsewhere (valid because
-    every domain here is a lower set in the shadow)."""
-    n = len(filled)
-    lo = np.zeros(n)
-    hi = np.full(n, cap)
-    coord = order[j]
-    x = np.zeros((n, spec.dim))
-    x[:, [order[i] for i in range(j)]] = filled[:, :j] if j else 0.0
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        x[:, coord] = mid
-        inside = shadow_contains(spec, x)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return lo
-
-
 # Korobov generators z (z_1 = 1) of the 2048-point rank-1 lattice per
 # dimension; a smaller power-of-2 N_ANG uses z mod N_ANG, the embedded
 # lattice.  From an exact search, the smallest degree of a mode a >= 0 that
@@ -422,19 +407,19 @@ def reproducing_integral(K, spec: DomainSpec, indices, p):
     """Deterministic polar-quadrature values of int K(p; q-bar) q^idx dV(q)
     for every index in ``indices``; returns ({idx: value}, {idx: err}).
 
-    Radial: nested Gauss-Legendre with N_RAD nodes per coordinate over the
-    shadow with bisected bounds, linear in every squared modulus
-    (plane-fibered w coordinates are cut at DEFAULT_QUAD_W_RADIUS).
+    Radial: the product rule of ``_radial_nodes`` over the chain factors,
+    N_RAD Gauss nodes per factor (N_RAD + 2 for a V-step's Laguerre rule,
+    tanh-sinh level DE_LEVEL where no Gauss rule fits).
     Angular: the rank-1 lattice of N_ANG points
     theta_i = 2 pi ((i z) mod N_ANG) / N_ANG, z from LATTICE_GENERATORS,
     with residues in integer arithmetic.  Bin idx is the lattice mean of
     K e^(i idx.theta), exact unless a mode of the kernel's one-sided
-    angular spectrum aliases onto it.  The error estimate combines a
-    coarser radial pass of N_RAD_CHECK nodes with the embedded N_ANG/2
-    lattice (its even points).  Supported up to 3 coordinates.  Repeated
-    indices count once; negative ones raise ``SpecError``, two that share a
-    lattice residue raise ``IntegrationError``; no indices return ({}, {})
-    without calling K.
+    angular spectrum aliases onto it.  The error estimate combines a radial
+    pass coarser in every factor (N_RAD_CHECK nodes, level DE_LEVEL_CHECK)
+    with the embedded N_ANG/2 lattice (its even points).  Supported up to
+    3 coordinates.  Repeated indices count once; negative ones raise
+    ``SpecError``, two that share a lattice residue raise
+    ``IntegrationError``; no indices return ({}, {}) without calling K.
     """
     d = spec.dim
     if d > 3:
@@ -451,38 +436,97 @@ def reproducing_integral(K, spec: DomainSpec, indices, p):
     if len(residues) < len(indices):
         raise IntegrationError("two requested indices alias on the angular "
                                "lattice; raise N_ANG")
-    full, full_half = _polar_pass(K, spec, indices, p, N_RAD, N_ANG)
-    check, _ = _polar_pass(K, spec, indices, p, N_RAD_CHECK, N_ANG)
+    full, full_half = _polar_pass(K, spec, indices, p, N_RAD, DE_LEVEL, N_ANG)
+    check, _ = _polar_pass(K, spec, indices, p, N_RAD_CHECK, DE_LEVEL_CHECK, N_ANG)
     errs = {idx: abs(full[idx] - check[idx]) + abs(full[idx] - full_half[idx])
             for idx in indices}
     return full, errs
 
 
-def _radial_nodes(spec: DomainSpec, n_rad: int):
-    """Polar radii (nodes, dim) in coordinate order and their weights,
-    each weight including the full angle pi per coordinate."""
-    order = _radial_order(spec)
-    caps = [r * r for r in box_radii(spec, DEFAULT_QUAD_W_RADIUS)]
-    gx, gw = _gl_rule(n_rad)
-    d = spec.dim
-    # tensor radial grid (squared moduli) with nested bounds; unbounded
-    # plane-fibered coordinates bisect to the truncation cap (the Gaussian
-    # weight leaves a tail below 1e-6 of scale at the default radius)
-    filled = np.zeros((1, 0))
-    weights = np.ones(1)
-    for j in range(d):
-        b = _nested_bounds(spec, order, filled, j, caps[order[j]])
-        x = b[:, None] * gx
-        w = b[:, None] * gw
-        filled = np.concatenate(
-            [np.repeat(filled, n_rad, axis=0), x.reshape(-1, 1)], axis=1)
-        weights = (weights[:, None] * w).reshape(-1)
-    # dA = (1/2) dx dtheta per coordinate; the angular mean contributes 2*pi
-    return np.sqrt(filled)[:, np.argsort(order)], weights * math.pi ** d
+def _lift_power(weights):
+    """Least L with every L a_j an integer, from the weights' exact binary
+    fractions (never a nearby fraction); None above MAX_LIFT_POWER."""
+    L = math.lcm(*(a.as_integer_ratio()[1] for a in weights))
+    return L if L <= MAX_LIFT_POWER else None
 
 
-def _polar_pass(K, spec, indices, p, n_rad, n_ang):
-    radii, weights = _radial_nodes(spec, n_rad)
+def _de_factor(level: int, a: float, b: float):
+    """tanh-sinh nodes u < 1 (u = 1 would put a U-step's ||w||^2 on the
+    boundary), 1 - u and weights summing to 1 for u^a (1-u)^b on (0, 1)."""
+    keep = _de_rule(level)[0] < 1.0
+    u, um1, w = (v[keep] for v in _de_rule(level))
+    w = w * u ** a * um1 ** b
+    return u, um1, w / w.sum()
+
+
+def _sticks(v):
+    """Dirichlet shares from stick fractions: v_i times what is left, then the rest."""
+    parts, rest = [], 1.0
+    for vi in v:
+        parts.append(rest * vi)
+        rest = rest * (1.0 - vi)
+    return parts + [rest]
+
+
+def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
+    """Polar radii (nodes, dim) in coordinate order and their weights: a
+    product rule over the variables ``domains._chain_shadow`` draws, where
+    the shadow is a product of intervals, placed by ``chain_moduli``.
+    Gauss-Legendre on a uniform base coordinate; Gauss-Jacobi on Dirichlet
+    sticks (a ball base, a w block) and, per U-step, in s = (1-t)^(1/L), L
+    the least integer with every L a_j an integer, so that t = ||w||^2 and
+    each acted squared modulus are polynomials in s; generalized
+    Gauss-Laguerre in a V-step's t.  Where none fits (no L up to
+    MAX_LIFT_POWER, an ellipsoid base of several coordinates not all of
+    exponent 1), tanh-sinh at ``de_level``.  Each factor's weights sum to
+    1; their product is scaled by the volume ||1||^2."""
+    base, q = spec.base, [1.0 / pj for pj in spec.base.exponents]
+    sticks = base.kind != KIND_POLYDISK and base.dim > 1
+    rules = []          # per chain variable: its columns, then its weights
+    for j in range(base.dim):       # x_j uniform, or the sticks of Dirichlet(q, 1)
+        a, b = (q[j] - 1.0, sum(q[j + 1:])) if sticks else (0.0, 0.0)
+        if sticks and set(q) != {1.0}:
+            u, _, w = _de_factor(de_level, a, b)
+            rules.append((u, w))
+        else:
+            rules.append(_gauss_rule(n_rad, a, b))
+    for step in spec.lifts:
+        A, k, L = sum(step.weights), step.w_dim, _lift_power(step.weights)
+        if step.kind == "V":
+            t, w = _gauss_rule(n_rad + 2, k - 1.0)
+            rules.append((t / A, w))
+        elif L is None:     # t and c = 1 - t
+            rules.append(_de_factor(de_level, k - 1.0, A))
+        else:               # s = c^(1/L) has density s^(L(A+1)-1) (1 - s^L)^(k-1)
+            s, w = _gauss_rule(n_rad, L * (A + 1.0) - 1.0, k - 1.0)
+            w = w * ((1.0 - s ** L) / (1.0 - s)) ** (k - 1)
+            rules.append((1.0 - s ** L, s ** L, w / w.sum()))
+        rules += [_gauss_rule(n_rad, 0.0, k - 2.0 - i) for i in range(k - 1)]
+    cols, weights = [], np.ones(1)      # tensor product, first variable slowest
+    for *new, w in rules:
+        cols = [np.repeat(c, len(w)) for c in cols] + [np.tile(c, len(weights)) for c in new]
+        weights = np.outer(weights, w).ravel()
+    cols = iter(cols)
+    x = [next(cols) for _ in range(base.dim)]
+    lifts = []
+    for step in spec.lifts:
+        t = next(cols)
+        c = next(cols) if step.kind == "U" else None
+        split = _sticks([next(cols) for _ in range(step.w_dim - 1)])
+        lifts.append((t, c, np.column_stack(split)))
+    if sticks:
+        x = [y ** qj for y, qj in zip(_sticks(x), q)]
+    x = chain_moduli(spec, np.column_stack(x), lifts)
+    # ||1||^2: the lifts' masses from the norm route over the unit cube (a
+    # polydisk base), times the base shadow's volume in closed form (the norm
+    # route's ellipsoid factor fails for large exponents)
+    unit = DomainSpec(BaseDomain(KIND_POLYDISK, base.n_star, base.m_passive), spec.lifts)
+    volume = _monomial_norms(unit, np.zeros((1, spec.dim), dtype=np.intp))[0][0]
+    return np.sqrt(x), weights * volume * chain_volume(DomainSpec(base)) / math.pi ** base.dim
+
+
+def _polar_pass(K, spec, indices, p, n_rad, de_level, n_ang):
+    radii, weights = _radial_nodes(spec, n_rad, de_level)
     d = spec.dim
     # lattice residues (i z) mod n_ang and (i idx.z) mod n_ang index one
     # table of roots of unity, so every phase is exact up to that table

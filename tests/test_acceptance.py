@@ -77,7 +77,8 @@ def test_criterion_3_reproducing_property():
     t0 = time.perf_counter()
     idxs = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)
             if a + b + c <= 2]
-    fixtures = [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,))]
+    fixtures = [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
+                kernel_chain_stage3(2.0)]
     worst = 0.0
     for K in fixtures:
         spec = K.domain

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -240,6 +241,16 @@ def test_sample_box_radius_is_a_square():
     # |z|^2 = 1 is within reach (a disk of radius b stops at 0.72)
     pts = sample_interior(ball_spec(2), 2000, seed=3, box_radius=0.6).points
     assert np.max(np.sum(np.abs(pts) ** 2, axis=1)) > 0.95
+
+
+@pytest.mark.parametrize("stage, digest", [
+    (2, "67bf758958fb9a52"), (3, "783339b36563a777"), (4, "ba2fa4813e9e7064"),
+    (5, "6c6a5fda747b9692"), (6, "c1eefca5dec3d5bc")])
+def test_chain_sample_digest_pinned(stage, digest):
+    # the sampler shares chain_moduli with the reproducing quadrature;
+    # `sample` output must keep these bytes
+    pts = sample_interior(chain_stage_spec(stage), 2000, seed=11).points
+    assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == digest
 
 
 def test_sample_deterministic_for_seed():

@@ -13,10 +13,11 @@ from bergman import oracle
 from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              polydisk_spec)
-from bergman.domains import SpecError, spec_from_dict
-from bergman.kernels import (kernel_ball, kernel_ball_disk_lift, kernel_ball_exp_lift,
-                             kernel_chain_stage3)
+from bergman.domains import BaseDomain, DomainSpec, LiftStep, SpecError, spec_from_dict
+from bergman.kernels import (closed_form_for, kernel_ball, kernel_ball_disk_lift,
+                             kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg)
 from bergman.jets import NonFiniteError, pochhammer
+from bergman.lifting import lift_U
 from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
                             _de_integrate, dirichlet_identity_check,
                             get_norm_table, monomial_norm_full, reproducing_check,
@@ -265,13 +266,13 @@ def test_reproducing_check_above_three_coordinates_raises_at_once():
     assert not calls
 
 
-def _lattice_sums(K, spec, idxs, p, n_rad, n_ang):
+def _lattice_sums(K, spec, idxs, p, n_rad, de_level, n_ang):
     """Brute-force lattice means of K(p; q-bar) q^idx over every radial node
     and lattice point, one point at a time: angles from Python integers,
     phases from cmath, sums by math.fsum.  Returns the full-lattice and
     even-point (half-lattice) values."""
     z = [zc % n_ang for zc in oracle.LATTICE_GENERATORS[spec.dim]]
-    radii, weights = oracle._radial_nodes(spec, n_rad)
+    radii, weights = oracle._radial_nodes(spec, n_rad, de_level)
     terms = {idx: ([], []) for idx in idxs}
     for r, w in zip(radii.tolist(), weights.tolist()):
         for i in range(n_ang):
@@ -306,8 +307,8 @@ def test_reproducing_integral_matches_brute_force_lattice_sum(monkeypatch):
     # 32 is the smallest lattice on which these seven bins do not alias
     _grid(monkeypatch, 4, 3, 32)
     vals, errs = reproducing_integral(K, spec, idxs, p)
-    full, half = _lattice_sums(K, spec, idxs, p, 4, 32)
-    check, _ = _lattice_sums(K, spec, idxs, p, 3, 32)
+    full, half = _lattice_sums(K, spec, idxs, p, 4, oracle.DE_LEVEL, 32)
+    check, _ = _lattice_sums(K, spec, idxs, p, 3, oracle.DE_LEVEL_CHECK, 32)
     for idx in idxs:
         assert abs(vals[idx] - full[idx]) <= 1e-13
         want_err = abs(full[idx] - check[idx]) + abs(full[idx] - half[idx])
@@ -358,12 +359,17 @@ def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
     assert list(twice[0]) == [(1, 0, 0), (0, 0, 1)]
 
 
-@pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
-                               kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
-def test_reproducing_blocks_match_default_pass(K, monkeypatch):
+# radial nodes per pass at 8 and 5 Gauss nodes per chain factor: Jacobi on
+# the two sticks of a ball base or Legendre on a one-coordinate base, Jacobi
+# on a U-step, 2 more Laguerre nodes on a V-step
+@pytest.mark.parametrize("K, n_nodes", [
+    (kernel_ball_disk_lift(1, 1), 8 * 8 * 8 + 5 * 5 * 5),
+    (kernel_ball_exp_lift(1, 1, (1.0,)), 8 * 8 * 10 + 5 * 5 * 7),
+    (kernel_chain_stage3(2.0), 8 * 8 * 10 + 5 * 5 * 7)], ids=["disk", "exp", "chain3"])
+def test_reproducing_blocks_match_default_pass(K, n_nodes, monkeypatch):
     idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
-    _grid(monkeypatch, 8, 5)                  # 8^3 and 5^3 radial nodes
+    _grid(monkeypatch, 8, 5)
     vals, errs = reproducing_integral(K, K.domain, idxs, p)
     rows = []
 
@@ -376,10 +382,90 @@ def test_reproducing_blocks_match_default_pass(K, monkeypatch):
         monkeypatch.setattr(oracle, "POLAR_ROWS", budget)
         rows.clear()
         got, got_errs = reproducing_integral(counted, K.domain, idxs, p)
-        assert max(rows) <= budget and sum(rows) == (8 ** 3 + 5 ** 3) * 512
+        assert max(rows) <= budget and sum(rows) == n_nodes * 512
         for idx in idxs:
             assert abs(got[idx] - vals[idx]) <= 1e-13 * abs(vals[idx])
             assert abs(got_errs[idx] - errs[idx]) <= 1e-13 * max(1.0, abs(vals[idx]))
+
+
+# (a, b) of the Gauss-Jacobi rules for u^a (1-u)^b the chain factors use:
+# Legendre on a uniform base coordinate, a ball base's last and first
+# sticks, and the U-steps of chain stages 2, 4 and 5 in s = (1-t)^(1/L),
+# whose weights 1/2, 3/2 and 5/4 give L = 2, 2, 4 and a = L(A+1) - 1; then
+# a U-step with a w block of 2 (egg_inflated_p2) and a fractional pair
+JACOBI_PARAMETERS = [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (4.0, 0.0), (8.0, 0.0),
+                     (2.0, 1.0), (0.5, 2.5)]
+
+
+@pytest.mark.parametrize("n", [oracle.N_RAD, oracle.N_RAD_CHECK])
+def test_gauss_rules_integrate_beta_and_gamma_moments(n):
+    assert [oracle._lift_power(step.weights) for step in chain_stage_spec(6).lifts
+            if step.kind == "U"] == [2, 2, 4]
+    for a, b in JACOBI_PARAMETERS:
+        u, w = oracle._gauss_rule(n, a, b)
+        for j in range(2 * n):
+            want = (math.gamma(a + 1 + j) * math.gamma(a + b + 2)
+                    / (math.gamma(a + 1) * math.gamma(a + b + 2 + j)))
+            assert abs(math.fsum(w * u ** j) - want) <= 1e-13 * want, (a, b, j)
+    # generalized Laguerre, 2 more nodes, for V-steps with w blocks of 1 and 2
+    for a in (0.0, 1.0):
+        t, w = oracle._gauss_rule(n + 2, a)
+        for j in range(2 * (n + 2)):
+            want = math.gamma(a + 1 + j) / math.gamma(a + 1)
+            assert abs(math.fsum(w * t ** j) - want) <= 1e-13 * want, (a, j)
+
+
+def test_lift_power_reads_exact_binary_fractions():
+    assert oracle._lift_power((0.375, 1.25, 0.0)) == 8
+    assert oracle._lift_power((2.0 ** -6,)) == oracle.MAX_LIFT_POWER == 64
+    # none of these floats is a fraction of small denominator: no rounding
+    for a in (math.sqrt(0.5), 0.1, 1 / 3, 2.0 ** -7):
+        assert oracle._lift_power((1.0, a)) is None, a
+
+
+def test_reproducing_fallback_on_an_irrational_weight():
+    # no lift power: the U-step's factor takes the tanh-sinh rule
+    K = lift_U(kernel_ball(2, n_star=1), (math.sqrt(0.5),), 1)
+    p = (0.3, 0.2 + 0.1j, 0.25)
+    idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
+    vals, errs = reproducing_integral(K, K.domain, idxs, p)
+    for idx in idxs:
+        target = math.prod(complex(c) ** e for c, e in zip(p, idx))
+        res = abs(vals[idx] - target)
+        assert res / max(abs(target), 1e-6) < 1e-3, idx
+        assert errs[idx] >= res, idx
+
+
+@pytest.mark.parametrize("K, p, tol", [
+    (kernel_egg(1, 4.0), (0.3, 0.2 - 0.1j), 1e-10),
+    (closed_form_for(DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (4.0, 1.0)))),
+     (0.3, 0.2 - 0.1j), 1e-8)], ids=["egg_p4", "ellipsoid41"])
+def test_reproducing_on_bases_of_large_exponent(K, p, tol):
+    # the norm route's ellipsoid base factor does not converge at p = 4;
+    # the quadrature takes the base shadow's volume without it
+    idxs = [(a, c) for a in range(3) for c in range(3)]
+    for idx, res in reproducing_check(K, K.domain, idxs, p).items():
+        assert res < tol, idx
+
+
+@pytest.mark.parametrize("spec, tol", [
+    (chain_stage_spec(2), 1e-13), (ball_disk_lift_spec(1, 1), 1e-13), (polydisk_spec(2), 1e-13),
+    (closed_form_families()["egg_inflated_p2"][0], 1e-13),
+    # tanh-sinh factors: an ellipsoid base of two exponents, an irrational weight
+    (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (2.0, 3.0))), 1e-9),
+    (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (1.0, 1.0)),
+                (LiftStep("U", (math.sqrt(0.5),)),)), 1e-8),
+    # Laguerre nodes do not integrate the V-step factors e^(-a t) exactly
+    (chain_stage_spec(3), 1e-4)],
+    ids=["stage2", "ball_disk_lift", "polydisk2", "egg_inflated_p2", "ellipsoid23",
+         "irrational", "stage3"])
+def test_radial_nodes_integrate_monomial_norms(spec, tol):
+    # sum of weight x |z^a|^2 over the chain nodes against the norm oracle
+    radii, weights = oracle._radial_nodes(spec, oracle.N_RAD, oracle.DE_LEVEL)
+    for a in oracle.exponent_matrix(spec.dim, 3):
+        want = monomial_norm_full(spec, a)[0]
+        got = math.fsum(weights * np.prod(radii ** (2 * a), axis=1))
+        assert abs(got - want) <= tol * want, a
 
 
 def test_reproducing_pass_memory_is_bounded():
