@@ -54,11 +54,13 @@ def _run_cases(cases, workers: int):
         return [f.result() for f in futures]
 
 
-def _write_csv(path, header, rows=(), text=()):
-    """The CSV to ``path`` (stdout for None): the header and ``rows`` through
-    csv.writer, then ``text``, rows already in csv.writer's format."""
+def _write_csv(path, header, rows=(), text=(), comment=""):
+    """The CSV to ``path`` (stdout for None): the ``comment`` line, the header
+    and ``rows`` through csv.writer, then ``text``, rows already in
+    csv.writer's format."""
     with (open(path, "w", encoding="utf-8", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as f:
+        f.write(comment)
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
@@ -394,14 +396,11 @@ def cmd_sample(args) -> int:
         # csv.writer's row, formatted as _fmt does: "%.17g" is f"{x:.17g}"
         row = "%d" + ",%.17g" * (2 * spec.dim) + "\r\n"
         flat = res.points.view(float).reshape(len(res.points), -1)
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write(f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
-                    f"volume_estimate={_fmt(res.volume_estimate)} "
-                    f"draws={res.draws}\n")
-            csv.writer(f).writerow(header)
-            for start in range(0, len(flat), 4096):   # memory bounded for any --count
-                block = flat[start:start + 4096].tolist()
-                f.write("".join(row % (i, *x) for i, x in enumerate(block, start)))
+        _write_csv(args.out, header, text=(   # 4,096-row blocks: memory bounded for any --count
+            "".join(row % (i, *x) for i, x in enumerate(flat[start:start + 4096].tolist(), start))
+            for start in range(0, len(flat), 4096)),
+            comment=(f"# acceptance_ratio={_fmt(res.acceptance_ratio)} "
+                     f"volume_estimate={_fmt(res.volume_estimate)} draws={res.draws}\n"))
     print(f"accepted={len(res.points)} acceptance_ratio={_fmt(res.acceptance_ratio)} "
           f"volume_estimate={_fmt(res.volume_estimate)}")
     return EXIT_OK

@@ -12,8 +12,8 @@ on the vector of squared moduli (the "shadow"), and every coordinate may be
 shrunk independently without leaving the domain.
 
 One rule, ``lift_factor``, writes the lift substitution: membership, the
-defining function, the slice maps, the exact sampler and the lifted
-kernels' slice scales use it, for one point and for a panel alike; one
+defining function, the slice maps, the exact sampler and the slice
+kernels' scales use it, for one point and for a panel alike; one
 map, ``chain_moduli``, turns chain factors into squared moduli for the
 sampler (which draws them) and the reproducing quadrature (nodes on them).
 """

@@ -137,11 +137,6 @@ def aconj(x):
     return complex(x).conjugate()
 
 
-def abs2(x):
-    """|x|^2 for scalars or arrays (works via .real/.imag)."""
-    return x.real * x.real + x.imag * x.imag
-
-
 # ---------------------------------------------------------------------------
 # jets
 

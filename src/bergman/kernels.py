@@ -1,10 +1,11 @@
 """Hand-coded closed-form Bergman kernel evaluators.
 
-Every evaluator takes the unconjugated second point and conjugates it
-internally, so ``K(p, q)`` computes K(p; q-bar): holomorphic in p,
-anti-holomorphic in q.  Formulas are written against the generic scalar
-helpers, so the same code path evaluates plain complex numbers, numpy
-arrays (vectorised panels) and jets (derivative extraction).
+``K(p, q)`` computes K(p; q-bar): holomorphic in p, anti-holomorphic in q.
+Every domain here is complete Reinhardt, so a kernel depends on the two
+points only through the coordinate products u_j = p_j q-bar_j, which the
+call forms once; each formula is written on u.  Formulas use the generic
+scalar helpers, so the same code path evaluates plain complex numbers,
+numpy arrays (vectorised panels) and jets (derivative extraction).
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ def _all_finite(v) -> bool:
 class Kernel:
     """Kernel evaluator contract.
 
-    ``fn(p, cq)`` takes the second point conjugated.  Coordinates are n
-    star, m passive, then one block per entry of ``w_dims``; lifts act on
-    ``star_indices()``.  ``domain`` is the DomainSpec the evaluator
-    reproduces on, when known.
+    The domain is complete Reinhardt, so K(p; q-bar) is a function of the
+    coordinate products alone: ``fn(u)`` takes the tuple u_j = p_j q-bar_j,
+    which the call forms.  Coordinates are n star, m passive, then one
+    block per entry of ``w_dims``; lifts act on ``star_indices()``.
+    ``domain`` is the DomainSpec the evaluator reproduces on, when known.
     """
 
     def __init__(self, fn, n: int, m: int = 0, w_dims=(), domain: DomainSpec | None = None,
@@ -65,7 +67,7 @@ class Kernel:
             raise ValueError(f"{self.name}: expected {self.dim} coordinates")
         cq = q if q_conjugated else tuple(aconj(c) for c in q)
         try:
-            val = self.fn(p, cq)
+            val = self.fn(tuple(a * b for a, b in zip(p, cq)))
         except (ZeroDivisionError, OverflowError) as e:
             raise NonFiniteError(f"{self.name} overflowed: {e}") from None
         if not _all_finite(val):
@@ -82,18 +84,11 @@ class Kernel:
 
     def scaled(self, factor: float) -> "Kernel":
         """Pointwise multiple (test probe for reproducing-property drift)."""
-        return Kernel(lambda p, cq: factor * self.fn(p, cq), self.n, self.m,
+        return Kernel(lambda u: factor * self.fn(u), self.n, self.m,
                       self.w_dims, domain=self.domain, name=f"{factor}*{self.name}")
 
     def __repr__(self):  # pragma: no cover
         return f"Kernel({self.name}, n={self.n}, m={self.m}, w_dims={self.w_dims})"
-
-
-def _dot(ps, cqs):
-    s = 0.0
-    for a, b in zip(ps, cqs):
-        s = s + a * b
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +107,8 @@ def kernel_ball(dim: int, n_star: int | None = None) -> Kernel:
     c = factorial(dim) / pi ** dim
     e = -(dim + 1)
 
-    def fn(p, cq):
-        return c * apow(1.0 - _dot(p, cq), e)
+    def fn(u):
+        return c * apow(1.0 - sum(u), e)
 
     n = dim if n_star is None else n_star
     return Kernel(fn, n=n, m=dim - n, domain=ball_spec(dim, n_star),
@@ -149,9 +144,9 @@ def kernel_egg_inflated(n: int, m: int, p: float) -> Kernel:
         num = (n + p) * u + (1.0 - p) * s
         return num * apow(1.0 - t, -(2.0 - ip)) * apow(u - s, -(n + 2))
 
-    def fn(pt, cq):
-        s = _dot(pt[:n], cq[:n])
-        t = _dot(pt[n:], cq[n:])
+    def fn(u):
+        s = sum(u[:n])
+        t = sum(u[n:])
         if m == 1:
             return pref * core(t, s)
         tj = Jet.variable(t, order=m - 1, tag=fresh_tag())
@@ -182,10 +177,10 @@ def kernel_ball_disk_lift(n: int, m: int) -> Kernel:
     c = factorial(m + n) / pi ** (m + n + 1)
     e = -(m + n + 2)
 
-    def fn(pt, cq):
-        sz = _dot(pt[:n], cq[:n])
-        sp = _dot(pt[n:n + m], cq[n:n + m])
-        t = pt[-1] * cq[-1]
+    def fn(u):
+        sz = sum(u[:n])
+        sp = sum(u[n:n + m])
+        t = u[-1]
         den = 1.0 - t - sz - sp + t * sp
         num = apow(1.0 - t, m) * ((n + 1) - (n + 1) * sp + m * sz * apow(1.0 - t, -1))
         return c * num * apow(den, e)
@@ -207,14 +202,12 @@ def kernel_ball_exp_lift(n: int, m: int, gamma) -> Kernel:
     c = factorial(m + n) / pi ** (m + n + 1)
     G = sum(gamma)
 
-    def fn(pt, cq):
-        t = pt[-1] * cq[-1]
-        sp = _dot(pt[n:n + m], cq[n:n + m])
-        rho = 1.0 - sp
+    def fn(u):
+        t = u[-1]
+        rho = 1.0 - sum(u[n:n + m])
         cross = 0.0
         egs = [aexp(g * t) for g in gamma]
-        for j, (g, eg) in enumerate(zip(gamma, egs)):
-            zz = pt[j] * cq[j]
+        for zz, g, eg in zip(u, gamma, egs):
             rho = rho - eg * zz
             cross = cross + g * eg * zz
         # G is a weight in every n = 1 family: reuse that weight's exponential
@@ -255,17 +248,17 @@ def kernel_chain_stage3(p: float = 2.0) -> Kernel:
         raise ValueError("p must be positive")
     ip = 1.0 / p
 
-    def fn(pt, cq):
-        s = pt[0] * cq[0]               # z1 zeta1-bar
-        ew = aexp(pt[2] * cq[2])        # e^{z3 zeta3-bar}
-        x = ew * (pt[1] * cq[1])        # e^{...} z2 zeta2-bar
-        u = apow(1.0 - x, ip)
-        d3 = apow(u - s, -3)
-        t1 = ((1.0 + p) * u + (1.0 - p) * s) * apow(1.0 - x, -(2.0 - ip)) * d3
-        t2 = ((p - 1.0) * x * ((2.0 + 2.0 * ip) * u - (2.0 - ip) * s)
+    def fn(u):
+        s = u[0]                        # z1 zeta1-bar
+        ew = aexp(u[2])                 # e^{z3 zeta3-bar}
+        x = ew * u[1]                   # e^{...} z2 zeta2-bar
+        v = apow(1.0 - x, ip)
+        d3 = apow(v - s, -3)
+        t1 = ((1.0 + p) * v + (1.0 - p) * s) * apow(1.0 - x, -(2.0 - ip)) * d3
+        t2 = ((p - 1.0) * x * ((2.0 + 2.0 * ip) * v - (2.0 - ip) * s)
               * apow(1.0 - x, -(3.0 - ip)) * d3)
-        t3 = (3.0 * ip * x * ((1.0 + p) * u + (1.0 - p) * s)
-              * apow(1.0 - x, -(3.0 - 2.0 * ip)) * apow(u - s, -4))
+        t3 = (3.0 * ip * x * ((1.0 + p) * v + (1.0 - p) * s)
+              * apow(1.0 - x, -(3.0 - 2.0 * ip)) * apow(v - s, -4))
         return ew / (pi ** 3 * p) * (t1 + t2 + t3)
 
     return Kernel(fn, n=1, m=0, w_dims=(1, 1), domain=chain_stage_spec(3, p),
@@ -279,10 +272,10 @@ def polydisk_spec(dim: int) -> DomainSpec:
 def kernel_polydisk(dim: int) -> Kernel:
     c = 1.0 / pi ** dim
 
-    def fn(p, cq):
+    def fn(u):
         out = c
-        for a, b in zip(p, cq):
-            out = out * apow(1.0 - a * b, -2)
+        for uj in u:
+            out = out * apow(1.0 - uj, -2)
         return out
 
     return Kernel(fn, n=dim, m=0, domain=polydisk_spec(dim), name=f"polydisk{dim}")
@@ -292,8 +285,8 @@ def kernel_product(a: Kernel, b: Kernel) -> Kernel:
     """Kernel on the Cartesian product domain: the pointwise product."""
     da = a.dim
 
-    def fn(p, cq):
-        return a.fn(p[:da], cq[:da]) * b.fn(p[da:], cq[da:])
+    def fn(u):
+        return a.fn(u[:da]) * b.fn(u[da:])
 
     domain = None
     if (a.domain is not None and b.domain is not None

@@ -3,8 +3,13 @@
 Given a kernel evaluator on a star-shaped Hartogs base, these transforms
 produce the kernel evaluator one lift up: the slice kernel (the base kernel
 moved to a fixed-w cross-section by the biholomorphic transformation rule)
-is evaluated on jet-valued star coordinates at a twisted argument, and a
-polynomial in the Euler operator E = sum_l a_l u_l d/du_l is applied to it.
+is evaluated at a twisted argument, and a polynomial in the Euler operator
+E = sum_l a_l u_l d/du_l is applied to it.  Kernels take the products
+u_l = p_l q-bar_l, on which the slice scales and the twist cancel: with t
+the sum of the w block's products, the base sees u_l (1-t)^(-a_l) under a
+U-step and u_l e^(a_l t) under a V-step, and the value carries
+(1-t)^(-(k+1+|a|)) or e^(|a| t), over pi^k.  No ||eta||^2 enters, so past
+||eta|| = 1 a U-step lift continues as the closed forms do.
 
 E is d/ds of g(s) = G(u_l e^{a_l s}) at s = 0, so one jet variable s serves
 every acted coordinate: for a w block of dimension k the operator
@@ -18,20 +23,12 @@ from __future__ import annotations
 from math import factorial, pi
 
 from .domains import DomainSpec, LiftStep, slice_scales
-from .jets import (MAX_JET_ORDER, Jet, JetOrderError, abs2, aexp, apow,
-                   fresh_tag)
-from .kernels import Kernel, _dot, closed_form_for
+from .jets import MAX_JET_ORDER, Jet, JetOrderError, aexp, apow, fresh_tag
+from .kernels import Kernel, closed_form_for
 
 
 class LiftError(ValueError):
     """Lift request the machinery cannot honor."""
-
-
-def _sqnorm(w):
-    t = 0.0
-    for c in w:
-        t = t + abs2(c)
-    return t
 
 
 def slice_kernel(base: Kernel, step: LiftStep, w) -> Kernel:
@@ -39,29 +36,25 @@ def slice_kernel(base: Kernel, step: LiftStep, w) -> Kernel:
 
     The cross-section is biholomorphic to the base via the coordinate
     scaling f_alpha(., w) / g_gamma(., w); the kernel picks up the squared
-    Jacobian of that scaling.
+    Jacobian of that scaling, and each acted product u_j the square of its
+    coordinate scale.
     """
     stars = base.star_indices()
     if len(step.weights) != len(stars):
         raise LiftError(f"{len(step.weights)} weights for {len(stars)} star coordinates")
-    fn = _slice_fn(base, step, stars, _sqnorm(w))
-    return Kernel(fn, base.n, base.m, base.w_dims, domain=None,
-                  name=f"slice[{base.name}]")
+    if len(w) != step.w_dim:
+        raise LiftError(f"w has {len(w)} coordinates, the step's block has {step.w_dim}")
+    scales, factor = slice_scales(step, sum(abs(c) ** 2 for c in w))
 
-
-def _slice_fn(base: Kernel, step: LiftStep, stars, t):
-    scales, factor = slice_scales(step, t)
-
-    def fn(p, cq):
-        pp = list(p)
-        qq = list(cq)
+    def fn(u):
+        u = list(u)
         for j, s in zip(stars, scales):
             if s is not None:
-                pp[j] = pp[j] * s
-                qq[j] = qq[j] * s
-        return factor * base.fn(tuple(pp), tuple(qq))
+                u[j] = u[j] * (s * s)
+        return factor * base.fn(tuple(u))
 
-    return fn
+    return Kernel(fn, base.n, base.m, base.w_dims, domain=None,
+                  name=f"slice[{base.name}]")
 
 
 def _operator_weights(consts):
@@ -93,35 +86,23 @@ def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
     d_in = base.dim
     is_u = step.kind == "U"
     op = _operator_weights([(j + wsum) if is_u else wsum for j in range(1, k + 1)])
-    act_w = tuple(a for _, a in acted)
-    flow = [[a ** i / factorial(i) for i in range(1, k + 1)] for a in act_w]
+    flow = [[a ** i / factorial(i) for i in range(1, k + 1)] for _, a in acted]
 
-    def fn(p, cq):
-        w = p[d_in:]
-        ebar = cq[d_in:]
-        eta2 = _sqnorm(ebar)
-        # raises SingularEvaluationError at ||eta|| >= 1, before any power
-        sfn = _slice_fn(base, step, stars, eta2)
-        t = _dot(w, ebar)
-        if is_u:
-            inv = apow(1.0 - t, -1)
-            arg_scale = [apow((1.0 - eta2) * inv, a) for a in act_w]
-            pref = apow(1.0 - eta2, wsum) * apow(1.0 - t, -(k + 1 + wsum)) / pi ** k
-        else:
-            shift = t - eta2
-            arg_scale = [aexp(a * shift) for a in act_w]
-            pref = aexp(wsum * shift) / pi ** k
+    def fn(u):
+        t = sum(u[d_in:])
         tag = fresh_tag()
-        pp = list(p[:d_in])
-        for (j, _), sc, f in zip(acted, arg_scale, flow):
-            u = pp[j] * sc  # seeded along the Euler flow u e^{a s}
-            pp[j] = Jet(k, [u] + [u * fi for fi in f], tag)
-        G = sfn(tuple(pp), tuple(cq[:d_in]))
+        uu = list(u[:d_in])
+        for (j, a), f in zip(acted, flow):
+            # the twisted slice product, seeded along the Euler flow x e^{a s}
+            x = uu[j] * (apow(1.0 - t, -a) if is_u else aexp(a * t))
+            uu[j] = Jet(k, [x] + [x * fi for fi in f], tag)
+        G = base.fn(tuple(uu))
         g = G.coeffs if isinstance(G, Jet) and G.tag == tag else [G]
         acc = op[0] * g[0]
         for c, gj in zip(op[1:], g[1:]):
             acc = acc + c * gj
-        return pref * acc
+        pref = apow(1.0 - t, -(k + 1 + wsum)) if is_u else aexp(wsum * t)
+        return pref / pi ** k * acc
 
     return Kernel(fn, base.n, base.m, base.w_dims + (k,),
                   domain=_lifted_domain(base, step),

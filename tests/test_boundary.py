@@ -363,7 +363,7 @@ def test_nonfinite_levels_end_the_probe():
     # a kernel that is inf from the 9th level on: the probe keeps levels
     # 1-8, where the one-point loop stopped, and is marked diverged
     base = kernel_ball_disk_lift(1, 1)
-    K = Kernel(lambda p, cq: np.where(np.arange(len(p[0])) < 8, base.fn(p, cq), np.inf),
+    K = Kernel(lambda u: np.where(np.arange(len(u[0])) < 8, base.fn(u), np.inf),
                base.n, base.m, base.w_dims)
     path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
     rep = weighted_limit(K, path, "r")
@@ -379,9 +379,9 @@ def test_probe_makes_one_kernel_call(spec, target, stratum):
     base = compose_pipeline(spec)
     calls = []
 
-    def fn(p, cq):
-        calls.append(len(p[0]))
-        return base.fn(p, cq)
+    def fn(u):
+        calls.append(len(u[0]))
+        return base.fn(u)
 
     K = Kernel(fn, base.n, base.m, base.w_dims)
     weighted_limit(K, default_path(spec, target, stratum), expected_weight(spec, stratum))

@@ -207,9 +207,10 @@ def test_eval_non_finite_row_flagged_alone(disk_files, tmp_path, monkeypatch, ca
     # a kernel that divides by zero on the row with p = 0.25: that row is
     # marked, the other rows keep their values, and numpy does not warn
     disk = kernel_ball(1)
+    pole = 0.25 * (0.2 + 0.1j)  # u = p q-bar on that row, exact
 
-    def fn(p, cq):
-        return np.where(p[0] == 0.25, np.divide(1.0, p[0] - 0.25), disk.fn(p, cq))
+    def fn(u):
+        return np.where(u[0] == pole, np.divide(1.0, u[0] - pole), disk.fn(u))
 
     monkeypatch.setattr(cli, "closed_form_for",
                         lambda spec: Kernel(fn, n=1, domain=spec, name="poles"))
@@ -237,10 +238,13 @@ def test_eval_row_blocks_match_one_call(tmp_path, monkeypatch):
     spec = chain_stage_spec(4)
     lifted = compose_pipeline(spec)
     pairs = interior_pairs(spec, 10, seed=17)
-    pole = pairs[7][0][0]
+    p7, q7 = pairs[7][0][0], pairs[7][1][0]
 
-    def fn(p, cq):
-        return np.where(p[0] == pole, np.divide(1.0, p[0] - pole), lifted.fn(p, cq))
+    def fn(u):
+        # the row whose u_0 is pair 7's p_0 q-bar_0: a mask, since a panel's
+        # product need not round as the scalar one does
+        hit = np.abs(u[0] - p7 * q7.conjugate()) <= 1e-12 * abs(p7 * q7)
+        return np.where(hit, np.divide(1.0, np.where(hit, 0.0, 1.0)), lifted.fn(u))
 
     monkeypatch.setattr(cli, "compose_pipeline",
                         lambda s: Kernel(fn, lifted.n, lifted.m, lifted.w_dims, s, "poles"))
@@ -712,9 +716,10 @@ def test_eval_error_row_bytes_match_csv_writer(tmp_path, monkeypatch):
     # (closed and lifted kept, with their delta)
     spec = disk_spec()
     disk = kernel_ball(1)
+    pole = 0.25 * (0.2 + 0.1j)  # u = p q-bar on that row, exact
 
-    def fn(p, cq):
-        return np.where(p[0] == 0.25, np.divide(1.0, p[0] - 0.25), disk.fn(p, cq))
+    def fn(u):
+        return np.where(u[0] == pole, np.divide(1.0, u[0] - pole), disk.fn(u))
 
     closed = Kernel(fn, n=1, domain=spec, name="poles")
     monkeypatch.setattr(cli, "closed_form_for", lambda s: closed)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bergman.catalog import (ball_spec, ball_disk_lift_spec,
-                             chain_stage_spec, interior_pairs)
+from bergman.catalog import (ball_spec, ball_disk_lift_spec, chain_stage_spec,
+                             closed_form_families, interior_pairs)
 from bergman.domains import BaseDomain, DomainSpec, LiftStep
 from bergman.jets import Jet, JetOrderError, fresh_tag
 from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
@@ -48,6 +48,31 @@ def test_slice_matches_rescaled_disk_family():
     for z, zeta in [(0.3, 0.2), (0.5 + 0.1j, 0.2 - 0.3j), (0.0, 0.7)]:
         want = d / (PI * (d - z * complex(zeta).conjugate()) ** 2)
         assert complex(sl((z,), (zeta,))) == pytest.approx(want, rel=1e-14)
+
+
+def test_slice_w_must_fill_the_step_block():
+    # a one-entry w for a two-entry block would read ||w||^2 off that entry
+    step = LiftStep("U", (1.0,), 2)
+    for w in [(0.3,), (0.3, 0.4j, 0.0)]:
+        with pytest.raises(LiftError):
+            slice_kernel(kernel_ball(1), step, w)
+    # ||w||^2 = 1/4: factor 4/3 times 1/pi at the origin
+    sl = slice_kernel(kernel_ball(1), step, (0.3, 0.4j))
+    assert complex(sl((0,), (0,))) == pytest.approx(4 / (3 * PI))
+
+
+def test_lifted_kernel_continues_past_unit_eta():
+    # q's w entry eta outside the unit disk, |w eta-bar| < 1: the lifted
+    # kernel gives the closed form's continuation, as the closed form does
+    spec, closed = closed_form_families()["ball_disk_lift_11"]
+    lifted = compose_pipeline(spec)
+    rng = np.random.default_rng(5)
+    for p, q in interior_pairs(spec, 20, seed=6):
+        eta = rng.uniform(1.0, 1.1) * np.exp(2j * PI * rng.uniform())
+        q = (*q[:-1], complex(eta))
+        assert 1.0 < abs(q[-1]) < 1.1 and abs(p[-1] * eta.conjugate()) < 1.0
+        want = complex(closed(p, q))
+        assert abs(complex(lifted(p, q)) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("p_exp", [2.0, 2.7, 0.6])

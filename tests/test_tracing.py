@@ -31,6 +31,33 @@ def test_traced_benchmark_installs_and_restores():
     assert (cli.contains, oracle.series_kernel, oracle.shadow_contains) == before
 
 
+def test_traced_kernels_return_untraced_values():
+    # the tracer wraps Kernel.__call__ and Kernel.diagonal: a traced kernel
+    # returns the untraced values bit for bit, on a panel and a diagonal
+    import numpy as np
+
+    import bergman.cli as cli
+    from bergman.catalog import chain_stage_spec, interior_pairs
+
+    spec = chain_stage_spec(3)
+    P, Q = (tuple(np.array(side).T) for side in zip(*interior_pairs(spec, 64, seed=3)))
+
+    def values():
+        kernels = [cli.compose_pipeline(spec), cli.closed_form_for(spec)]
+        return kernels, [(K(P, Q), K.diagonal(P)) for K in kernels]
+
+    _, want = values()
+    tracing = _load_tracing()
+    restore, _ = tracing.install(tracing.Tracer(time.perf_counter()))
+    try:
+        traced, got = values()
+    finally:
+        restore()
+    assert [type(K).__name__ for K in traced] == ["TracedKernel"] * 2
+    for (a, da), (b, db) in zip(want, got):
+        assert a.shape == (64,) and np.array_equal(a, b) and np.array_equal(da, db)
+
+
 def test_benchmark_argv_parse():
     from bergman.cli import build_parser
 
