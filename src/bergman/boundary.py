@@ -175,13 +175,18 @@ def default_path(spec: DomainSpec, target, stratum: Stratum) -> ApproachPath:
     domain pass S2: the path approaches the degenerate-gradient point
     (0, z0', w0) inside the exhaustion region with exponents s_j = 1/2,
     from a z scale 0.25 exp(-max_j gamma_j |w0|^2) that keeps the first
-    level inside that region.
+    level inside that region.  An S2 target lies on the boundary:
+    |r| <= 1e-10, the tolerance of ``stratify_point``.
     """
     target = tuple(complex(c) for c in target)
     step = _single_lift(spec, kinds=("U", "V"))
     z0, zp0, (w0,) = spec.split(target)
     n = len(z0)
     direction = tuple(1.0 / math.sqrt(n) for _ in range(n))
+    if stratum == Stratum.S2:
+        _, r, valid = unwound_point(spec, target)
+        if not (valid and abs(r) <= 1e-10):
+            raise BoundaryError("S2 targets lie on the boundary (|r| <= 1e-10)")
     if step.kind == "V":
         if stratum != Stratum.S2:
             raise BoundaryError("V-step probes classify their targets as S2 "

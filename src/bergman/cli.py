@@ -4,7 +4,8 @@ seed produce byte-identical CSV output.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 input or
 usage error (malformed JSON, a non-finite or out-of-range numeric flag, a
-spec whose norm table cannot be computed).
+spec whose norm table cannot be computed, a path that cannot be read or
+written).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import catalog
-from .boundary import (Stratum, WEIGHT_NAMES, BoundaryError, default_path,
-                       expected_weight, levi_min_eigenvalue, predicted_limit,
-                       weighted_limit)
+from .boundary import (Stratum, WEIGHT_NAMES, default_path, expected_weight,
+                       levi_min_eigenvalue, predicted_limit, weighted_limit)
 from .domains import SamplingError, SpecError, contains, load_spec, sample_interior
 from .jets import NonFiniteError
 from .kernels import closed_form_for
-from .lifting import LiftError, compose_pipeline
+from .lifting import compose_pipeline
 # reproducing_integral stays a cli name: perfbench/tracing.py wraps it here
 from .oracle import (ConvergenceError, IntegrationError,  # noqa: F401
                      dirichlet_identity_check, exponent_matrix, get_norm_table,
@@ -480,9 +480,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, SamplingError, BoundaryError, LiftError, IntegrationError,
-            FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as e:
+    except (SamplingError, IntegrationError, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

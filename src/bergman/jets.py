@@ -1,11 +1,11 @@
 """Truncated holomorphic Taylor jets and shared scalar utilities.
 
 A :class:`Jet` carries the value of a holomorphic expression together with
-its Taylor coefficients in one variable s up to a fixed order.  Feeding
-jets through a kernel evaluator is how every differential operator in this
-package is applied: a lift seeds its coordinates along the Euler flow
-u_l e^{a_l s}, so the Euler operator becomes d/ds, and no formula is ever
-differentiated by hand.
+its Taylor coefficients in one variable s, as many as it was seeded with:
+no order is capped.  Feeding jets through a kernel evaluator is how every
+differential operator in this package is applied: a lift seeds its
+coordinates along the Euler flow u_l e^{a_l s}, so the Euler operator
+becomes d/ds, and no formula is ever differentiated by hand.
 
 Jet coefficients may themselves be jets (nested lifts) or numpy arrays
 (vectorised evaluation); the arithmetic only assumes ring operations.
@@ -18,8 +18,6 @@ import itertools
 from math import factorial
 
 import numpy as np
-
-MAX_JET_ORDER = 3
 
 _TAG_COUNTER = itertools.count(1)
 
@@ -42,7 +40,7 @@ class NonFiniteError(ArithmeticError):
 
 
 class JetOrderError(ValueError):
-    """Jet order outside the supported range 0..MAX_JET_ORDER."""
+    """Coefficient index outside a jet's coefficient list."""
 
 
 class GammaPoleError(ValueError):
@@ -144,8 +142,9 @@ def aconj(x):
 class Jet:
     """Truncated Taylor series in one variable s.
 
-    ``coeffs`` is a list of length ``order + 1``; ``coeffs[i]`` is the
-    Taylor coefficient of s**i, so the i-th derivative in s is i! times it.
+    ``coeffs[i]`` is the Taylor coefficient of s**i, so the i-th derivative
+    in s is i! times it; the order is ``len(coeffs) - 1``, and peers of
+    different lengths combine to the shorter one.
 
     ``tag`` identifies the seeding batch.  Jets of equal tag share the
     variable and convolve; a jet of lower tag entering an operation is
@@ -153,12 +152,9 @@ class Jet:
     higher tag outermost).
     """
 
-    __slots__ = ("order", "coeffs", "tag")
+    __slots__ = ("coeffs", "tag")
 
-    def __init__(self, order: int, coeffs: list, tag: int = 0):
-        if order < 0 or order > MAX_JET_ORDER:
-            raise JetOrderError(f"jet order {order} outside 0..{MAX_JET_ORDER}")
-        self.order = order
+    def __init__(self, coeffs: list, tag: int = 0):
         self.coeffs = coeffs
         self.tag = tag
 
@@ -166,8 +162,8 @@ class Jet:
 
     @classmethod
     def variable(cls, value, order: int, tag: int = 0) -> "Jet":
-        """Seed jet ``value + ds``."""
-        return cls(order, ([value, 1.0] + [0.0] * order)[:order + 1], tag)
+        """Seed jet ``value + ds`` with ``order + 1`` coefficients."""
+        return cls(([value, 1.0] + [0.0] * order)[:order + 1], tag)
 
     # -- accessors ----------------------------------------------------
 
@@ -175,8 +171,8 @@ class Jet:
         return self.coeffs[0]
 
     def coefficient(self, i: int):
-        if not 0 <= i <= self.order:
-            raise JetOrderError(f"coefficient {i} outside 0..{self.order}")
+        if not 0 <= i < len(self.coeffs):
+            raise JetOrderError(f"coefficient {i} outside 0..{len(self.coeffs) - 1}")
         return self.coeffs[i]
 
     def derivative(self, i: int):
@@ -194,14 +190,13 @@ class Jet:
         if isinstance(other, Jet) and other.tag > self.tag:
             return other.__add__(self)
         if self._is_peer(other):
-            return Jet(min(self.order, other.order),
-                       [a + b for a, b in zip(self.coeffs, other.coeffs)], self.tag)
-        return Jet(self.order, [self.coeffs[0] + other] + self.coeffs[1:], self.tag)
+            return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)], self.tag)
+        return Jet([self.coeffs[0] + other] + self.coeffs[1:], self.tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, [-v for v in self.coeffs], self.tag)
+        return Jet([-v for v in self.coeffs], self.tag)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -216,15 +211,14 @@ class Jet:
             return other.__mul__(self)
         if self._is_peer(other):
             a, b = self.coeffs, other.coeffs
-            o = min(self.order, other.order)
             out = []
-            for n in range(o + 1):
+            for n in range(min(len(a), len(b))):
                 acc = a[0] * b[n]
                 for i in range(1, n + 1):
                     acc = acc + a[i] * b[n - i]
                 out.append(acc)
-            return Jet(o, out, self.tag)
-        return Jet(self.order, [v * other for v in self.coeffs], self.tag)
+            return Jet(out, self.tag)
+        return Jet([v * other for v in self.coeffs], self.tag)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -243,22 +237,22 @@ class Jet:
     def reciprocal(self) -> "Jet":
         a = self.coeffs
         out = [ainv(a[0])]
-        for n in range(1, self.order + 1):
+        for n in range(1, len(a)):
             acc = a[1] * out[n - 1]
             for k in range(2, n + 1):
                 acc = acc + a[k] * out[n - k]
             out.append(-out[0] * acc)
-        return Jet(self.order, out, self.tag)
+        return Jet(out, self.tag)
 
     def exp(self) -> "Jet":
         a = self.coeffs
         out = [aexp(a[0])]
-        for n in range(1, self.order + 1):
+        for n in range(1, len(a)):
             acc = a[1] * out[n - 1]
             for k in range(2, n + 1):
                 acc = acc + (k * a[k]) * out[n - k]
             out.append(acc * (1.0 / n))
-        return Jet(self.order, out, self.tag)
+        return Jet(out, self.tag)
 
     def __pow__(self, exponent):
         e = float(exponent)
@@ -268,13 +262,13 @@ class Jet:
         a = self.coeffs
         out = [apow(a[0], e)]
         inv = ainv(a[0])
-        for n in range(1, self.order + 1):
+        for n in range(1, len(a)):
             acc = ((e + 1.0) - n) * a[1] * out[n - 1]
             for k in range(2, n + 1):
                 acc = acc + (((e + 1.0) * k - n) * a[k]) * out[n - k]
             out.append(acc * (inv * (1.0 / n)))
-        return Jet(self.order, out, self.tag)
+        return Jet(out, self.tag)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Jet(order={self.order}, coeffs={self.coeffs}, tag={self.tag})"
+        return f"Jet(coeffs={self.coeffs}, tag={self.tag})"
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .domains import (KIND_ELLIPSOID, KIND_POLYDISK, BaseDomain, DomainSpec,
                       LiftStep)
-from .jets import (MAX_JET_ORDER, Jet, NonFiniteError, aconj, aexp, apow,
-                   fresh_tag)
+from .jets import Jet, NonFiniteError, aconj, aexp, apow, fresh_tag
 
 
 def _all_finite(v) -> bool:
@@ -134,8 +133,6 @@ def kernel_egg_inflated(n: int, m: int, p: float) -> Kernel:
     (m-1)-fold derivative in t = <w,eta> taken by a jet in t."""
     if n < 1 or m < 1 or p <= 0:
         raise ValueError("need n >= 1, m >= 1, p > 0")
-    if m - 1 > MAX_JET_ORDER:
-        raise ValueError(f"inflation order {m - 1} beyond jet support")
     pref = factorial(n) / (pi ** (m + n) * p)
     ip = 1.0 / p
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import factorial, pi
 
 from .domains import DomainSpec, LiftStep, slice_scales
-from .jets import MAX_JET_ORDER, Jet, JetOrderError, aexp, apow, fresh_tag
+from .jets import Jet, aexp, apow, fresh_tag
 from .kernels import Kernel, closed_form_for
 
 
@@ -79,8 +79,6 @@ def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
         raise LiftError(
             f"lift carries {len(step.weights)} weights but the evaluator has "
             f"{len(stars)} star coordinates")
-    if not 1 <= k <= MAX_JET_ORDER:
-        raise JetOrderError(f"w block of dimension {k} needs unsupported jet order")
     acted = [(j, a) for j, a in zip(stars, step.weights) if a > 0.0]
     wsum = sum(step.weights)
     d_in = base.dim
@@ -95,7 +93,7 @@ def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
         for (j, a), f in zip(acted, flow):
             # the twisted slice product, seeded along the Euler flow x e^{a s}
             x = uu[j] * (apow(1.0 - t, -a) if is_u else aexp(a * t))
-            uu[j] = Jet(k, [x] + [x * fi for fi in f], tag)
+            uu[j] = Jet([x] + [x * fi for fi in f], tag)
         G = base.fn(tuple(uu))
         g = G.coeffs if isinstance(G, Jet) and G.tag == tag else [G]
         acc = op[0] * g[0]

@@ -17,7 +17,7 @@ from bergman.cli import _fmt, _load_points, main
 from bergman.catalog import (ball_disk_lift_spec, ball_exp_lift_spec, chain_stage_spec,
                              closed_form_families, disk_spec, interior_pairs)
 from bergman.domains import SpecError, contains, sample_interior, spec_to_dict
-from bergman.kernels import Kernel, closed_form_for, kernel_ball
+from bergman.kernels import Kernel, closed_form_for, egg_spec, kernel_ball
 from bergman.lifting import compose_pipeline
 from bergman.oracle import series_kernel
 
@@ -303,6 +303,21 @@ def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
             (_fmt(v.real), _fmt(v.imag), _fmt(sv.tail_bound))
 
 
+def test_eval_w_block_of_four_all_modes(tmp_path):
+    # exact-sampler points scaled by 0.6-0.9: the box path cannot fill a
+    # panel of a large w block
+    spec = egg_spec(1, 2.0, 4)
+    pts = sample_interior(spec, 20, seed=23).points
+    pts = pts * np.random.default_rng(23).uniform(0.6, 0.9, (20, 1))
+    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in zip(pts[:10], pts[10:])]
+    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", "22")
+    assert rc == 0 and len(rows) == 10
+    for row in rows:
+        assert row["error"] == ""
+        assert float(row["delta_closed_lifted"]) <= 1e-13
+        assert float(row["delta_closed_series"]) <= 1e-3
+
+
 def test_eval_closed_mode_without_closed_form_exits_2(tmp_path, capsys):
     specf, ptsf = tmp_path / "stage4.json", tmp_path / "pts.json"
     specf.write_text(json.dumps(spec_to_dict(chain_stage_spec(4))))
@@ -566,11 +581,28 @@ def test_malformed_json_exits_2(disk_files, tmp_path, capsys, spec_json, points_
     # w = 0 is off the |w| = 1 face that S3 and S4 paths approach
     pytest.param("[[0,0],[1,0],[0,0]]", "S3", "w", id="w-zero-S3"),
     pytest.param("[[0,0],[1,0],[0,0]]", "S4", "product", id="w-zero-S4"),
+    # S2 targets lie on the boundary: not inside it, not NaN
+    pytest.param("[[0,0],[0.5,0],[0.5,0]]", "S2", "r", id="interior-S2"),
+    pytest.param("[[NaN,0],[0,0],[0.5,0]]", "S2", "r", id="nan-S2"),
 ])
 def test_boundary_malformed_target_exits_2(lifted_ball_file, capsys, target, stratum,
                                            weight):
     assert main(["boundary", "--spec", str(lifted_ball_file), "--target", target,
                  "--stratum", stratum, "--weight", weight]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--spec", "{dir}", "--points", "{pts}"],
+    ["eval", "--spec", "{spec}", "--points", "{dir}"],
+    ["eval", "--spec", "{spec}", "--points", "{pts}", "--out", "{dir}"],
+    ["sample", "--spec", "{spec}", "--count", "3", "--out", "{dir}"],
+], ids=["eval-spec", "eval-points", "eval-out", "sample-out"])
+def test_path_naming_a_directory_exits_2(disk_files, tmp_path, capsys, argv):
+    spec, pts = disk_files
+    argv = [a.format(dir=tmp_path, spec=spec, pts=pts) for a in argv]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -73,13 +73,13 @@ def test_principal_power_integer_vs_repeated_multiplication():
 def _random_jet(rng, order=2, tag=0):
     coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
               for _ in range(order + 1)]
-    return Jet(order, coeffs, tag)
+    return Jet(coeffs, tag)
 
 
 def test_jet_coefficient_set_is_complete():
     j = Jet.variable(0.3 + 0j, order=2)
     k = j * j + j
-    assert k.order == 2 and len(k.coeffs) == 3
+    assert len(k.coeffs) == 3
     assert k.coeffs == pytest.approx([0.39, 1.6, 1.0], rel=1e-15)
 
 
@@ -96,7 +96,7 @@ def test_jet_product_is_leibniz_convolution():
 
 
 def _assert_jets_close(lhs, rhs, tol):
-    assert lhs.order == rhs.order
+    assert len(lhs.coeffs) == len(rhs.coeffs)
     for u, v in zip(lhs.coeffs, rhs.coeffs):
         assert u == pytest.approx(v, rel=tol, abs=tol)
 
@@ -145,6 +145,22 @@ def test_jet_power_second_derivative():
                                               rel=1e-12)
 
 
+def test_jet_order16_matches_closed_form_taylor_coefficients():
+    # no order cap: the recurrences against e^{z0}/n!, (-1)^n/z0^(n+1) and
+    # the binomial series C(e, n) z0^(e-n) of (z0 + s)^e
+    z0, e = 0.8 + 0.3j, 2.5
+    seed = Jet.variable(z0, order=16)
+    binom = 1.0
+    jets = (seed.exp(), seed.reciprocal(), seed ** e)
+    assert [len(j.coeffs) for j in jets] == [17] * 3
+    for n, got in enumerate(zip(*(j.coeffs for j in jets))):
+        want = (cmath.exp(z0) / math.factorial(n), (-1) ** n / z0 ** (n + 1),
+                binom * z0 ** (e - n))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+        binom *= (e - n) / (n + 1)
+
+
 def test_jet_derivative_matches_finite_difference():
     z0 = 0.4 + 0.2j
 
@@ -158,9 +174,7 @@ def test_jet_derivative_matches_finite_difference():
     assert jet.derivative(1) == pytest.approx(fd, rel=1e-6)
 
 
-def test_jet_order_cap():
-    with pytest.raises(JetOrderError):
-        Jet.variable(0j, order=4)
+def test_jet_coefficient_index_range():
     j = Jet.variable(0.5 + 0j, order=2)
     for i in (3, 4, -1):
         with pytest.raises(JetOrderError):

@@ -5,11 +5,12 @@ import pytest
 
 from bergman.catalog import (ball_spec, ball_disk_lift_spec, chain_stage_spec,
                              closed_form_families, interior_pairs)
-from bergman.domains import BaseDomain, DomainSpec, LiftStep
-from bergman.jets import Jet, JetOrderError, fresh_tag
-from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
+from bergman.domains import BaseDomain, DomainSpec, LiftStep, sample_interior
+from bergman.jets import Jet, fresh_tag
+from bergman.kernels import (closed_form_for, egg_spec, kernel_ball, kernel_egg,
                              kernel_ball_disk_lift, kernel_ball_exp_lift,
-                             kernel_chain_stage3, kernel_product)
+                             kernel_chain_stage3, kernel_egg_inflated,
+                             kernel_product)
 from bergman.lifting import (LiftError, compose_pipeline, lift_U, lift_V,
                              slice_kernel)
 from bergman.oracle import reproducing_integral, series_kernel
@@ -275,14 +276,52 @@ def test_small_weight_limit_is_product_kernel():
     assert _max_rel(lifted, prod, pairs) < 1e-4
 
 
-def test_unsupported_jet_order_rejected():
-    with pytest.raises(JetOrderError):
-        lift_U(kernel_ball(1), (1.0,), 4)
-    from bergman.domains import BaseDomain, DomainSpec
+def test_w_block_of_four_is_ball():
+    # a w block has no size cap: the C^4 fiber over the disk is the 5-ball
     spec = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 1, 0, (1.0,)),
                       (LiftStep("U", (1.0,), 4),))
-    with pytest.raises(JetOrderError):
-        compose_pipeline(spec)
+    closed = kernel_ball(5)
+    pairs = interior_pairs(closed.domain, 30, seed=52, box_radius=0.4)
+    assert _max_rel(compose_pipeline(spec), closed, pairs) < 1e-12
+    assert _max_rel(lift_U(kernel_ball(1), (1.0,), 4), closed, pairs) < 1e-12
+
+
+def _scaled_panel(spec, count, seed):
+    """count pairs from the exact sampler as coordinate columns, each point
+    scaled by a factor in [0.6, 0.9]: the box path cannot fill a panel of a
+    large w block, and a complete Reinhardt domain keeps the scaled point."""
+    pts = sample_interior(spec, 2 * count, seed=seed).points
+    pts = pts * np.random.default_rng(seed).uniform(0.6, 0.9, (2 * count, 1))
+    return tuple(pts[:count].T), tuple(pts[count:].T)
+
+
+def _panel_rel(ka, kb, P, Q):
+    a, b = ka(P, Q), kb(P, Q)
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_large_w_block_lifts_match_closed_forms(k):
+    lifted = lift_U(kernel_ball(1), (1.0,), k)
+    P, Q = _scaled_panel(lifted.domain, 200, seed=60 + k)
+    assert _panel_rel(lifted, kernel_ball(1 + k), P, Q) < 1e-10
+    for p_exp in (2.0, 1.5, 0.75):
+        spec = egg_spec(1, p_exp, k)
+        P, Q = _scaled_panel(spec, 200, seed=70 + k)
+        assert _panel_rel(compose_pipeline(spec), kernel_egg_inflated(1, k, p_exp),
+                          P, Q) < 1e-10
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+def test_w_block_of_four_v_step_matches_series(gamma):
+    from bergman.oracle import get_norm_table
+    K = lift_V(kernel_ball(1), (gamma,), 4)
+    table = get_norm_table(K.domain, 22)
+    P, Q = _scaled_panel(K.domain, 5, seed=80)
+    for p, q in zip(zip(*P), zip(*Q)):
+        sv = series_kernel(K.domain, p, q, 22, table=table)
+        v = complex(K(p, q))
+        assert abs(v - sv.value) <= 1e-3 * abs(v)
 
 
 def test_weight_arity_enforced():
