@@ -17,7 +17,7 @@ import numpy as np
 
 from .domains import (KIND_ELLIPSOID, KIND_POLYDISK, BaseDomain, DomainSpec,
                       LiftStep)
-from .jets import Jet, NonFiniteError, aconj, aexp, apow, fresh_tag
+from .jets import Jet, NonFiniteError, aconj, aexp, ainv, apow, fresh_tag
 
 
 def _all_finite(v) -> bool:
@@ -209,8 +209,9 @@ def kernel_ball_exp_lift(n: int, m: int, gamma) -> Kernel:
             cross = cross + g * eg * zz
         # G is a weight in every n = 1 family: reuse that weight's exponential
         eG = egs[gamma.index(G)] if G in gamma else aexp(G * t)
-        return c * eG * (G * apow(rho, -(m + n + 1))
-                         + (m + n + 1) * cross * apow(rho, -(m + n + 2)))
+        inv = ainv(rho)
+        r1 = apow(inv, m + n + 1)       # rho^-(m+n+1); times inv, rho^-(m+n+2)
+        return c * eG * (G * r1 + (m + n + 1) * cross * (r1 * inv))
 
     return Kernel(fn, n=n, m=m, w_dims=(1,), domain=ball_exp_lift_spec(n, m, gamma),
                   name=f"ball_exp_lift(n={n},m={m},gamma={gamma})")
@@ -250,12 +251,13 @@ def kernel_chain_stage3(p: float = 2.0) -> Kernel:
         ew = aexp(u[2])                 # e^{z3 zeta3-bar}
         x = ew * u[1]                   # e^{...} z2 zeta2-bar
         v = apow(1.0 - x, ip)
-        d3 = apow(v - s, -3)
+        inv = ainv(v - s)
+        d3 = apow(inv, 3)
         t1 = ((1.0 + p) * v + (1.0 - p) * s) * apow(1.0 - x, -(2.0 - ip)) * d3
         t2 = ((p - 1.0) * x * ((2.0 + 2.0 * ip) * v - (2.0 - ip) * s)
               * apow(1.0 - x, -(3.0 - ip)) * d3)
         t3 = (3.0 * ip * x * ((1.0 + p) * v + (1.0 - p) * s)
-              * apow(1.0 - x, -(3.0 - 2.0 * ip)) * apow(v - s, -4))
+              * apow(1.0 - x, -(3.0 - 2.0 * ip)) * (d3 * inv))
         return ew / (pi ** 3 * p) * (t1 + t2 + t3)
 
     return Kernel(fn, n=1, m=0, w_dims=(1, 1), domain=chain_stage_spec(3, p),
@@ -285,18 +287,11 @@ def kernel_product(a: Kernel, b: Kernel) -> Kernel:
     def fn(u):
         return a.fn(u[:da]) * b.fn(u[da:])
 
-    domain = None
-    if (a.domain is not None and b.domain is not None
-            and not a.domain.lifts and not b.domain.lifts):
-        parts = []
-        for k in (a.domain, b.domain):
-            if k.base.kind == KIND_POLYDISK or k.base.dim == 1:
-                parts.append(k.base.dim)
-            else:
-                parts = None
-                break
-        if parts is not None:
-            domain = polydisk_spec(sum(parts))
+    # a product of polydisks and disks is a polydisk; other products have no spec
+    doms = (a.domain, b.domain)
+    flat = all(k is not None and not k.lifts and (k.base.kind == KIND_POLYDISK or k.base.dim == 1)
+               for k in doms)
+    domain = polydisk_spec(sum(k.base.dim for k in doms)) if flat else None
     return Kernel(fn, n=a.dim + b.dim, m=0, domain=domain,
                   name=f"({a.name})x({b.name})")
 

@@ -12,11 +12,13 @@ never through the rising-factorial identity those lifts are proved with.
 (Weighted phi systems for non-Reinhardt bases are not needed here and are
 not modelled.)
 
-The reproducing-property integral is done in polar form as well: a
-rank-1 lattice angular rule, exact for every bin that no mode of the
-kernel's one-sided angular spectrum aliases onto, times a product Gauss
-rule in the lift-chain variables (``_radial_nodes``), up to 3 coordinates,
-calling the kernel on blocks of at most POLAR_ROWS = 8,192 rows.
+The reproducing-property integral is done in polar form as well, up to 3
+coordinates: a rank-1 lattice angular rule, exact for every bin that no
+mode of the kernel's one-sided angular spectrum aliases onto, times a
+product Gauss rule in the lift-chain variables (``_radial_nodes``).  A pass
+evaluates the ``Kernel``'s ``fn`` on the coordinate products, blocks of at
+most POLAR_ROWS = 8,192 rows, sums each index's weighted blocks into one
+lattice vector and applies the phases once.
 """
 
 from __future__ import annotations
@@ -173,9 +175,7 @@ def dirichlet_identity_check(s: float, c):
         raise ValueError("need at least one exponent")
     quad, _ = simplex_weighted_integral(float(s), c)
     quad *= math.pi ** k
-    closed = math.pi ** k
-    for cj in c:
-        closed *= math.factorial(cj)
+    closed = math.prod([math.pi ** k] + [math.factorial(cj) for cj in c])
     closed /= pochhammer(1.0 + s, sum(c) + k)
     return quad, closed
 
@@ -405,7 +405,8 @@ LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912)}
 
 def reproducing_integral(K, spec: DomainSpec, indices, p):
     """Deterministic polar-quadrature values of int K(p; q-bar) q^idx dV(q)
-    for every index in ``indices``; returns ({idx: value}, {idx: err}).
+    for every index in ``indices``, K a ``Kernel`` whose ``fn`` takes the
+    products u_j = p_j q-bar_j; returns ({idx: value}, {idx: err}).
 
     Radial: the product rule of ``_radial_nodes`` over the chain factors,
     N_RAD Gauss nodes per factor (N_RAD + 2 for a V-step's Laguerre rule,
@@ -424,6 +425,8 @@ def reproducing_integral(K, spec: DomainSpec, indices, p):
     d = spec.dim
     if d > 3:
         raise IntegrationError("polar quadrature supported up to 3 coordinates")
+    if len(p) != d or K.dim != d:
+        raise SpecError("point or kernel arity mismatch")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
     if any(len(idx) != d for idx in indices):
         raise SpecError("index arity mismatch")
@@ -532,32 +535,33 @@ def _polar_pass(K, spec, indices, p, n_rad, de_level, n_ang):
     # table of roots of unity, so every phase is exact up to that table
     lattice = np.outer(np.arange(n_ang), np.array(LATTICE_GENERATORS[d]) % n_ang) % n_ang
     roots = np.exp((2j * math.pi / n_ang) * np.arange(n_ang))
-    angles = roots[lattice.T]                       # (d, n_ang): e^(i theta)
-    phases = {idx: roots[lattice @ np.array(idx) % n_ang] for idx in indices}
-    totals = {idx: 0j for idx in indices}
-    totals_half = {idx: 0j for idx in indices}
-    pt = tuple(complex(c) for c in p)
-    wm = {}     # weight x monomial per index, once per pass
-    for idx in indices:
-        mono = np.ones(len(radii))
-        for coord, e in enumerate(idx):
-            if e:
-                mono = mono * radii[:, coord] ** e
-        wm[idx] = weights * mono
+    # K depends on q only through u_j = p_j q-bar_j = r_j (p_j e^(-i theta_j))
+    c = np.array([complex(x) for x in p])[:, None] * np.conj(roots[lattice.T])
+    # per index, arrays of its own: weight x monomial and its lattice vector
+    wm = [weights * math.prod(radii[:, j] ** e for j, e in enumerate(idx) if e)
+          for idx in indices]
+    acc = [np.zeros(n_ang, dtype=complex) for _ in indices]
     # whole radial nodes per kernel call, at most POLAR_ROWS rows: each block
     # array stays in cache and below numpy's temporary-elision size
     step = max(1, POLAR_ROWS // n_ang)
-    for start in range(0, len(radii), step):
-        rr = radii[start:start + step]
-        qs = tuple(rr[:, coord, None] * angles[coord] for coord in range(d))
-        kv = np.broadcast_to(K(pt, qs), (len(rr), n_ang))
-        # one vector product per index, so a value's rounding does not
-        # depend on which other indices are requested
-        for idx in indices:
-            v = wm[idx][start:start + step] @ kv
-            totals[idx] += complex(v @ phases[idx]) / n_ang
-            totals_half[idx] += complex(v[::2] @ phases[idx][::2]) / (n_ang // 2)
-    return totals, totals_half
+    with np.errstate(all="ignore"):     # a non-finite value raises below
+        for start in range(0, len(radii), step):
+            rr = radii[start:start + step]
+            kv = np.broadcast_to(K.fn(tuple(rr[:, j, None] * c[j] for j in range(d))),
+                                 (len(rr), n_ang))
+            # one vector product per index, so a value's rounding does not
+            # depend on which other indices are requested
+            for a, w in zip(acc, wm):
+                a += w[start:start + step] @ kv
+    if not np.isfinite(acc).all():
+        raise NonFiniteError(f"{K.name} overflowed (value not finite)")
+    # the phases and the embedded half lattice (even points), once per pass
+    totals, halves = {}, {}
+    for idx, a in zip(indices, acc):
+        ph = roots[lattice @ np.array(idx) % n_ang]
+        totals[idx] = complex(a @ ph) / n_ang
+        halves[idx] = complex(a[::2] @ ph[::2]) / (n_ang // 2)
+    return totals, halves
 
 
 def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:
@@ -570,8 +574,6 @@ def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:
         raise SpecError("reproducing check needs an interior point")
     out = {}
     for idx, integral in reproducing_integral(K, spec, indices, p)[0].items():
-        target = 1.0 + 0j
-        for pj, e in zip(p, idx):
-            target *= pj ** e
+        target = math.prod(pj ** e for pj, e in zip(p, idx))
         out[idx] = abs(integral - target) / max(abs(target), 1e-6)
     return out

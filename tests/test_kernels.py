@@ -6,7 +6,7 @@ import pytest
 from bergman.catalog import closed_form_families, egg_spec, interior_pairs, interior_points
 from bergman.domains import KIND_ELLIPSOID, BaseDomain, DomainSpec
 from bergman.jets import Jet, NonFiniteError, aexp, apow, fresh_tag
-from bergman.kernels import (closed_form_for, kernel_ball, kernel_egg,
+from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_egg,
                              kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
                              kernel_chain_stage3, kernel_polydisk,
                              kernel_product, polydisk_spec)
@@ -137,6 +137,65 @@ def test_ball_exp_lift_reused_exponential_is_bitwise(n, m, gamma):
     want = _ball_exp_lift_two_exp(n, m, gamma, tuple(P.T), tuple(np.conj(Q).T))
     assert got.shape == (2000,)
     assert np.array_equal(got, want)
+
+
+def _ball_exp_lift_apow(n, m, gamma):
+    """kernel_ball_exp_lift's fn with rho^-(m+n+1) and rho^-(m+n+2) each
+    taken by its own apow call."""
+    c = math.factorial(m + n) / PI ** (m + n + 1)
+    G = sum(gamma)
+
+    def fn(u):
+        t = u[-1]
+        rho = 1.0 - sum(u[n:n + m])
+        cross = 0.0
+        egs = [aexp(g * t) for g in gamma]
+        for zz, g, eg in zip(u, gamma, egs):
+            rho = rho - eg * zz
+            cross = cross + g * eg * zz
+        eG = egs[gamma.index(G)] if G in gamma else aexp(G * t)
+        return c * eG * (G * apow(rho, -(m + n + 1))
+                         + (m + n + 1) * cross * apow(rho, -(m + n + 2)))
+    return fn
+
+
+def _chain_stage3_apow(p):
+    """kernel_chain_stage3's fn with (v-s)^-3 and (v-s)^-4 each taken by its
+    own apow call."""
+    ip = 1.0 / p
+
+    def fn(u):
+        s = u[0]
+        ew = aexp(u[2])
+        x = ew * u[1]
+        v = apow(1.0 - x, ip)
+        d3 = apow(v - s, -3)
+        t1 = ((1.0 + p) * v + (1.0 - p) * s) * apow(1.0 - x, -(2.0 - ip)) * d3
+        t2 = ((p - 1.0) * x * ((2.0 + 2.0 * ip) * v - (2.0 - ip) * s)
+              * apow(1.0 - x, -(3.0 - ip)) * d3)
+        t3 = (3.0 * ip * x * ((1.0 + p) * v + (1.0 - p) * s)
+              * apow(1.0 - x, -(3.0 - 2.0 * ip)) * apow(v - s, -4))
+        return ew / (PI ** 3 * p) * (t1 + t2 + t3)
+    return fn
+
+
+@pytest.mark.parametrize("K, ref", [
+    (kernel_ball_exp_lift(1, 1, (1.0,)), _ball_exp_lift_apow(1, 1, (1.0,))),
+    (kernel_ball_exp_lift(2, 1, (0.7, 1.3)), _ball_exp_lift_apow(2, 1, (0.7, 1.3))),
+    (kernel_chain_stage3(2.0), _chain_stage3_apow(2.0))], ids=["exp11", "exp21", "chain3"])
+def test_shared_inverse_powers_are_bitwise(K, ref):
+    # the larger inverse power is the smaller one times the inverse, which
+    # is how apow's left-to-right product builds it: no value moves
+    R = Kernel(ref, K.n, K.m, K.w_dims, domain=K.domain)
+    pairs = interior_pairs(K.domain, 1000, seed=23)
+    P, Q = (tuple(np.array(side).T) for side in zip(*pairs))
+    got = K(P, Q)
+    assert got.shape == (1000,) and np.array_equal(got, R(P, Q))
+    assert np.array_equal(K.diagonal(P), R.diagonal(P))
+    scalars = [tuple(tuple(complex(c) for c in pt) for pt in pair) for pair in pairs[:100]]
+    assert np.array_equal([K(p, q) for p, q in scalars], [R(p, q) for p, q in scalars])
+    assert np.array_equal([K.diagonal(p) for p, _ in scalars],
+                          [R.diagonal(p) for p, _ in scalars])
 
 
 def test_diagonal_positive_all_families():

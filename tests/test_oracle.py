@@ -14,7 +14,7 @@ from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, 
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              polydisk_spec)
 from bergman.domains import BaseDomain, DomainSpec, LiftStep, SpecError, spec_from_dict
-from bergman.kernels import (closed_form_for, kernel_ball, kernel_ball_disk_lift,
+from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg)
 from bergman.jets import NonFiniteError, pochhammer
 from bergman.lifting import lift_U
@@ -250,16 +250,19 @@ def test_reproducing_requires_interior_point():
         reproducing_check(kernel_ball(1), disk_spec(), [(0,)], (1.5,))
 
 
+def _counted(K, log, record=lambda u: 1):
+    """K as a Kernel whose fn appends record(u) to log, then calls K.fn."""
+    def fn(u):
+        log.append(record(u))
+        return K.fn(u)
+    return Kernel(fn, K.n, K.m, K.w_dims, domain=K.domain)
+
+
 def test_reproducing_check_above_three_coordinates_raises_at_once():
     # a 4-coordinate spec is beyond the polar quadrature: the check raises
     # before any kernel value is computed
     calls = []
-    K = kernel_ball_disk_lift(2, 1)
-
-    def counted(p, q):
-        calls.append(1)
-        return K(p, q)
-
+    counted = _counted(kernel_ball_disk_lift(2, 1), calls)
     with pytest.raises(IntegrationError, match="up to 3 coordinates"):
         reproducing_check(counted, ball_disk_lift_spec(2, 1), [(1, 0, 0, 1)],
                           (0.2, 0.1, 0.1, 0.3))
@@ -372,11 +375,7 @@ def test_reproducing_blocks_match_default_pass(K, n_nodes, monkeypatch):
     _grid(monkeypatch, 8, 5)
     vals, errs = reproducing_integral(K, K.domain, idxs, p)
     rows = []
-
-    def counted(pt, qs):
-        rows.append(qs[0].size)
-        return K(pt, qs)
-
+    counted = _counted(K, rows, lambda u: u[0].size)
     # one radial node per call, then 3 per call with a partial last block
     for budget in (512, 3 * 512):
         monkeypatch.setattr(oracle, "POLAR_ROWS", budget)
@@ -487,16 +486,18 @@ def test_reproducing_integral_rejects_bad_arguments():
         reproducing_integral(K, spec, [(-1, 0, 0)], p)
     with pytest.raises(SpecError):
         reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p)
+    # the pass feeds K.fn directly, so a point or kernel of another arity
+    # is refused before any kernel value is computed
+    with pytest.raises(SpecError):
+        reproducing_integral(K, spec, [(0, 0, 0)], p[:2])
+    with pytest.raises(SpecError):
+        reproducing_integral(kernel_ball(2), spec, [(0, 0, 0)], p)
 
 
 def test_reproducing_integral_rejects_aliased_indices(monkeypatch):
     K = kernel_ball_disk_lift(1, 1)
     calls = []
-
-    def counted(p, q):
-        calls.append(1)
-        return K(p, q)
-
+    counted = _counted(K, calls)
     # on 16 points the 3-d generator is (1, 12, 0): bin (0, 0, 1) lands on (0, 0, 0)
     _grid(monkeypatch, 2, 1, 16)
     with pytest.raises(IntegrationError):
@@ -508,18 +509,36 @@ def test_reproducing_integral_rejects_aliased_indices(monkeypatch):
 
 
 def test_reproducing_integral_empty_indices_skip_the_kernel(monkeypatch):
-    K = kernel_ball_disk_lift(1, 1)
     calls = []
-
-    def counted(p, q):
-        calls.append(1)
-        return K(p, q)
-
+    counted = _counted(kernel_ball_disk_lift(1, 1), calls)
     assert reproducing_integral(counted, ball_disk_lift_spec(1, 1), [], (0.2, 0.1, 0.3)) == ({}, {})
     assert not calls
     _grid(monkeypatch, 2, 1, 4)
     reproducing_integral(counted, ball_disk_lift_spec(1, 1), [(0, 0, 0)], (0.2, 0.1, 0.3))
     assert calls
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0)],
+                         ids=["inf", "nan"])
+def test_reproducing_integral_raises_on_non_finite_kernel_values(bad, monkeypatch):
+    # the kernel is finite everywhere but on three lattice rows of its first
+    # block; the pass still reads every block, then raises
+    K = kernel_ball_disk_lift(1, 1)
+    calls = []
+
+    def fn(u):
+        v = np.array(K.fn(u))
+        if not calls:
+            v[0, [1, 5, 9]] = bad
+        calls.append(1)
+        return v
+
+    _grid(monkeypatch, 4, 3, 32)
+    monkeypatch.setattr(oracle, "POLAR_ROWS", 64)
+    with pytest.raises(NonFiniteError):
+        reproducing_integral(Kernel(fn, K.n, K.m, K.w_dims, domain=K.domain), K.domain,
+                             [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
+    assert len(calls) > 1
 
 
 def test_dirichlet_trivial_cases():
