@@ -16,9 +16,9 @@ The reproducing-property integral is done in polar form as well, up to 3
 coordinates: a rank-1 lattice angular rule, exact for every bin that no
 mode of the kernel's one-sided angular spectrum aliases onto, times a
 product Gauss rule in the lift-chain variables (``_radial_nodes``).  A pass
-evaluates the ``Kernel``'s ``fn`` on the coordinate products, blocks of at
-most POLAR_ROWS = 8,192 rows, sums each index's weighted blocks into one
-lattice vector and applies the phases once.
+calls the ``Kernel``'s ``fn`` on the coordinate products, each radius on the
+factor grid of only the factors it depends on, every radial node times a
+chunk of lattice points per call, and applies the phases once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ N_RAD, N_RAD_CHECK = 10, 8    # Gauss nodes per chain factor (Laguerre: 2 more):
 DE_LEVEL, DE_LEVEL_CHECK = 2, 1   # tanh-sinh levels of a factor with no Gauss rule
 MAX_LIFT_POWER = 64      # largest L of the U-step substitution 1 - t = s^L
 N_ANG = 512              # reproducing lattice points, a power of 2 up to 2048
-POLAR_ROWS = 8192        # kernel rows (radial nodes x lattice points) per call
+POLAR_ROWS = 8192        # rows (nodes x lattice points) per call; one point's grid is the least
 
 
 class IntegrationError(RuntimeError):
@@ -56,6 +56,13 @@ class ConvergenceError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # 1-d building blocks
+
+
+def _read_only(*arrays):
+    """The arrays, write-protected: a cached rule is shared by every later pass."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=16)
@@ -73,7 +80,7 @@ def _de_rule(level: int):
     um1 = 1.0 / (1.0 + np.exp(2.0 * x))
     w = h * math.pi * np.cosh(t) * u * um1
     keep = (u > 0.0) & (um1 > 0.0) & (w > 1e-300)
-    return u[keep], um1[keep], w[keep]
+    return _read_only(u[keep], um1[keep], w[keep])
 
 
 def _de_integrate(f):
@@ -111,7 +118,7 @@ def _gauss_rule(n: int, a: float, b: float | None = None):
                                         (a - b) / (a + b + 2.0))
         off = np.sqrt(m * (m + a) * (m + b) * (m + a + b) / (s[1:] ** 2 * (s[1:] ** 2 - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, v[0] ** 2
+    return _read_only(x, v[0] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +479,10 @@ def _sticks(v):
 
 
 def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
-    """Polar radii (nodes, dim) in coordinate order and their weights: a
-    product rule over the variables ``domains._chain_shadow`` draws, where
-    the shadow is a product of intervals, placed by ``chain_moduli``.
+    """Polar radii (nodes, dim) in coordinate order, their weights and the
+    grid shape (one axis per factor, the first slowest) of a product rule
+    over the variables ``domains._chain_shadow`` draws, where the shadow is
+    a product of intervals, placed by ``chain_moduli``.
     Gauss-Legendre on a uniform base coordinate; Gauss-Jacobi on Dirichlet
     sticks (a ball base, a w block) and, per U-step, in s = (1-t)^(1/L), L
     the least integer with every L a_j an integer, so that t = ||w||^2 and
@@ -488,9 +496,8 @@ def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
     rules = []          # per chain variable: its columns, then its weights
     for j in range(base.dim):       # x_j uniform, or the sticks of Dirichlet(q, 1)
         a, b = (q[j] - 1.0, sum(q[j + 1:])) if sticks else (0.0, 0.0)
-        if sticks and set(q) != {1.0}:
-            u, _, w = _de_factor(de_level, a, b)
-            rules.append((u, w))
+        if sticks and set(q) != {1.0}:     # its nodes u and weights
+            rules.append(_de_factor(de_level, a, b)[::2])
         else:
             rules.append(_gauss_rule(n_rad, a, b))
     for step in spec.lifts:
@@ -525,34 +532,39 @@ def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
     # route's ellipsoid factor fails for large exponents)
     unit = DomainSpec(BaseDomain(KIND_POLYDISK, base.n_star, base.m_passive), spec.lifts)
     volume = _monomial_norms(unit, np.zeros((1, spec.dim), dtype=np.intp))[0][0]
-    return np.sqrt(x), weights * volume * chain_volume(DomainSpec(base)) / math.pi ** base.dim
+    return (np.sqrt(x), weights * volume * chain_volume(DomainSpec(base)) / math.pi ** base.dim,
+            tuple(len(w) for *_, w in rules))
 
 
 def _polar_pass(K, spec, indices, p, n_rad, de_level, n_ang):
-    radii, weights = _radial_nodes(spec, n_rad, de_level)
-    d = spec.dim
+    radii, weights, shape = _radial_nodes(spec, n_rad, de_level)
     # lattice residues (i z) mod n_ang and (i idx.z) mod n_ang index one
     # table of roots of unity, so every phase is exact up to that table
-    lattice = np.outer(np.arange(n_ang), np.array(LATTICE_GENERATORS[d]) % n_ang) % n_ang
+    lattice = np.outer(np.arange(n_ang), np.array(LATTICE_GENERATORS[spec.dim]) % n_ang) % n_ang
     roots = np.exp((2j * math.pi / n_ang) * np.arange(n_ang))
     # K depends on q only through u_j = p_j q-bar_j = r_j (p_j e^(-i theta_j))
     c = np.array([complex(x) for x in p])[:, None] * np.conj(roots[lattice.T])
     # per index, arrays of its own: weight x monomial and its lattice vector
     wm = [weights * math.prod(radii[:, j] ** e for j, e in enumerate(idx) if e)
           for idx in indices]
-    acc = [np.zeros(n_ang, dtype=complex) for _ in indices]
-    # whole radial nodes per kernel call, at most POLAR_ROWS rows: each block
-    # array stays in cache and below numpy's temporary-elision size
-    step = max(1, POLAR_ROWS // n_ang)
+    acc = [np.empty(n_ang, dtype=complex) for _ in indices]
+    # each radius's bits on the factor grid, collapsed along every axis where
+    # they are constant (exact: the product columns are repeats), so that the
+    # kernel's exps and powers run once per combination of its own factors
+    grid = [r.reshape(shape) for r in radii.T.copy().view(np.uint64)]
+    for ax in range(len(shape)):
+        grid = [g.take([0], axis=ax) if (g == g.take([0], axis=ax)).all() else g for g in grid]
+    # every radial node times a chunk of lattice points per call, at most POLAR_ROWS
+    # rows (or one point's grid): arrays stay in cache and below numpy's elision size
+    step = max(1, POLAR_ROWS // len(weights))
     with np.errstate(all="ignore"):     # a non-finite value raises below
-        for start in range(0, len(radii), step):
-            rr = radii[start:start + step]
-            kv = np.broadcast_to(K.fn(tuple(rr[:, j, None] * c[j] for j in range(d))),
-                                 (len(rr), n_ang))
+        for start in range(0, n_ang, step):
+            u = tuple(g.view(float)[..., None] * cj[start:start + step] for g, cj in zip(grid, c))
+            kv = np.broadcast_to(K.fn(u), shape + u[0].shape[-1:]).reshape(len(weights), -1)
             # one vector product per index, so a value's rounding does not
             # depend on which other indices are requested
             for a, w in zip(acc, wm):
-                a += w[start:start + step] @ kv
+                a[start:start + step] = w @ kv
     if not np.isfinite(acc).all():
         raise NonFiniteError(f"{K.name} overflowed (value not finite)")
     # the phases and the embedded half lattice (even points), once per pass
@@ -572,8 +584,6 @@ def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:
     p = tuple(complex(c) for c in p)
     if not contains(spec, p):
         raise SpecError("reproducing check needs an interior point")
-    out = {}
-    for idx, integral in reproducing_integral(K, spec, indices, p)[0].items():
-        target = math.prod(pj ** e for pj, e in zip(p, idx))
-        out[idx] = abs(integral - target) / max(abs(target), 1e-6)
-    return out
+    vals = reproducing_integral(K, spec, indices, p)[0]
+    targets = {idx: math.prod(pj ** e for pj, e in zip(p, idx)) for idx in vals}
+    return {idx: abs(vals[idx] - t) / max(abs(t), 1e-6) for idx, t in targets.items()}

@@ -12,12 +12,12 @@ import pytest
 from bergman import oracle
 from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
-                             polydisk_spec)
+                             interior_points, polydisk_spec)
 from bergman.domains import BaseDomain, DomainSpec, LiftStep, SpecError, spec_from_dict
 from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg)
 from bergman.jets import NonFiniteError, pochhammer
-from bergman.lifting import lift_U
+from bergman.lifting import compose_pipeline, lift_U
 from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
                             _de_integrate, dirichlet_identity_check,
                             get_norm_table, monomial_norm_full, reproducing_check,
@@ -275,7 +275,7 @@ def _lattice_sums(K, spec, idxs, p, n_rad, de_level, n_ang):
     phases from cmath, sums by math.fsum.  Returns the full-lattice and
     even-point (half-lattice) values."""
     z = [zc % n_ang for zc in oracle.LATTICE_GENERATORS[spec.dim]]
-    radii, weights = oracle._radial_nodes(spec, n_rad, de_level)
+    radii, weights, _ = oracle._radial_nodes(spec, n_rad, de_level)
     terms = {idx: ([], []) for idx in idxs}
     for r, w in zip(radii.tolist(), weights.tolist()):
         for i in range(n_ang):
@@ -362,26 +362,31 @@ def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
     assert list(twice[0]) == [(1, 0, 0), (0, 0, 1)]
 
 
-# radial nodes per pass at 8 and 5 Gauss nodes per chain factor: Jacobi on
-# the two sticks of a ball base or Legendre on a one-coordinate base, Jacobi
-# on a U-step, 2 more Laguerre nodes on a V-step
-@pytest.mark.parametrize("K, n_nodes", [
-    (kernel_ball_disk_lift(1, 1), 8 * 8 * 8 + 5 * 5 * 5),
-    (kernel_ball_exp_lift(1, 1, (1.0,)), 8 * 8 * 10 + 5 * 5 * 7),
-    (kernel_chain_stage3(2.0), 8 * 8 * 10 + 5 * 5 * 7)], ids=["disk", "exp", "chain3"])
-def test_reproducing_blocks_match_default_pass(K, n_nodes, monkeypatch):
+# radial nodes of the value and check passes at 8 and 5 Gauss nodes per
+# chain factor: Jacobi on the two sticks of a ball base or Legendre on a
+# one-coordinate base, Jacobi on a U-step, 2 more Laguerre nodes on a V-step
+@pytest.mark.parametrize("K, passes", [
+    (kernel_ball_disk_lift(1, 1), (8 * 8 * 8, 5 * 5 * 5)),
+    (kernel_ball_exp_lift(1, 1, (1.0,)), (8 * 8 * 10, 5 * 5 * 7)),
+    (kernel_chain_stage3(2.0), (8 * 8 * 10, 5 * 5 * 7))], ids=["disk", "exp", "chain3"])
+def test_reproducing_blocks_match_default_pass(K, passes, monkeypatch):
     idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
     _grid(monkeypatch, 8, 5)
     vals, errs = reproducing_integral(K, K.domain, idxs, p)
     rows = []
-    counted = _counted(K, rows, lambda u: u[0].size)
-    # one radial node per call, then 3 per call with a partial last block
-    for budget in (512, 3 * 512):
+    counted = _counted(K, rows, lambda u: math.prod(np.broadcast_shapes(*(x.shape for x in u))))
+    n_full = passes[0]
+    # one lattice point per call, then 3 per call in the value pass, whose
+    # last chunk is partial (512 = 3 x 170 + 2)
+    for budget in (1, 3 * n_full):
         monkeypatch.setattr(oracle, "POLAR_ROWS", budget)
         rows.clear()
         got, got_errs = reproducing_integral(counted, K.domain, idxs, p)
-        assert max(rows) <= budget and sum(rows) == n_nodes * 512
+        n_calls = -(-512 // max(1, budget // n_full))     # calls of the value pass
+        for pass_rows, n_nodes in zip((rows[:n_calls], rows[n_calls:]), passes):
+            assert max(pass_rows) <= max(budget, n_nodes)
+        assert sum(rows) == sum(passes) * 512
         for idx in idxs:
             assert abs(got[idx] - vals[idx]) <= 1e-13 * abs(vals[idx])
             assert abs(got_errs[idx] - errs[idx]) <= 1e-13 * max(1.0, abs(vals[idx]))
@@ -447,35 +452,92 @@ def test_reproducing_on_bases_of_large_exponent(K, p, tol):
         assert res < tol, idx
 
 
-@pytest.mark.parametrize("spec, tol", [
-    (chain_stage_spec(2), 1e-13), (ball_disk_lift_spec(1, 1), 1e-13), (polydisk_spec(2), 1e-13),
-    (closed_form_families()["egg_inflated_p2"][0], 1e-13),
+# specs for the radial rule, each with the tolerance of its monomial norms
+RADIAL_SPECS = {
+    "stage2": (chain_stage_spec(2), 1e-13), "ball_disk_lift": (ball_disk_lift_spec(1, 1), 1e-13),
+    "polydisk2": (polydisk_spec(2), 1e-13),
+    "egg_inflated_p2": (closed_form_families()["egg_inflated_p2"][0], 1e-13),
     # tanh-sinh factors: an ellipsoid base of two exponents, an irrational weight
-    (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (2.0, 3.0))), 1e-9),
-    (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (1.0, 1.0)),
-                (LiftStep("U", (math.sqrt(0.5),)),)), 1e-8),
+    "ellipsoid23": (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (2.0, 3.0))), 1e-9),
+    "irrational": (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (1.0, 1.0)),
+                              (LiftStep("U", (math.sqrt(0.5),)),)), 1e-8),
     # Laguerre nodes do not integrate the V-step factors e^(-a t) exactly
-    (chain_stage_spec(3), 1e-4)],
-    ids=["stage2", "ball_disk_lift", "polydisk2", "egg_inflated_p2", "ellipsoid23",
-         "irrational", "stage3"])
+    "stage3": (chain_stage_spec(3), 1e-4)}
+
+
+@pytest.mark.parametrize("spec, tol", list(RADIAL_SPECS.values()), ids=list(RADIAL_SPECS))
 def test_radial_nodes_integrate_monomial_norms(spec, tol):
     # sum of weight x |z^a|^2 over the chain nodes against the norm oracle
-    radii, weights = oracle._radial_nodes(spec, oracle.N_RAD, oracle.DE_LEVEL)
+    radii, weights, shape = oracle._radial_nodes(spec, oracle.N_RAD, oracle.DE_LEVEL)
+    assert math.prod(shape) == len(weights) == len(radii)
     for a in oracle.exponent_matrix(spec.dim, 3):
         want = monomial_norm_full(spec, a)[0]
         got = math.fsum(weights * np.prod(radii ** (2 * a), axis=1))
         assert abs(got - want) <= tol * want, a
 
 
+@pytest.mark.parametrize("spec", [spec for spec, _ in RADIAL_SPECS.values()],
+                         ids=list(RADIAL_SPECS))
+def test_pass_grid_radii_broadcast_to_product_radii(spec, monkeypatch):
+    # at p = (1, ..., 1) lattice point 0 has c_j = 1, so the u_j of the first
+    # call, one lattice point, are the pass's collapsed grid radii
+    calls = []
+    K = Kernel(lambda u: calls.append(u) or 0.0, spec.dim, domain=spec)
+    monkeypatch.setattr(oracle, "POLAR_ROWS", 1)
+    reproducing_integral(K, spec, [(0,) * spec.dim], (1.0,) * spec.dim)
+    radii, _, shape = oracle._radial_nodes(spec, oracle.N_RAD, oracle.DE_LEVEL)
+    for j, u in enumerate(calls[0]):
+        assert u.shape[-1] == 1 and not u.imag.any()
+        assert np.array_equal(np.broadcast_to(u.real[..., 0], shape).ravel(), radii[:, j])
+
+
+def test_reproducing_pass_hoists_the_v_step_factor():
+    # on ball_exp_lift_11 the w radius depends on the Laguerre factor alone:
+    # u_w reaches fn with n_t x chunk entries, not nodes x chunk
+    K = kernel_ball_exp_lift(1, 1, (1.0,))
+    calls = []
+    reproducing_integral(_counted(K, calls, lambda u: u[2].shape), K.domain, [(0, 0, 0)],
+                         (0.2, 0.1, 0.3))
+    want = []
+    for n_rad in (oracle.N_RAD, oracle.N_RAD_CHECK):
+        chunk = max(1, oracle.POLAR_ROWS // (n_rad * n_rad * (n_rad + 2)))
+        want += [(1, 1, n_rad + 2, min(chunk, oracle.N_ANG - start))
+                 for start in range(0, oracle.N_ANG, chunk)]
+    assert calls == want
+
+
+@pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
+                               kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
+def test_lift_pipeline_through_the_pass_matches_closed_form(K):
+    # the pipeline's jets take the pass's broadcast grid arrays
+    idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
+    for p in interior_points(K.domain, 3, seed=303, box_radius=0.4):
+        want, want_errs = reproducing_integral(K, K.domain, idxs, p)
+        got, got_errs = reproducing_integral(compose_pipeline(K.domain), K.domain, idxs, p)
+        for idx in idxs:
+            assert abs(got[idx] - want[idx]) <= 1e-12 * abs(want[idx]), idx
+            assert abs(got_errs[idx] - want_errs[idx]) <= 1e-12 * abs(want[idx]), idx
+
+
+def test_cached_rules_are_read_only():
+    # the pass's grid reaches the cached rules through views: a write raises
+    for a in oracle._gauss_rule(4, 0.0, 1.0) + oracle._gauss_rule(4, 1.0) + oracle._de_rule(2):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
 def test_reproducing_pass_memory_is_bounded():
-    K = kernel_ball_disk_lift(1, 1)
-    tracemalloc.start()
-    try:
-        reproducing_integral(K, K.domain, [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    # chain stage 3 and the tanh-sinh fallback have the most radial nodes:
+    # a block of every node stays small
+    for K in (kernel_ball_disk_lift(1, 1), kernel_chain_stage3(2.0),
+              lift_U(kernel_ball(2, n_star=1), (math.sqrt(0.5),), 1)):
+        tracemalloc.start()
+        try:
+            reproducing_integral(K, K.domain, [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, K.name
 
 
 def test_reproducing_integral_rejects_bad_arguments():
@@ -521,15 +583,15 @@ def test_reproducing_integral_empty_indices_skip_the_kernel(monkeypatch):
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0)],
                          ids=["inf", "nan"])
 def test_reproducing_integral_raises_on_non_finite_kernel_values(bad, monkeypatch):
-    # the kernel is finite everywhere but on three lattice rows of its first
-    # block; the pass still reads every block, then raises
+    # the kernel is finite everywhere but on three rows of its first block;
+    # the pass still reads every block, then raises
     K = kernel_ball_disk_lift(1, 1)
     calls = []
 
     def fn(u):
-        v = np.array(K.fn(u))
+        v = np.array(np.broadcast_to(K.fn(u), np.broadcast_shapes(*(x.shape for x in u))))
         if not calls:
-            v[0, [1, 5, 9]] = bad
+            v.reshape(-1)[[1, 5, 9]] = bad
         calls.append(1)
         return v
 
