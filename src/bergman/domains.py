@@ -30,6 +30,7 @@ import numpy as np
 KIND_ELLIPSOID = "GeneralizedComplexEllipsoid"
 KIND_POLYDISK = "Polydisk"
 
+MAX_DIM = 1024              # coordinates of one domain, all lifts applied
 SAMPLE_CHUNK = 1 << 12      # rows drawn and tested at a time
 SAMPLE_MAX_DRAWS = 10 ** 7
 
@@ -100,13 +101,17 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lifts", tuple(self.lifts))
+        if not all(isinstance(step, LiftStep) for step in self.lifts):
+            raise SpecError("lifts must be LiftStep instances")
+        # checked before the layout lists the coordinates one by one
+        dim = self.base.dim + sum(step.w_dim for step in self.lifts)
+        if dim > MAX_DIM:
+            raise SpecError(f"domain has {dim} coordinates (at most {MAX_DIM})")
         # the layout, once; plain attributes, so ==, hash and JSON see only
         # the fields
         stars, start = tuple(range(self.base.n_star)), self.base.dim
         star_sets, w_slices, v_w = [stars], [], []
         for i, step in enumerate(self.lifts):
-            if not isinstance(step, LiftStep):
-                raise SpecError("lifts must be LiftStep instances")
             if len(step.weights) != len(stars):
                 raise SpecError(
                     f"lift {i} carries {len(step.weights)} weights but the "

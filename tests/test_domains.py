@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.domains import (SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep, SamplingError,
+from bergman.domains import (MAX_DIM, SAMPLE_CHUNK, BaseDomain, DomainSpec, LiftStep, SamplingError,
                              SingularEvaluationError, SpecError, chain_volume, contains,
                              defining_function, sample_interior, shadow_contains, slice_map,
                              spec_from_dict, spec_to_dict, star_shape_check)
@@ -401,6 +401,22 @@ def test_json_round_trip_and_strictness():
                                  "exponents": [1.0], "color": "blue"}})
 
 
+
+def test_spec_dimension_cap():
+    # a huge size is refused before the layout lists its coordinates
+    polydisk = {"kind": "Polydisk", "n_star": 1, "m_passive": 0}
+    for data in ({"base": dict(polydisk, n_star=1_087_976_111)},
+                 {"base": dict(polydisk, m_passive=10 ** 12)},
+                 {"base": polydisk,
+                  "lifts": [{"kind": "U", "weights": [1.0], "w_dim": 10 ** 12}]}):
+        with pytest.raises(SpecError):
+            spec_from_dict(data)
+    assert spec_from_dict({"base": dict(polydisk, n_star=MAX_DIM)}).dim == MAX_DIM
+    spec = spec_from_dict({"base": polydisk, "lifts": [
+        {"kind": "V", "weights": [1.0], "w_dim": MAX_DIM - 1}]})
+    assert spec.dim == MAX_DIM
+    with pytest.raises(SpecError):
+        DomainSpec(spec.base, spec.lifts + (LiftStep("U", (1.0,) * MAX_DIM, 1),))
 def test_lift_step_weight_validation():
     with pytest.raises(SpecError):
         LiftStep("U", (0.0,), 1)          # all-zero weights degenerate
