@@ -289,15 +289,14 @@ def _suite_reproducing(tol, seed):
         ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
         ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,))),
         ("chain_stage3", kernel_chain_stage3(2.0)),
+        ("chain_stage4", compose_pipeline(catalog.chain_stage_spec(4))),
     ]
-    idxs = [tuple(idx) for idx in exponent_matrix(3, 2).tolist()]
     cases = []
     for name, K in fixtures:
-        spec = K.domain
-        points = catalog.interior_points(spec, 3, seed, box_radius=0.4)
-        for p in points:
-            def case(name=name, K=K, spec=spec, p=p):
-                worst = max(reproducing_check(K, spec, idxs, p).values())
+        idxs = [tuple(idx) for idx in exponent_matrix(K.dim, 2).tolist()]
+        for p in catalog.interior_points(K.domain, 3, seed, box_radius=0.4):
+            def case(name=name, K=K, idxs=idxs, p=p):
+                worst = max(reproducing_check(K, K.domain, idxs, p).values())
                 return _case(f"{name}@{_fmt(abs(p[0]))}", worst, tol)
             cases.append(case)
     return cases

@@ -12,13 +12,10 @@ never through the rising-factorial identity those lifts are proved with.
 (Weighted phi systems for non-Reinhardt bases are not needed here and are
 not modelled.)
 
-The reproducing-property integral is done in polar form as well, up to 3
-coordinates: a rank-1 lattice angular rule, exact for every bin that no
-mode of the kernel's one-sided angular spectrum aliases onto, times a
-product Gauss rule in the lift-chain variables (``_radial_nodes``).  A pass
-calls the ``Kernel``'s ``fn`` on the coordinate products, each radius on the
-factor grid of only the factors it depends on, every radial node times a
-chunk of lattice points per call, and applies the phases once.
+By orthogonality, int K(p, q) q^a dV(q) = c_a ||z^a||^2 p^a, c_a the Taylor
+coefficient of the kernel's ``fn`` at u^a: up to 4 coordinates, a Cauchy
+integral by a rank-1 lattice rule on one torus taken from the spec, times a
+product Gauss rule in the lift-chain variables (``_radial_nodes``).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# shadow_contains stays an oracle name: perfbench/tracing.py counts its rows here
 from .domains import (KIND_POLYDISK, BaseDomain, DomainSpec, SpecError, chain_moduli,
                       chain_volume, contains, shadow_contains)
 from .jets import NonFiniteError, pochhammer
@@ -39,11 +35,13 @@ from .jets import NonFiniteError, pochhammer
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
 SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
-N_RAD, N_RAD_CHECK = 10, 8    # Gauss nodes per chain factor (Laguerre: 2 more): value, check
+N_RAD, N_RAD_CHECK = 10, 8    # Gauss nodes per chain factor (Laguerre: 12 more): value, check
 DE_LEVEL, DE_LEVEL_CHECK = 2, 1   # tanh-sinh levels of a factor with no Gauss rule
 MAX_LIFT_POWER = 64      # largest L of the U-step substitution 1 - t = s^L
-N_ANG = 512              # reproducing lattice points, a power of 2 up to 2048
-POLAR_ROWS = 8192        # rows (nodes x lattice points) per call; one point's grid is the least
+N_ANG = 2048             # Cauchy lattice points, a power of 2 up to 2048
+TORUS_TOL = 1e-4         # the torus shrinks while its estimate exceeds a tenth of the 1e-3 gate
+TORUS_LEVELS = 6         # tori at most: s = 1/2, 1/4, ..., 1/64
+ROUND_OFF = 2.0 ** -46   # round-off floor of a coefficient, relative to the lattice mean of |fn|
 
 
 class IntegrationError(RuntimeError):
@@ -406,51 +404,96 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
 # dimension; a smaller power-of-2 N_ANG uses z mod N_ANG, the embedded
 # lattice.  From an exact search, the smallest degree of a mode a >= 0 that
 # aliases onto a bin of degree <= 2 (<= 4 for d = 2) is, at N = 2048/512/256,
-# 293/74/37 for d = 2 and 128/32/16 for d = 3.
-LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912)}
+# 293/74/37 for d = 2, 128/32/16 for d = 3 and 21/6/5 for d = 4 (g = 1111).
+LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912), 4: (1, 1111, 1425, 71)}
 
 
 def reproducing_integral(K, spec: DomainSpec, indices, p):
-    """Deterministic polar-quadrature values of int K(p; q-bar) q^idx dV(q)
-    for every index in ``indices``, K a ``Kernel`` whose ``fn`` takes the
-    products u_j = p_j q-bar_j; returns ({idx: value}, {idx: err}).
-
-    Radial: the product rule of ``_radial_nodes`` over the chain factors,
-    N_RAD Gauss nodes per factor (N_RAD + 2 for a V-step's Laguerre rule,
-    tanh-sinh level DE_LEVEL where no Gauss rule fits).
-    Angular: the rank-1 lattice of N_ANG points
-    theta_i = 2 pi ((i z) mod N_ANG) / N_ANG, z from LATTICE_GENERATORS,
-    with residues in integer arithmetic.  Bin idx is the lattice mean of
-    K e^(i idx.theta), exact unless a mode of the kernel's one-sided
-    angular spectrum aliases onto it.  The error estimate combines a radial
-    pass coarser in every factor (N_RAD_CHECK nodes, level DE_LEVEL_CHECK)
-    with the embedded N_ANG/2 lattice (its even points).  Supported up to
-    3 coordinates.  Repeated indices count once; negative ones raise
-    ``SpecError``, two that share a lattice residue raise
-    ``IntegrationError``; no indices return ({}, {}) without calling K.
-    """
+    """({idx: value}, {idx: err}) of int K(p; q-bar) q^idx dV(q), K a ``Kernel``
+    whose ``fn`` takes u_j = p_j q-bar_j: c ||z^idx||^2 p^idx, c from
+    ``_cauchy_coefficients``, the norm the sum of weight x |z^idx|^2 over
+    ``_radial_nodes`` (N_RAD, DE_LEVEL).  err: c's torus estimate and floor
+    times the norm, plus c times the norm's change on the coarser rule
+    (N_RAD_CHECK, DE_LEVEL_CHECK), times |p^idx|.  Up to 4 coordinates.
+    Repeated indices count once; negative ones raise ``SpecError``; no
+    indices return ({}, {}) without calling K."""
     d = spec.dim
-    if d > 3:
-        raise IntegrationError("polar quadrature supported up to 3 coordinates")
+    if d > 4:
+        raise IntegrationError("Cauchy lattice supported up to 4 coordinates")
     if len(p) != d or K.dim != d:
         raise SpecError("point or kernel arity mismatch")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
-    if any(len(idx) != d for idx in indices):
-        raise SpecError("index arity mismatch")
-    if any(e < 0 for idx in indices for e in idx):
-        raise SpecError("reproducing indices must be non-negative")
+    if any(len(idx) != d or min(idx) < 0 for idx in indices):
+        raise SpecError(f"reproducing indices need {d} non-negative exponents")
     if not indices:
         return {}, {}
-    z = [zc % N_ANG for zc in LATTICE_GENERATORS[d]]
-    residues = {sum(e * zc for e, zc in zip(idx, z)) % N_ANG for idx in indices}
-    if len(residues) < len(indices):
-        raise IntegrationError("two requested indices alias on the angular "
-                               "lattice; raise N_ANG")
-    full, full_half = _polar_pass(K, spec, indices, p, N_RAD, DE_LEVEL, N_ANG)
-    check, _ = _polar_pass(K, spec, indices, p, N_RAD_CHECK, DE_LEVEL_CHECK, N_ANG)
-    errs = {idx: abs(full[idx] - check[idx]) + abs(full[idx] - full_half[idx])
-            for idx in indices}
-    return full, errs
+    # one vector product per index and rule: no value's rounding depends on the other indices
+    rules = (_radial_nodes(spec, N_RAD, DE_LEVEL),
+             _radial_nodes(spec, N_RAD_CHECK, DE_LEVEL_CHECK))
+    norms = {idx: [float(w @ math.prod((x[:, j] ** e for j, e in enumerate(idx) if e),
+                                       start=np.ones(len(w)))) for x, w in rules]
+             for idx in indices}
+    coeffs = _cauchy_coefficients(K, spec, {idx: n for idx, (n, _) in norms.items()})
+    vals, errs = {}, {}
+    for idx, (norm, check) in norms.items():
+        c, angular, floor = coeffs[idx]
+        target = math.prod(complex(pj) ** e for pj, e in zip(p, idx))
+        vals[idx] = c * norm * target
+        errs[idx] = ((angular + floor) * norm + abs(c) * abs(norm - check)) * abs(target)
+    return vals, errs
+
+
+@lru_cache(maxsize=64)
+def _diagonal_crossing(spec: DomainSpec) -> float:
+    """Largest v found inside on the diagonal shadow v (1, ..., 1), to 2^-32:
+    the base confines v to (0, 1) and lifts only shrink it, and membership
+    is monotone, so each ``shadow_contains`` panel narrows it to one cell."""
+    lo, hi = 0.0, 1.0
+    for _ in range(4):
+        v = np.linspace(lo, hi, 257)
+        k = int(np.argmin(shadow_contains(spec, np.repeat(v[:, None], spec.dim, axis=1))))
+        lo, hi = v[k - 1], v[k]
+    return float(lo)
+
+
+def _cauchy_coefficients(K, spec: DomainSpec, norms: dict) -> dict:
+    """{idx: (c, |c(r) - c(r/2)|, floor)} for every idx of ``norms`` (idx ->
+    ||z^idx||^2): c(r), K.fn's Taylor coefficient at u^idx, is the mean of
+    fn e^(-i idx.theta) / r^|idx| on the torus |u_j| = r over the lattice
+    theta_i = 2 pi ((i z) mod N_ANG) / N_ANG, exact but for modes of the alias
+    degree or more.  r = (s b)^2, b where the diagonal ray leaves the domain;
+    s = 1/2 halves, per index, while |c(r) - c(r/2)| ||z^idx||^2 > TORUS_TOL
+    and that estimate falls, at most TORUS_LEVELS tori of one fn call each;
+    floor = ROUND_OFF mean|fn| / r^|idx|.  Two indices of one lattice residue
+    raise IntegrationError before any call; a non-finite value NonFiniteError."""
+    z, i = np.array(LATTICE_GENERATORS[spec.dim]) % N_ANG, np.arange(N_ANG)
+    residues = {idx: sum(e * zc for e, zc in zip(idx, z.tolist())) % N_ANG for idx in norms}
+    if len(set(residues.values())) < len(residues):
+        raise IntegrationError("two requested indices alias on the angular lattice; raise N_ANG")
+    # residues index one table of roots of unity: each phase is exact up to it
+    roots = np.exp((2j * math.pi / N_ANG) * i)
+    lattice = roots[np.outer(z, i) % N_ANG]
+    tori, out = [], {}
+    for idx, norm in norms.items():
+        phases = np.conj(roots[i * residues[idx] % N_ANG])
+        for level in range(TORUS_LEVELS):
+            if level == len(tori):
+                radii = _diagonal_crossing(spec) * 0.25 ** (level + 1) * np.array([1.0, 0.5])
+                with np.errstate(all="ignore"):     # a non-finite value raises below
+                    kv = np.broadcast_to(K.fn(tuple(radii[:, None] * e for e in lattice)),
+                                         (2, N_ANG))
+                if not np.isfinite(kv).all():
+                    raise NonFiniteError(f"{K.name} overflowed (value not finite)")
+                tori.append((radii, kv, float(np.abs(kv[0]).mean())))
+            radii, kv, size = tori[level]
+            c, c_half = (kv @ phases) / N_ANG / radii ** sum(idx)
+            # round-off grows as r^-|idx|: once the estimate grows, the last torus stays
+            if idx in out and abs(c - c_half) >= out[idx][1]:
+                break
+            out[idx] = (complex(c), abs(c - c_half), ROUND_OFF * size / radii[0] ** sum(idx))
+            if abs(c - c_half) * norm <= TORUS_TOL:
+                break
+    return out
 
 
 def _lift_power(weights):
@@ -478,19 +521,19 @@ def _sticks(v):
     return parts + [rest]
 
 
+@lru_cache(maxsize=16)
 def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
-    """Polar radii (nodes, dim) in coordinate order, their weights and the
-    grid shape (one axis per factor, the first slowest) of a product rule
+    """Squared moduli (nodes, dim) and weights, read-only, of a product rule
     over the variables ``domains._chain_shadow`` draws, where the shadow is
     a product of intervals, placed by ``chain_moduli``.
     Gauss-Legendre on a uniform base coordinate; Gauss-Jacobi on Dirichlet
     sticks (a ball base, a w block) and, per U-step, in s = (1-t)^(1/L), L
     the least integer with every L a_j an integer, so that t = ||w||^2 and
     each acted squared modulus are polynomials in s; generalized
-    Gauss-Laguerre in a V-step's t.  Where none fits (no L up to
-    MAX_LIFT_POWER, an ellipsoid base of several coordinates not all of
-    exponent 1), tanh-sinh at ``de_level``.  Each factor's weights sum to
-    1; their product is scaled by the volume ||1||^2."""
+    Gauss-Laguerre, n_rad + 12 nodes for its factors e^(-a t), in a V-step's
+    t.  Where none fits (no L up to MAX_LIFT_POWER, an ellipsoid base of
+    several coordinates not all of exponent 1), tanh-sinh at ``de_level``.
+    Each factor's weights sum to 1; their product is scaled by ||1||^2."""
     base, q = spec.base, [1.0 / pj for pj in spec.base.exponents]
     sticks = base.kind != KIND_POLYDISK and base.dim > 1
     rules = []          # per chain variable: its columns, then its weights
@@ -503,7 +546,7 @@ def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
     for step in spec.lifts:
         A, k, L = sum(step.weights), step.w_dim, _lift_power(step.weights)
         if step.kind == "V":
-            t, w = _gauss_rule(n_rad + 2, k - 1.0)
+            t, w = _gauss_rule(n_rad + 12, k - 1.0)
             rules.append((t / A, w))
         elif L is None:     # t and c = 1 - t
             rules.append(_de_factor(de_level, k - 1.0, A))
@@ -527,60 +570,17 @@ def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
     if sticks:
         x = [y ** qj for y, qj in zip(_sticks(x), q)]
     x = chain_moduli(spec, np.column_stack(x), lifts)
-    # ||1||^2: the lifts' masses from the norm route over the unit cube (a
-    # polydisk base), times the base shadow's volume in closed form (the norm
-    # route's ellipsoid factor fails for large exponents)
+    # ||1||^2: the lifts' masses by the norm route over the unit cube, times the
+    # base shadow's closed-form volume (the route fails for large exponents)
     unit = DomainSpec(BaseDomain(KIND_POLYDISK, base.n_star, base.m_passive), spec.lifts)
     volume = _monomial_norms(unit, np.zeros((1, spec.dim), dtype=np.intp))[0][0]
-    return (np.sqrt(x), weights * volume * chain_volume(DomainSpec(base)) / math.pi ** base.dim,
-            tuple(len(w) for *_, w in rules))
-
-
-def _polar_pass(K, spec, indices, p, n_rad, de_level, n_ang):
-    radii, weights, shape = _radial_nodes(spec, n_rad, de_level)
-    # lattice residues (i z) mod n_ang and (i idx.z) mod n_ang index one
-    # table of roots of unity, so every phase is exact up to that table
-    lattice = np.outer(np.arange(n_ang), np.array(LATTICE_GENERATORS[spec.dim]) % n_ang) % n_ang
-    roots = np.exp((2j * math.pi / n_ang) * np.arange(n_ang))
-    # K depends on q only through u_j = p_j q-bar_j = r_j (p_j e^(-i theta_j))
-    c = np.array([complex(x) for x in p])[:, None] * np.conj(roots[lattice.T])
-    # per index, arrays of its own: weight x monomial and its lattice vector
-    wm = [weights * math.prod(radii[:, j] ** e for j, e in enumerate(idx) if e)
-          for idx in indices]
-    acc = [np.empty(n_ang, dtype=complex) for _ in indices]
-    # each radius's bits on the factor grid, collapsed along every axis where
-    # they are constant (exact: the product columns are repeats), so that the
-    # kernel's exps and powers run once per combination of its own factors
-    grid = [r.reshape(shape) for r in radii.T.copy().view(np.uint64)]
-    for ax in range(len(shape)):
-        grid = [g.take([0], axis=ax) if (g == g.take([0], axis=ax)).all() else g for g in grid]
-    # every radial node times a chunk of lattice points per call, at most POLAR_ROWS
-    # rows (or one point's grid): arrays stay in cache and below numpy's elision size
-    step = max(1, POLAR_ROWS // len(weights))
-    with np.errstate(all="ignore"):     # a non-finite value raises below
-        for start in range(0, n_ang, step):
-            u = tuple(g.view(float)[..., None] * cj[start:start + step] for g, cj in zip(grid, c))
-            kv = np.broadcast_to(K.fn(u), shape + u[0].shape[-1:]).reshape(len(weights), -1)
-            # one vector product per index, so a value's rounding does not
-            # depend on which other indices are requested
-            for a, w in zip(acc, wm):
-                a[start:start + step] = w @ kv
-    if not np.isfinite(acc).all():
-        raise NonFiniteError(f"{K.name} overflowed (value not finite)")
-    # the phases and the embedded half lattice (even points), once per pass
-    totals, halves = {}, {}
-    for idx, a in zip(indices, acc):
-        ph = roots[lattice @ np.array(idx) % n_ang]
-        totals[idx] = complex(a @ ph) / n_ang
-        halves[idx] = complex(a[::2] @ ph[::2]) / (n_ang // 2)
-    return totals, halves
+    return _read_only(x, weights * volume * chain_volume(DomainSpec(base)) / math.pi ** base.dim)
 
 
 def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:
     """{idx: relative residual |int K(p; q-bar) q^idx dV - p^idx| /
     max(|p^idx|, 1e-6)} for every index in ``indices``, the integrals from
-    one ``reproducing_integral`` call at its defaults (so up to 3
-    coordinates)."""
+    one ``reproducing_integral`` call (so up to 4 coordinates)."""
     p = tuple(complex(c) for c in p)
     if not contains(spec, p):
         raise SpecError("reproducing check needs an interior point")
