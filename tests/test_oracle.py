@@ -291,7 +291,7 @@ def _grid(monkeypatch, n_rad, n_rad_check, n_ang=oracle.N_ANG):
     monkeypatch.setattr(oracle, "N_ANG", n_ang)
 
 
-def test_reproducing_integral_matches_brute_force_cauchy_sum():
+def test_reproducing_integral_matches_brute_force_lattice_sum():
     # value c(r) ||z^idx||^2 p^idx on the torus r = (b/2)^2, whose estimate
     # |c(r) - c(r/2)| ||z^idx||^2 passes here, the norm from the radial nodes
     # by math.fsum
@@ -385,6 +385,33 @@ def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
     assert twice[0][(1, 0, 0)] == once[0][(1, 0, 0)]
     assert twice[1][(1, 0, 0)] == once[1][(1, 0, 0)]
     assert list(twice[0]) == [(1, 0, 0), (0, 0, 1)]
+
+
+# the index set in blocks of one and of three (the last one partial) gives
+# every value and estimate of the whole set in one call: the torus is chosen
+# per index, never on the requested set
+@pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
+                               kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
+def test_reproducing_blocks_match_default_pass(K):
+    idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
+    p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
+    vals, errs = reproducing_integral(K, K.domain, idxs, p)
+    shapes = []
+    counted = _counted(K, shapes, lambda u: np.broadcast_shapes(*(x.shape for x in u)))
+    for size in (1, 3):
+        shapes.clear()
+        got, got_errs = {}, {}
+        for start in range(0, len(idxs), size):
+            block = reproducing_integral(counted, K.domain, idxs[start:start + size], p)
+            got.update(block[0])
+            got_errs.update(block[1])
+        assert list(got) == idxs
+        # one (2, N_ANG) torus pair per fn call, at most TORUS_LEVELS per block
+        assert set(shapes) == {(2, oracle.N_ANG)}
+        assert len(shapes) <= -(-len(idxs) // size) * oracle.TORUS_LEVELS
+        for idx in idxs:
+            assert got[idx] == vals[idx], (size, idx)
+            assert got_errs[idx] == errs[idx], (size, idx)
 
 
 # (a, b) of the Gauss-Jacobi rules for u^a (1-u)^b the chain factors use:
