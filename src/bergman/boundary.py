@@ -356,7 +356,7 @@ def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
 
 def predicted_limit(spec: DomainSpec, target, stratum: Stratum) -> float | None:
     """Closed-form limit constants for the unit-weight ball-base families."""
-    if len(spec.lifts) != 1 or spec.base.kind != "GeneralizedComplexEllipsoid":
+    if len(spec.lifts) != 1 or spec.base.kind != KIND_ELLIPSOID:
         return None
     if any(p != 1.0 for p in spec.base.exponents):
         return None

@@ -13,9 +13,7 @@ shrunk independently without leaving the domain.
 
 One rule, ``lift_factor``, writes the lift substitution: membership, the
 defining function, the slice maps, the exact sampler and the slice
-kernels' scales use it, for one point and for a panel alike; one
-map, ``chain_moduli``, turns chain factors into squared moduli for the
-sampler (which draws them) and the reproducing quadrature (nodes on them).
+kernels' scales use it, for one point and for a panel alike.
 """
 
 from __future__ import annotations
@@ -317,40 +315,29 @@ def chain_volume(spec: DomainSpec) -> float:
     return math.exp(log_v)
 
 
-def chain_moduli(spec: DomainSpec, base, lifts) -> np.ndarray:
-    """Squared moduli (rows, dim) from the chain factors: the base's, then
-    per lift, innermost first, (t, c, split) with t = ||w||^2, c = 1 - t
-    (kept apart for its digits near t = 1; read under a U-step only) and
-    t's shares over the w block.  At fixed w a lift's slice is the domain
-    one lift down scaled by the lift factor at -a, so each acted squared
-    modulus is multiplied by c^a (U) or e^(-a t) (V)."""
-    x = np.empty((len(base), spec.dim))
-    x[:, :spec.base.dim] = base
-    for i, (step, (t, c, split)) in enumerate(zip(spec.lifts, lifts)):
-        for j, a in zip(spec._star_sets[i], step.weights):
-            if a:
-                x[:, j] *= c ** a if step.kind == "U" else lift_factor("V", -a, t)
-        x[:, spec._w_slices[i]] = t[:, None] * split
-    return x
-
-
 def _chain_shadow(spec: DomainSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """n rows of squared moduli, uniform on the domain's shadow: the base,
     then per lift, innermost first, t = ||w||^2 from Beta(k, A+1) (U) or
-    Gamma(k, scale 1/A) (V) split by Dirichlet(1, ..., 1), by ``chain_moduli``."""
-    base = spec.base
+    Gamma(k, scale 1/A) (V) split by Dirichlet(1, ..., 1).  At fixed w a
+    lift's slice is the domain one lift down scaled by the lift factor at
+    -a, so each acted squared modulus is multiplied by (1-t)^a (U) or
+    e^(-a t) (V)."""
+    base, x = spec.base, np.empty((n, spec.dim))
     if base.kind == KIND_ELLIPSOID:
         # y ~ Dirichlet(1/p_1, ..., 1/p_n, 1) and x_j = y_j^(1/p_j)
         q = 1.0 / np.array(base.exponents)
-        x = rng.dirichlet(np.append(q, 1.0), n)[:, :-1] ** q
+        x[:, :base.dim] = rng.dirichlet(np.append(q, 1.0), n)[:, :-1] ** q
     else:
-        x = rng.random((n, base.dim))
-    lifts = []
-    for step in spec.lifts:
+        x[:, :base.dim] = rng.random((n, base.dim))
+    for i, step in enumerate(spec.lifts):
         A, k = sum(step.weights), step.w_dim
         t = rng.beta(k, A + 1.0, n) if step.kind == "U" else rng.gamma(k, 1.0 / A, n)
-        lifts.append((t, 1.0 - t, rng.dirichlet(np.ones(k), n) if k > 1 else 1.0))
-    return chain_moduli(spec, x, lifts)
+        split = rng.dirichlet(np.ones(k), n) if k > 1 else 1.0
+        for j, a in zip(spec._star_sets[i], step.weights):
+            if a:
+                x[:, j] *= (1.0 - t) ** a if step.kind == "U" else lift_factor("V", -a, t)
+        x[:, spec._w_slices[i]] = t[:, None] * split
+    return x
 
 
 def sample_interior(spec: DomainSpec, count: int, seed: int = 0,

@@ -7,15 +7,17 @@ the shadow (each coordinate contributes pi and a radial factor) and honest
 quadrature of the reduced integrals.  Every reduced integral (the weighted
 simplex blocks of disk-fibered lift steps, the ellipsoid base, each
 polydisk factor) separates into one-dimensional Beta-type integrals
-int_0^1 u^c (1-u)^e du, each done by the same cached tanh-sinh rule and
-never through the rising-factorial identity those lifts are proved with.
+int_0^1 u^c (1-u)^e du, each done by the same cached tanh-sinh rule (in
+v = u^(c+1) where -1 < c < 0, as for an ellipsoid base exponent above 1)
+and never through the rising-factorial identity those lifts are proved
+with; a plane-fibered block's radial moments are the factorials c!/s^(c+1).
 (Weighted phi systems for non-Reinhardt bases are not needed here and are
 not modelled.)
 
 By orthogonality, int K(p, q) q^a dV(q) = c_a ||z^a||^2 p^a, c_a the Taylor
 coefficient of the kernel's ``fn`` at u^a: up to 4 coordinates, a Cauchy
-integral by a rank-1 lattice rule on one torus taken from the spec, times a
-product Gauss rule in the lift-chain variables (``_radial_nodes``).
+integral by a rank-1 lattice rule on one torus taken from the spec, times
+the same norm table the series reads.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domains import (KIND_POLYDISK, BaseDomain, DomainSpec, SpecError, chain_moduli,
-                      chain_volume, contains, shadow_contains)
+from .domains import KIND_POLYDISK, DomainSpec, SpecError, contains, shadow_contains
 from .jets import NonFiniteError, pochhammer
 
 # largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
 SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
-N_RAD, N_RAD_CHECK = 10, 8    # Gauss nodes per chain factor (Laguerre: 12 more): value, check
-DE_LEVEL, DE_LEVEL_CHECK = 2, 1   # tanh-sinh levels of a factor with no Gauss rule
-MAX_LIFT_POWER = 64      # largest L of the U-step substitution 1 - t = s^L
 N_ANG = 2048             # Cauchy lattice points, a power of 2 up to 2048
 TORUS_TOL = 1e-4         # the torus shrinks while its estimate exceeds a tenth of the 1e-3 gate
 TORUS_LEVELS = 6         # tori at most: s = 1/2, 1/4, ..., 1/64
@@ -56,13 +54,6 @@ class ConvergenceError(RuntimeError):
 # 1-d building blocks
 
 
-def _read_only(*arrays):
-    """The arrays, write-protected: a cached rule is shared by every later pass."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=16)
 def _de_rule(level: int):
     """tanh-sinh nodes/weights on (0, 1); returns (u, 1-u, w).
@@ -78,7 +69,10 @@ def _de_rule(level: int):
     um1 = 1.0 / (1.0 + np.exp(2.0 * x))
     w = h * math.pi * np.cosh(t) * u * um1
     keep = (u > 0.0) & (um1 > 0.0) & (w > 1e-300)
-    return _read_only(u[keep], um1[keep], w[keep])
+    rule = u[keep], um1[keep], w[keep]
+    for a in rule:      # the cached rule is shared by every later call
+        a.setflags(write=False)
+    return rule
 
 
 def _de_integrate(f):
@@ -101,32 +95,22 @@ def _de_integrate(f):
         f"(last two levels differ by {err:.2e})")
 
 
-@lru_cache(maxsize=64)
-def _gauss_rule(n: int, a: float, b: float | None = None):
-    """n-node Gauss rule (nodes, weights summing to 1) by Golub-Welsch from
-    the three-term recurrence: Gauss-Jacobi for u^a (1-u)^b on (0, 1), or
-    with b None generalized Gauss-Laguerre for t^a e^-t on (0, inf)."""
-    k = np.arange(n, dtype=float)
-    if b is None:
-        diag, off = 2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a))
-    else:   # Jacobi on (-1, 1), weight (1-x)^b (1+x)^a, mapped by u = (1+x)/2
-        s, m = 2.0 * k + a + b, k[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diag = 0.5 + 0.5 * np.where(k > 0, (a * a - b * b) / (s * s + 2.0 * s),
-                                        (a - b) / (a + b + 2.0))
-        off = np.sqrt(m * (m + a) * (m + b) * (m + a + b) / (s[1:] ** 2 * (s[1:] ** 2 - 1.0)))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return _read_only(x, v[0] ** 2)
-
-
 # ---------------------------------------------------------------------------
 # weighted simplex blocks
 
 
 @lru_cache(maxsize=65536)
 def _beta_factor(c: float, e: float):
-    """int_0^1 u^c (1-u)^e du by the tanh-sinh rule, with its error."""
-    return _de_integrate(lambda u, um1: u ** c * um1 ** e)
+    """int_0^1 u^c (1-u)^e du by the tanh-sinh rule, with its error.  For
+    -1 < c < 0 the singular u^c goes into v = u^(c+1): the integral becomes
+    int_0^1 (1 - v^k)^e dv / (c+1), k = 1/(c+1), with 1 - v^k formed from
+    the 1-v column (a node whose 1-v rounds to 1 gives v^k = 0)."""
+    if c >= 0.0:
+        return _de_integrate(lambda u, um1: u ** c * um1 ** e)
+    k = 1.0 / (c + 1.0)
+    with np.errstate(divide="ignore"):
+        val, err = _de_integrate(lambda v, vm1: (-np.expm1(k * np.log1p(-vm1))) ** e)
+    return val * k, err * k
 
 
 def _gaussian_moment(c: float, s: float) -> float:
@@ -194,7 +178,7 @@ def _base_shadow_integral(spec: DomainSpec, A):
     error, for every row a of the exponent matrix A."""
     base = spec.base
     zero = np.zeros(len(A))
-    if base.kind == "Polydisk":
+    if base.kind == KIND_POLYDISK:
         val, err = np.ones(len(A)), np.zeros(len(A))
         for j in range(A.shape[1]):
             v, e = _simplex_columns(zero, A[:, j:j + 1])
@@ -411,10 +395,10 @@ LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912), 4: (1, 1111, 1425,
 def reproducing_integral(K, spec: DomainSpec, indices, p):
     """({idx: value}, {idx: err}) of int K(p; q-bar) q^idx dV(q), K a ``Kernel``
     whose ``fn`` takes u_j = p_j q-bar_j: c ||z^idx||^2 p^idx, c from
-    ``_cauchy_coefficients``, the norm the sum of weight x |z^idx|^2 over
-    ``_radial_nodes`` (N_RAD, DE_LEVEL).  err: c's torus estimate and floor
-    times the norm, plus c times the norm's change on the coarser rule
-    (N_RAD_CHECK, DE_LEVEL_CHECK), times |p^idx|.  Up to 4 coordinates.
+    ``_cauchy_coefficients``, the norm and its error from the spec's cached
+    ``get_norm_table`` up to the largest requested degree.  err: c's torus
+    estimate and floor times the norm, plus |c| times the norm's error, times
+    |p^idx|.  Up to 4 coordinates.
     Repeated indices count once; negative ones raise ``SpecError``; no
     indices return ({}, {}) without calling K."""
     d = spec.dim
@@ -427,19 +411,14 @@ def reproducing_integral(K, spec: DomainSpec, indices, p):
         raise SpecError(f"reproducing indices need {d} non-negative exponents")
     if not indices:
         return {}, {}
-    # one vector product per index and rule: no value's rounding depends on the other indices
-    rules = (_radial_nodes(spec, N_RAD, DE_LEVEL),
-             _radial_nodes(spec, N_RAD_CHECK, DE_LEVEL_CHECK))
-    norms = {idx: [float(w @ math.prod((x[:, j] ** e for j, e in enumerate(idx) if e),
-                                       start=np.ones(len(w)))) for x, w in rules]
-             for idx in indices}
-    coeffs = _cauchy_coefficients(K, spec, {idx: n for idx, (n, _) in norms.items()})
+    entries = get_norm_table(spec, max(map(sum, indices))).entries
+    coeffs = _cauchy_coefficients(K, spec, {idx: entries[idx][0] for idx in indices})
     vals, errs = {}, {}
-    for idx, (norm, check) in norms.items():
-        c, angular, floor = coeffs[idx]
+    for idx in indices:
+        (norm, norm_err), (c, angular, floor) = entries[idx], coeffs[idx]
         target = math.prod(complex(pj) ** e for pj, e in zip(p, idx))
         vals[idx] = c * norm * target
-        errs[idx] = ((angular + floor) * norm + abs(c) * abs(norm - check)) * abs(target)
+        errs[idx] = ((angular + floor) * norm + abs(c) * norm_err) * abs(target)
     return vals, errs
 
 
@@ -494,87 +473,6 @@ def _cauchy_coefficients(K, spec: DomainSpec, norms: dict) -> dict:
             if abs(c - c_half) * norm <= TORUS_TOL:
                 break
     return out
-
-
-def _lift_power(weights):
-    """Least L with every L a_j an integer, from the weights' exact binary
-    fractions (never a nearby fraction); None above MAX_LIFT_POWER."""
-    L = math.lcm(*(a.as_integer_ratio()[1] for a in weights))
-    return L if L <= MAX_LIFT_POWER else None
-
-
-def _de_factor(level: int, a: float, b: float):
-    """tanh-sinh nodes u < 1 (u = 1 would put a U-step's ||w||^2 on the
-    boundary), 1 - u and weights summing to 1 for u^a (1-u)^b on (0, 1)."""
-    keep = _de_rule(level)[0] < 1.0
-    u, um1, w = (v[keep] for v in _de_rule(level))
-    w = w * u ** a * um1 ** b
-    return u, um1, w / w.sum()
-
-
-def _sticks(v):
-    """Dirichlet shares from stick fractions: v_i times what is left, then the rest."""
-    parts, rest = [], 1.0
-    for vi in v:
-        parts.append(rest * vi)
-        rest = rest * (1.0 - vi)
-    return parts + [rest]
-
-
-@lru_cache(maxsize=16)
-def _radial_nodes(spec: DomainSpec, n_rad: int, de_level: int):
-    """Squared moduli (nodes, dim) and weights, read-only, of a product rule
-    over the variables ``domains._chain_shadow`` draws, where the shadow is
-    a product of intervals, placed by ``chain_moduli``.
-    Gauss-Legendre on a uniform base coordinate; Gauss-Jacobi on Dirichlet
-    sticks (a ball base, a w block) and, per U-step, in s = (1-t)^(1/L), L
-    the least integer with every L a_j an integer, so that t = ||w||^2 and
-    each acted squared modulus are polynomials in s; generalized
-    Gauss-Laguerre, n_rad + 12 nodes for its factors e^(-a t), in a V-step's
-    t.  Where none fits (no L up to MAX_LIFT_POWER, an ellipsoid base of
-    several coordinates not all of exponent 1), tanh-sinh at ``de_level``.
-    Each factor's weights sum to 1; their product is scaled by ||1||^2."""
-    base, q = spec.base, [1.0 / pj for pj in spec.base.exponents]
-    sticks = base.kind != KIND_POLYDISK and base.dim > 1
-    rules = []          # per chain variable: its columns, then its weights
-    for j in range(base.dim):       # x_j uniform, or the sticks of Dirichlet(q, 1)
-        a, b = (q[j] - 1.0, sum(q[j + 1:])) if sticks else (0.0, 0.0)
-        if sticks and set(q) != {1.0}:     # its nodes u and weights
-            rules.append(_de_factor(de_level, a, b)[::2])
-        else:
-            rules.append(_gauss_rule(n_rad, a, b))
-    for step in spec.lifts:
-        A, k, L = sum(step.weights), step.w_dim, _lift_power(step.weights)
-        if step.kind == "V":
-            t, w = _gauss_rule(n_rad + 12, k - 1.0)
-            rules.append((t / A, w))
-        elif L is None:     # t and c = 1 - t
-            rules.append(_de_factor(de_level, k - 1.0, A))
-        else:               # s = c^(1/L) has density s^(L(A+1)-1) (1 - s^L)^(k-1)
-            s, w = _gauss_rule(n_rad, L * (A + 1.0) - 1.0, k - 1.0)
-            w = w * ((1.0 - s ** L) / (1.0 - s)) ** (k - 1)
-            rules.append((1.0 - s ** L, s ** L, w / w.sum()))
-        rules += [_gauss_rule(n_rad, 0.0, k - 2.0 - i) for i in range(k - 1)]
-    cols, weights = [], np.ones(1)      # tensor product, first variable slowest
-    for *new, w in rules:
-        cols = [np.repeat(c, len(w)) for c in cols] + [np.tile(c, len(weights)) for c in new]
-        weights = np.outer(weights, w).ravel()
-    cols = iter(cols)
-    x = [next(cols) for _ in range(base.dim)]
-    lifts = []
-    for step in spec.lifts:
-        t = next(cols)
-        c = next(cols) if step.kind == "U" else None
-        split = _sticks([next(cols) for _ in range(step.w_dim - 1)])
-        lifts.append((t, c, np.column_stack(split)))
-    if sticks:
-        x = [y ** qj for y, qj in zip(_sticks(x), q)]
-    x = chain_moduli(spec, np.column_stack(x), lifts)
-    # ||1||^2: the lifts' masses by the norm route over the unit cube, times the
-    # base shadow's closed-form volume (the route fails for large exponents)
-    unit = DomainSpec(BaseDomain(KIND_POLYDISK, base.n_star, base.m_passive), spec.lifts)
-    volume = _monomial_norms(unit, np.zeros((1, spec.dim), dtype=np.intp))[0][0]
-    return _read_only(x, weights * volume * chain_volume(DomainSpec(base)) / math.pi ** base.dim)
 
 
 def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:

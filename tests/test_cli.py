@@ -318,6 +318,19 @@ def test_eval_w_block_of_four_all_modes(tmp_path):
         assert float(row["delta_closed_series"]) <= 1e-3
 
 
+def test_eval_all_modes_on_the_p4_egg(tmp_path):
+    # the egg's base factors u^c with -1 < c < 0 once stopped the series
+    # route with "tanh-sinh rule did not converge"
+    spec = egg_spec(1, 4.0)
+    pairs = interior_pairs(spec, 4, seed=29)
+    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
+    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", "40")
+    assert rc == 0 and len(rows) == 4
+    for row in rows:
+        assert row["error"] == ""
+        assert float(row["delta_closed_series"]) <= 1e-3
+
+
 def test_eval_closed_mode_without_closed_form_exits_2(tmp_path, capsys):
     specf, ptsf = tmp_path / "stage4.json", tmp_path / "pts.json"
     specf.write_text(json.dumps(spec_to_dict(chain_stage_spec(4))))

@@ -247,7 +247,7 @@ def test_sample_box_radius_is_a_square():
     (2, "67bf758958fb9a52"), (3, "783339b36563a777"), (4, "ba2fa4813e9e7064"),
     (5, "6c6a5fda747b9692"), (6, "c1eefca5dec3d5bc")])
 def test_chain_sample_digest_pinned(stage, digest):
-    # the sampler shares chain_moduli with the reproducing quadrature;
+    # the sampler forms the squared moduli from its chain draws in _chain_shadow;
     # `sample` output must keep these bytes
     pts = sample_interior(chain_stage_spec(stage), 2000, seed=11).points
     assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == digest

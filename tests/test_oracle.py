@@ -13,7 +13,7 @@ from bergman import oracle
 from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              interior_points, polydisk_spec)
-from bergman.domains import BaseDomain, DomainSpec, LiftStep, SpecError, spec_from_dict
+from bergman.domains import BaseDomain, DomainSpec, SpecError, spec_from_dict
 from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg)
 from bergman.jets import NonFiniteError, pochhammer
@@ -133,16 +133,29 @@ def test_norm_and_error_pinned_bitwise(name):
 
 
 @pytest.mark.parametrize("spec, cap, digest", [
-    (V_WDIM3, 10, "71fb39a051006bdc"),
-    (chain_stage_spec(6), 8, "7c695c0001a35e8b"),
-    (closed_form_families()["egg_inflated_p2"][0], 20, "55aed363e3eae11d"),
+    (V_WDIM3, 10, "35b520ffb5f92068"),
+    (chain_stage_spec(6), 8, "9d76f359c69c5031"),
+    (closed_form_families()["egg_inflated_p2"][0], 20, "731510a426588a73"),
     (egg_spec(2, 1.5, 3), 10, "5197252dae5e89dc"),
 ], ids=["v_wdim3", "stage6", "egg_inflated_p2", "u_wdim3"])
 def test_norm_table_digest_pinned(spec, cap, digest):
-    # every norm and error of the table, as the scalar per-index loop gave them
+    # every norm and error of the table; v_wdim3, stage6 and egg_inflated_p2
+    # have base exponents above 1, whose factors u^c with c < 0 go into v = u^(c+1)
     table = NormTable.build(spec, cap)
     got = hashlib.sha256(table.norms.tobytes() + table.errors.tobytes()).hexdigest()
     assert got[:16] == digest
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 3.2, 4.0, 8.0, 20.0, 50.0])
+def test_norm_table_of_the_p1_ellipsoid_matches_gamma_closed_form(p):
+    # on {|z_1|^(2p) + |z_2|^2 < 1}, ||z_1^a z_2^b||^2 = pi^2/p G(q) G(b+1) / G(q+b+2),
+    # q = (a+1)/p; the base factor u^(q-1) is singular at u = 0 for a + 1 < p
+    spec = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (p, 1.0)))
+    table = NormTable.build(spec, 12)
+    for (a, b), norm in zip(table.exponents.tolist(), table.norms):
+        q = (a + 1) / p
+        want = PI ** 2 / p * math.exp(math.lgamma(q) + math.lgamma(b + 1) - math.lgamma(q + b + 2))
+        assert abs(norm - want) <= 1e-12 * want, (a, b)
 
 
 @pytest.mark.parametrize("spec", [polydisk_spec(2), closed_form_families()["egg_inflated_p2"][0],
@@ -284,26 +297,22 @@ def _cauchy_sum(K, spec, idx, r):
     return total / n / r ** sum(idx)
 
 
-def _grid(monkeypatch, n_rad, n_rad_check, n_ang=oracle.N_ANG):
-    """Set a smaller reproducing_integral grid; monkeypatch undoes it."""
-    monkeypatch.setattr(oracle, "N_RAD", n_rad)
-    monkeypatch.setattr(oracle, "N_RAD_CHECK", n_rad_check)
+def _grid(monkeypatch, n_ang):
+    """Set a smaller Cauchy lattice; monkeypatch undoes it."""
     monkeypatch.setattr(oracle, "N_ANG", n_ang)
 
 
 def test_reproducing_integral_matches_brute_force_lattice_sum():
     # value c(r) ||z^idx||^2 p^idx on the torus r = (b/2)^2, whose estimate
-    # |c(r) - c(r/2)| ||z^idx||^2 passes here, the norm from the radial nodes
-    # by math.fsum
+    # |c(r) - c(r/2)| ||z^idx||^2 passes here, the norm from the norm route
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
     idxs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     vals, errs = reproducing_integral(K, spec, idxs, p)
-    x, w = oracle._radial_nodes(spec, oracle.N_RAD, oracle.DE_LEVEL)
     b2 = oracle._diagonal_crossing(spec)
     for idx in idxs:
-        norm = math.fsum(w * np.prod(x ** np.array(idx), axis=1))
+        norm = monomial_norm_full(spec, idx)[0]
         c, c_half = _cauchy_sum(K, spec, idx, b2 / 4), _cauchy_sum(K, spec, idx, b2 / 8)
         assert abs(c - c_half) * norm <= oracle.TORUS_TOL, idx
         want = c * norm * math.prod(pj ** e for pj, e in zip(p, idx))
@@ -379,7 +388,7 @@ def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2, 0.1, 0.3)
-    _grid(monkeypatch, 4, 3, 8)
+    _grid(monkeypatch, 8)
     once = reproducing_integral(K, spec, [(1, 0, 0)], p)
     twice = reproducing_integral(K, spec, [(1, 0, 0), (0, 0, 1), (1, 0, 0)], p)
     assert twice[0][(1, 0, 0)] == once[0][(1, 0, 0)]
@@ -414,43 +423,9 @@ def test_reproducing_blocks_match_default_pass(K):
             assert got_errs[idx] == errs[idx], (size, idx)
 
 
-# (a, b) of the Gauss-Jacobi rules for u^a (1-u)^b the chain factors use:
-# Legendre on a uniform base coordinate, a ball base's last and first
-# sticks, and the U-steps of chain stages 2, 4 and 5 in s = (1-t)^(1/L),
-# whose weights 1/2, 3/2 and 5/4 give L = 2, 2, 4 and a = L(A+1) - 1; then
-# a U-step with a w block of 2 (egg_inflated_p2) and a fractional pair
-JACOBI_PARAMETERS = [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (4.0, 0.0), (8.0, 0.0),
-                     (2.0, 1.0), (0.5, 2.5)]
-
-
-@pytest.mark.parametrize("n", [oracle.N_RAD, oracle.N_RAD_CHECK])
-def test_gauss_rules_integrate_beta_and_gamma_moments(n):
-    assert [oracle._lift_power(step.weights) for step in chain_stage_spec(6).lifts
-            if step.kind == "U"] == [2, 2, 4]
-    for a, b in JACOBI_PARAMETERS:
-        u, w = oracle._gauss_rule(n, a, b)
-        for j in range(2 * n):
-            want = (math.gamma(a + 1 + j) * math.gamma(a + b + 2)
-                    / (math.gamma(a + 1) * math.gamma(a + b + 2 + j)))
-            assert abs(math.fsum(w * u ** j) - want) <= 1e-13 * want, (a, b, j)
-    # generalized Laguerre, 12 more nodes, for V-steps with w blocks of 1 and 2
-    for a in (0.0, 1.0):
-        t, w = oracle._gauss_rule(n + 12, a)
-        for j in range(2 * (n + 12)):
-            want = math.gamma(a + 1 + j) / math.gamma(a + 1)
-            assert abs(math.fsum(w * t ** j) - want) <= 1e-13 * want, (a, j)
-
-
-def test_lift_power_reads_exact_binary_fractions():
-    assert oracle._lift_power((0.375, 1.25, 0.0)) == 8
-    assert oracle._lift_power((2.0 ** -6,)) == oracle.MAX_LIFT_POWER == 64
-    # none of these floats is a fraction of small denominator: no rounding
-    for a in (math.sqrt(0.5), 0.1, 1 / 3, 2.0 ** -7):
-        assert oracle._lift_power((1.0, a)) is None, a
-
-
 def test_reproducing_fallback_on_an_irrational_weight():
-    # no lift power: the U-step's factor takes the tanh-sinh rule
+    # an irrational U-step weight: the tanh-sinh factors (1-u)^e of the
+    # norms take irrational exponents e
     K = lift_U(kernel_ball(2, n_star=1), (math.sqrt(0.5),), 1)
     p = (0.3, 0.2 + 0.1j, 0.25)
     idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
@@ -467,36 +442,11 @@ def test_reproducing_fallback_on_an_irrational_weight():
     (closed_form_for(DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (4.0, 1.0)))),
      (0.3, 0.2 - 0.1j), 1e-8)], ids=["egg_p4", "ellipsoid41"])
 def test_reproducing_on_bases_of_large_exponent(K, p, tol):
-    # the norm route's ellipsoid base factor does not converge at p = 4;
-    # the quadrature takes the base shadow's volume without it
+    # the ellipsoid base factors u^c (1-u)^e have -1 < c < 0 for small
+    # exponents at p = 4; the norm route integrates them in v = u^(c+1)
     idxs = [(a, c) for a in range(3) for c in range(3)]
     for idx, res in reproducing_check(K, K.domain, idxs, p).items():
         assert res < tol, idx
-
-
-# specs for the radial rule, each with the tolerance of its monomial norms
-RADIAL_SPECS = {
-    "stage2": (chain_stage_spec(2), 1e-13), "ball_disk_lift": (ball_disk_lift_spec(1, 1), 1e-13),
-    "polydisk2": (polydisk_spec(2), 1e-13),
-    "egg_inflated_p2": (closed_form_families()["egg_inflated_p2"][0], 1e-13),
-    # tanh-sinh factors: an ellipsoid base of two exponents, an irrational weight
-    "ellipsoid23": (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (2.0, 3.0))), 1e-9),
-    "irrational": (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 1, 1, (1.0, 1.0)),
-                              (LiftStep("U", (math.sqrt(0.5),)),)), 1e-8),
-    # Laguerre nodes do not integrate the V-step factors e^(-a t) exactly;
-    # 12 more of them than the other factors get them within 1e-8
-    "stage3": (chain_stage_spec(3), 1e-8), "stage4": (chain_stage_spec(4), 1e-8)}
-
-
-@pytest.mark.parametrize("spec, tol", list(RADIAL_SPECS.values()), ids=list(RADIAL_SPECS))
-def test_radial_nodes_integrate_monomial_norms(spec, tol):
-    # sum of weight x |z^a|^2 over the chain nodes against the norm oracle
-    x, weights = oracle._radial_nodes(spec, oracle.N_RAD, oracle.DE_LEVEL)
-    assert x.shape == (len(weights), spec.dim)
-    for a in oracle.exponent_matrix(spec.dim, 3):
-        want = monomial_norm_full(spec, a)[0]
-        got = math.fsum(weights * np.prod(x ** a, axis=1))
-        assert abs(got - want) <= tol * want, a
 
 
 @pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
@@ -513,16 +463,15 @@ def test_lift_pipeline_through_the_pass_matches_closed_form(K):
 
 
 def test_cached_rules_are_read_only():
-    # every later call shares a cached rule and its radial nodes: a write raises
-    for a in (oracle._gauss_rule(4, 0.0, 1.0) + oracle._gauss_rule(4, 1.0) + oracle._de_rule(2)
-              + oracle._radial_nodes(chain_stage_spec(3), 4, 1)):
+    # every later call shares a cached rule: a write raises
+    for a in oracle._de_rule(2):
         with pytest.raises(ValueError):
             a[0] = 0.5
 
 
 def test_reproducing_pass_memory_is_bounded():
-    # chain stage 3 and the tanh-sinh fallback have the most radial nodes:
-    # a block of every node stays small
+    # each fn call takes one (2, N_ANG) torus, and the norm table stops at
+    # the largest requested degree: the peak stays small
     for K in (kernel_ball_disk_lift(1, 1), kernel_chain_stage3(2.0),
               lift_U(kernel_ball(2, n_star=1), (math.sqrt(0.5),), 1)):
         tracemalloc.start()
@@ -555,11 +504,11 @@ def test_reproducing_integral_rejects_aliased_indices(monkeypatch):
     calls = []
     counted = _counted(K, calls)
     # on 16 points the 3-d generator is (1, 12, 0): bin (0, 0, 1) lands on (0, 0, 0)
-    _grid(monkeypatch, 2, 1, 16)
+    _grid(monkeypatch, 16)
     with pytest.raises(IntegrationError):
         reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3))
     assert not calls
-    _grid(monkeypatch, 2, 1, 32)
+    _grid(monkeypatch, 32)
     reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3))
     assert calls
 
@@ -569,7 +518,7 @@ def test_reproducing_integral_empty_indices_skip_the_kernel(monkeypatch):
     counted = _counted(kernel_ball_disk_lift(1, 1), calls)
     assert reproducing_integral(counted, ball_disk_lift_spec(1, 1), [], (0.2, 0.1, 0.3)) == ({}, {})
     assert not calls
-    _grid(monkeypatch, 2, 1, 4)
+    _grid(monkeypatch, 4)
     reproducing_integral(counted, ball_disk_lift_spec(1, 1), [(0, 0, 0)], (0.2, 0.1, 0.3))
     assert calls
 
@@ -589,7 +538,7 @@ def test_reproducing_integral_raises_on_non_finite_kernel_values(bad, monkeypatc
         calls.append(1)
         return v
 
-    _grid(monkeypatch, 4, 3, 32)
+    _grid(monkeypatch, 32)
     with pytest.raises(NonFiniteError):
         reproducing_integral(Kernel(fn, K.n, K.m, K.w_dims, domain=K.domain), K.domain,
                              [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
