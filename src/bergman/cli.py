@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,6 +48,7 @@ def _run_cases(cases, workers: int):
     regardless of completion order."""
     if workers <= 1:
         return [fn() for fn in cases]
+    from concurrent.futures import ThreadPoolExecutor   # imported only for a pool
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn) for fn in cases]
         return [f.result() for f in futures]

@@ -2,7 +2,12 @@
 
 Monomials form a complete orthogonal system on every constructible domain
 (they are all complete Reinhardt), so the kernel is the monomial series
-with squared-norm denominators.  Norms are computed by polar reduction to
+with squared-norm denominators.  A w block that every later lift weights
+equally enters the domain only through its squared norm, so the domain is
+unitarily invariant in it and the block's degree-j terms sum to
+<w, eta-bar>^j / ||z^a w_1^j||^2: the series runs over one variable per
+base coordinate and per such block (``series_variables``), with no lift
+identity involved.  Norms are computed by polar reduction to
 the shadow (each coordinate contributes pi and a radial factor) and honest
 quadrature of the reduced integrals.  Every reduced integral (the weighted
 simplex blocks of disk-fibered lift steps, the ellipsoid base, each
@@ -17,7 +22,7 @@ not modelled.)
 By orthogonality, int K(p, q) q^a dV(q) = c_a ||z^a||^2 p^a, c_a the Taylor
 coefficient of the kernel's ``fn`` at u^a: up to 4 coordinates, a Cauchy
 integral by a rank-1 lattice rule on one torus taken from the spec, times
-the same norm table the series reads.
+the norms of the requested indices alone.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .domains import KIND_POLYDISK, DomainSpec, SpecError, contains, shadow_contains
 from .jets import NonFiniteError, pochhammer
 
-# largest norm table built; chain stage 4 at cap 24 needs 20,475 norms
+# largest norm table built, in series variables; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
 SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
@@ -247,12 +252,41 @@ def exponent_matrix(dim: int, degree_cap: int) -> np.ndarray:
     return E[np.argsort(E.sum(axis=1), kind="stable")]
 
 
+@lru_cache(maxsize=64)
+def series_variables(spec: DomainSpec) -> tuple:
+    """The coordinates each series variable sums p_l q-bar_l over, in
+    coordinate order: one per base coordinate, one per lift's w block whose
+    coordinates every later lift weights equally, and one per coordinate of
+    any other block.  With no such block of two or more coordinates the
+    variables are the coordinate products themselves."""
+    groups = [(j,) for j in range(spec.base.dim)]
+    for i in range(len(spec.lifts)):
+        block = range(spec.dim)[spec.w_slice(i)]
+        if all(len({wt for j, wt in zip(spec.star_indices(k), spec.lifts[k].weights)
+                    if j in block}) == 1 for k in range(i + 1, len(spec.lifts))):
+            groups.append(tuple(block))
+        else:
+            groups.extend((j,) for j in block)
+    return tuple(groups)
+
+
+def _representative_rows(spec: DomainSpec, R) -> np.ndarray:
+    """Full exponent rows for the rows of R over ``series_variables``: each
+    variable's degree on its first coordinate, whose monomial norm is the
+    one its series term divides by."""
+    E = np.zeros((len(R), spec.dim), dtype=np.intp)
+    E[:, [g[0] for g in series_variables(spec)]] = R
+    return E
+
+
 class NormTable:
-    """Monomial squared norms for one spec: the degree-sorted (n, dim)
-    ``exponents`` matrix with its ``norms`` and ``errors`` vectors, the first
-    row ``offsets[d]`` of each degree shell d, and ``gather``, each exponent's
-    flat index into a (dim, cap + 1) array of powers.  ``entries``, the same
-    table as a dict of (value, error) pairs, is built only when read."""
+    """Monomial squared norms for one spec over its series variables: the
+    degree-sorted (n, n_vars) ``exponents`` matrix with its ``norms`` and
+    ``errors`` vectors (a row's norm is that of its ``_representative_rows``
+    monomial), the first row ``offsets[d]`` of each degree shell d, and
+    ``gather``, each exponent's flat index into a (n_vars, cap + 1) array of
+    powers.  ``entries``, the same table as a dict of (value, error) pairs,
+    is built only when read."""
 
     def __init__(self, spec: DomainSpec | None, exponents, norms, errors):
         self.spec = spec
@@ -275,12 +309,13 @@ class NormTable:
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
         if degree_cap < 0:
             raise SpecError("series degree cap must be nonnegative")
-        size = math.comb(degree_cap + spec.dim, spec.dim)
+        n_vars = len(series_variables(spec))
+        size = math.comb(degree_cap + n_vars, n_vars)
         if size > MAX_TABLE_ENTRIES:
             raise SpecError(f"degree cap {degree_cap} needs {size} norms in "
-                            f"{spec.dim} dimensions (at most {MAX_TABLE_ENTRIES})")
-        exps = exponent_matrix(spec.dim, degree_cap)
-        return cls(spec, exps, *_monomial_norms(spec, exps))
+                            f"{n_vars} series variables (at most {MAX_TABLE_ENTRIES})")
+        exps = exponent_matrix(n_vars, degree_cap)
+        return cls(spec, exps, *_monomial_norms(spec, _representative_rows(spec, exps)))
 
     @cached_property
     def entries(self) -> dict:
@@ -321,7 +356,9 @@ def _fsum(re, im) -> complex:
 
 def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                   table: NormTable | None = None) -> SeriesValue:
-    """Kernel value as the monomial series sum (p q-bar)^a / ||z^a||^2.
+    """Kernel value as the monomial series sum v^a / ||z^a||^2 over the
+    spec's ``series_variables`` v, each the sum of p_l q-bar_l over its
+    coordinates, and the table's representative norms.
 
     Terms are computed SHELL_BLOCK degree shells at a time, each block one
     numpy gather of the table's cumulative powers; each degree shell is
@@ -338,11 +375,13 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
         raise SpecError("degree cap must be nonnegative")
     if table is None:
         table = get_norm_table(spec, degree_cap)
-    if table.exponents.shape[1] != spec.dim or table.degree_cap() < degree_cap:
-        raise SpecError(f"norm table (dimension {table.exponents.shape[1]}, degree "
+    groups = series_variables(spec)
+    if table.exponents.shape[1] != len(groups) or table.degree_cap() < degree_cap:
+        raise SpecError(f"norm table ({table.exponents.shape[1]} series variables, degree "
                         f"cap {table.degree_cap()}) does not cover this series")
-    pows = np.ones((spec.dim, table.degree_cap() + 1), dtype=complex)
-    pows[:, 1:] = np.array([pj * qj.conjugate() for pj, qj in zip(p, q)])[:, None]
+    u = [pj * qj.conjugate() for pj, qj in zip(p, q)]
+    pows = np.ones((len(groups), table.degree_cap() + 1), dtype=complex)
+    pows[:, 1:] = np.array([sum((u[j] for j in g[1:]), u[g[0]]) for g in groups])[:, None]
     shells = []
     running = 0j
     cap_used = degree_cap
@@ -395,10 +434,10 @@ LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912), 4: (1, 1111, 1425,
 def reproducing_integral(K, spec: DomainSpec, indices, p):
     """({idx: value}, {idx: err}) of int K(p; q-bar) q^idx dV(q), K a ``Kernel``
     whose ``fn`` takes u_j = p_j q-bar_j: c ||z^idx||^2 p^idx, c from
-    ``_cauchy_coefficients``, the norm and its error from the spec's cached
-    ``get_norm_table`` up to the largest requested degree.  err: c's torus
-    estimate and floor times the norm, plus |c| times the norm's error, times
-    |p^idx|.  Up to 4 coordinates.
+    ``_cauchy_coefficients``, the norm and its error from ``_monomial_norms``
+    on the requested indices alone.  err: c's torus estimate and floor times
+    the norm, plus |c| times the norm's error, times |p^idx|.  Up to 4
+    coordinates.
     Repeated indices count once; negative ones raise ``SpecError``; no
     indices return ({}, {}) without calling K."""
     d = spec.dim
@@ -411,11 +450,11 @@ def reproducing_integral(K, spec: DomainSpec, indices, p):
         raise SpecError(f"reproducing indices need {d} non-negative exponents")
     if not indices:
         return {}, {}
-    entries = get_norm_table(spec, max(map(sum, indices))).entries
-    coeffs = _cauchy_coefficients(K, spec, {idx: entries[idx][0] for idx in indices})
+    norms, norm_errs = (a.tolist() for a in _monomial_norms(spec, np.array(indices)))
+    coeffs = _cauchy_coefficients(K, spec, dict(zip(indices, norms)))
     vals, errs = {}, {}
-    for idx in indices:
-        (norm, norm_err), (c, angular, floor) = entries[idx], coeffs[idx]
+    for idx, norm, norm_err in zip(indices, norms, norm_errs):
+        c, angular, floor = coeffs[idx]
         target = math.prod(complex(pj) ** e for pj, e in zip(p, idx))
         vals[idx] = c * norm * target
         errs[idx] = ((angular + floor) * norm + abs(c) * norm_err) * abs(target)

@@ -318,6 +318,19 @@ def test_eval_w_block_of_four_all_modes(tmp_path):
         assert float(row["delta_closed_series"]) <= 1e-3
 
 
+def test_eval_all_modes_on_a_w_block_of_six(tmp_path):
+    # 10,295,472 norms in 7 coordinates at cap 30; 496 in the two series
+    # variables z and <w, eta-bar>
+    spec = egg_spec(1, 2.0, 6)
+    pairs = interior_pairs(spec, 5, seed=61, box_radius=0.3)
+    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
+    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", "30")
+    assert rc == 0 and len(rows) == 5
+    for row in rows:
+        assert row["error"] == ""
+        assert float(row["delta_closed_series"]) <= 1e-3
+
+
 def test_eval_all_modes_on_the_p4_egg(tmp_path):
     # the egg's base factors u^c with -1 < c < 0 once stopped the series
     # route with "tanh-sinh rule did not converge"

@@ -13,9 +13,10 @@ from bergman import oracle
 from bergman.catalog import (ball_spec, chain_stage_spec, closed_form_families, egg_spec,
                              disk_spec, ball_disk_lift_spec, ball_exp_lift_spec, interior_pairs,
                              interior_points, polydisk_spec)
-from bergman.domains import BaseDomain, DomainSpec, SpecError, spec_from_dict
+from bergman.domains import BaseDomain, DomainSpec, LiftStep, SpecError, spec_from_dict
 from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_ball_disk_lift,
-                             kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg)
+                             kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg,
+                             kernel_egg_inflated)
 from bergman.jets import NonFiniteError, pochhammer
 from bergman.lifting import compose_pipeline, lift_U
 from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
@@ -123,13 +124,20 @@ PINNED_NORMS = {
 }
 
 
+def _full_table(spec, cap):
+    """(exponents, norms, errors) over every full-dimension monomial of
+    degree <= cap, whatever the spec's series variables."""
+    exponents = oracle.exponent_matrix(spec.dim, cap)
+    return (exponents, *oracle._monomial_norms(spec, exponents))
+
+
 @pytest.mark.parametrize("name", PINNED_NORMS)
 def test_norm_and_error_pinned_bitwise(name):
     spec, idx, value, error = PINNED_NORMS[name]
     assert monomial_norm_full(spec, idx) == (value, error)
-    table = NormTable.build(spec, sum(idx))
-    row = table.exponents.tolist().index(list(idx))
-    assert (table.norms[row], table.errors[row]) == (value, error)
+    exponents, norms, errors = _full_table(spec, sum(idx))
+    row = exponents.tolist().index(list(idx))
+    assert (norms[row], errors[row]) == (value, error)
 
 
 @pytest.mark.parametrize("spec, cap, digest", [
@@ -141,8 +149,8 @@ def test_norm_and_error_pinned_bitwise(name):
 def test_norm_table_digest_pinned(spec, cap, digest):
     # every norm and error of the table; v_wdim3, stage6 and egg_inflated_p2
     # have base exponents above 1, whose factors u^c with c < 0 go into v = u^(c+1)
-    table = NormTable.build(spec, cap)
-    got = hashlib.sha256(table.norms.tobytes() + table.errors.tobytes()).hexdigest()
+    _, norms, errors = _full_table(spec, cap)
+    got = hashlib.sha256(norms.tobytes() + errors.tobytes()).hexdigest()
     assert got[:16] == digest
 
 
@@ -163,8 +171,9 @@ def test_norm_table_of_the_p1_ellipsoid_matches_gamma_closed_form(p):
                          ids=["polydisk2", "egg_inflated_p2", "ball_exp_lift_11", "stage4"])
 def test_norm_table_rows_equal_one_row_norms(spec):
     table = NormTable.build(spec, 12)
-    for idx, value, error in zip(table.exponents.tolist(), table.norms, table.errors):
-        e = monomial_norm_full(spec, idx)
+    full = oracle._representative_rows(spec, table.exponents).tolist()
+    for idx, rep, value, error in zip(table.exponents.tolist(), full, table.norms, table.errors):
+        e = monomial_norm_full(spec, rep)
         assert e == (value, error), idx
         assert table.entries[tuple(idx)] == e
     assert len(table.entries) == len(table.norms)
@@ -449,6 +458,26 @@ def test_reproducing_on_bases_of_large_exponent(K, p, tol):
         assert res < tol, idx
 
 
+def test_reproducing_on_a_w_block_of_two():
+    # the egg's w block is one series variable, but the check reads the
+    # norms of full indices such as (0, 1, 1)
+    spec, K = closed_form_families()["egg_inflated_p2"]
+    idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
+    for p in interior_points(spec, 3, seed=303, box_radius=0.4):
+        for idx, res in reproducing_check(K, spec, idxs, p).items():
+            assert res < 1e-3, idx
+
+
+def test_reproducing_integral_builds_no_norm_table():
+    # one degree-20 index needs one norm, not the 10,626 of a degree-20 table
+    spec = chain_stage_spec(4)
+    p = interior_points(spec, 1, seed=5, box_radius=0.4)[0]
+    before = get_norm_table.cache_info()
+    vals, _ = reproducing_integral(compose_pipeline(spec), spec, [(20, 0, 0, 0)], p)
+    assert get_norm_table.cache_info() == before
+    assert cmath.isfinite(vals[(20, 0, 0, 0)])
+
+
 @pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
                                kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
 def test_lift_pipeline_through_the_pass_matches_closed_form(K):
@@ -619,11 +648,13 @@ def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9):
     p = tuple(complex(c) for c in p)
     q = tuple(complex(c) for c in q)
     n = table.offsets[degree_cap + 1]
-    pows = np.ones((spec.dim, degree_cap + 1), dtype=complex)
-    pows[:, 1:] = np.array([pj * qj.conjugate() for pj, qj in zip(p, q)])[:, None]
+    groups = oracle.series_variables(spec)
+    u = [pj * qj.conjugate() for pj, qj in zip(p, q)]
+    pows = np.ones((len(groups), degree_cap + 1), dtype=complex)
+    pows[:, 1:] = np.array([sum((u[j] for j in g[1:]), u[g[0]]) for g in groups])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         pows = np.cumprod(pows, axis=1)
-        terms = pows[np.arange(spec.dim), table.exponents[:n]].prod(axis=1)
+        terms = pows[np.arange(len(groups)), table.exponents[:n]].prod(axis=1)
         re = memoryview(terms.real / table.norms[:n])
         im = memoryview(terms.imag / table.norms[:n])
     shells = []
@@ -703,6 +734,83 @@ def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
     assert sv.cap_used == 2
     assert _outcome(series_kernel, disk_spec(), (0.5,), (0.5,), 30, table=table) == \
         _outcome(_series_one_pass, disk_spec(), (0.5,), (0.5,), 30, table)
+
+
+# a 2-ball whose U-step block of two is weighted (0.7, 1.1) by the next
+# V-step: no longer unitarily invariant, so it must stay two series variables
+UNEQUAL_LATER_WEIGHTS = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
+                                   (LiftStep("U", (0.5, 0.5), 2),
+                                    LiftStep("V", (0.3, 0.3, 0.7, 1.1), 1)))
+
+
+def _full_series(spec, p, q, cap, monkeypatch):
+    """series_kernel with one series variable per coordinate, on a full
+    table from _monomial_norms."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "series_variables", lambda s: tuple((j,) for j in range(s.dim)))
+        return series_kernel(spec, p, q, cap, table=NormTable(spec, *_full_table(spec, cap)))
+
+
+@pytest.mark.parametrize("spec, cap", [
+    (closed_form_families()["egg_inflated_p2"][0], 30),
+    (V_WDIM3, 18),
+    (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
+                (LiftStep("V", (0.5, 1.2), 2),)), 22),
+    (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
+                (LiftStep("U", (0.7, 0.4), 3),)), 18),
+], ids=["egg_inflated_p2", "v_wdim3", "V-w2", "U-w3"])
+def test_block_series_matches_the_full_series(spec, cap, monkeypatch):
+    # one variable <w, eta-bar> per w block: the degree-j shell is the full
+    # series' degree-j shell, so only round-off and the stopping shell differ
+    groups = oracle.series_variables(spec)
+    assert len(groups) == spec.base.dim + len(spec.lifts) < spec.dim
+    table = get_norm_table(spec, cap)
+    assert len(table.norms) == math.comb(cap + len(groups), len(groups))
+    for p, q in interior_pairs(spec, 5, seed=67, box_radius=0.35):
+        got = series_kernel(spec, p, q, cap, table=table)
+        full = _full_series(spec, p, q, cap, monkeypatch)
+        assert abs(got.value - full.value) <= full.tail_bound
+
+
+def test_block_series_table_sizes():
+    assert len(get_norm_table(egg_spec(1, 2.0, 4), 22).norms) <= 300
+    assert len(get_norm_table(closed_form_families()["egg_inflated_p2"][0], 30).norms) == 496
+    # chain stages have blocks of one: the table is the full-dimension table
+    for k in (2, 4, 6):
+        spec = chain_stage_spec(k)
+        table = NormTable.build(spec, 8)
+        exponents, norms, errors = _full_table(spec, 8)
+        assert table.exponents.tobytes() == exponents.tobytes()
+        assert table.norms.tobytes() + table.errors.tobytes() == norms.tobytes() + errors.tobytes()
+
+
+def test_block_series_on_a_w_block_of_six():
+    # 7 coordinates: 10,295,472 full-dimension norms at cap 30, 496 in two variables
+    spec, K = egg_spec(1, 2.0, 6), kernel_egg_inflated(1, 6, 2.0)
+    table = get_norm_table(spec, 30)
+    assert len(table.norms) == 496
+    for p, q in interior_pairs(spec, 5, seed=61, box_radius=0.3):
+        sv = series_kernel(spec, p, q, 30, table=table)
+        v = complex(K(p, q))
+        assert abs(sv.value - v) <= 1e-3 * abs(v)
+        assert sv.tail_bound < 1e-4
+
+
+def test_block_with_unequal_later_weights_keeps_one_variable_per_coordinate(monkeypatch):
+    spec, cap = UNEQUAL_LATER_WEIGHTS, 14
+    assert oracle.series_variables(spec) == tuple((j,) for j in range(5))
+    K = compose_pipeline(spec)
+    pairs = interior_pairs(spec, 5, seed=71, box_radius=0.35)
+    table = get_norm_table(spec, cap)
+    for p, q in pairs:
+        v = complex(K(p, q))
+        assert abs(series_kernel(spec, p, q, cap, table=table).value - v) <= 1e-3 * abs(v)
+    # the same block reduced anyway misses the gate
+    monkeypatch.setattr(oracle, "series_variables", lambda s: ((0,), (1,), (2, 3), (4,)))
+    table = NormTable.build(spec, cap)
+    worst = max(abs(series_kernel(spec, p, q, cap, table=table).value - complex(K(p, q)))
+                / abs(complex(K(p, q))) for p, q in pairs)
+    assert worst > 1e-3
 
 
 def test_series_rejects_short_or_incomplete_table():
