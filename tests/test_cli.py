@@ -303,32 +303,30 @@ def test_eval_all_mode_series_columns_unchanged(lifted_ball_file, tmp_path):
             (_fmt(v.real), _fmt(v.imag), _fmt(sv.tail_bound))
 
 
-def test_eval_w_block_of_four_all_modes(tmp_path):
+def _w_block_all_modes(tmp_path, w_dim, cap):
     # exact-sampler points scaled by 0.6-0.9: the box path cannot fill a
     # panel of a large w block
-    spec = egg_spec(1, 2.0, 4)
+    spec = egg_spec(1, 2.0, w_dim)
     pts = sample_interior(spec, 20, seed=23).points
     pts = pts * np.random.default_rng(23).uniform(0.6, 0.9, (20, 1))
     entries = [{"p": _wire(p), "q": _wire(q)} for p, q in zip(pts[:10], pts[10:])]
-    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", "22")
+    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", str(cap))
     assert rc == 0 and len(rows) == 10
     for row in rows:
         assert row["error"] == ""
-        assert float(row["delta_closed_lifted"]) <= 1e-13
         assert float(row["delta_closed_series"]) <= 1e-3
+    return rows
+
+
+def test_eval_w_block_of_four_all_modes(tmp_path):
+    for row in _w_block_all_modes(tmp_path, 4, 22):
+        assert float(row["delta_closed_lifted"]) <= 1e-13
 
 
 def test_eval_all_modes_on_a_w_block_of_six(tmp_path):
     # 10,295,472 norms in 7 coordinates at cap 30; 496 in the two series
     # variables z and <w, eta-bar>
-    spec = egg_spec(1, 2.0, 6)
-    pairs = interior_pairs(spec, 5, seed=61, box_radius=0.3)
-    entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
-    rc, rows = _eval_rows(tmp_path, spec, entries, "all", "--cap", "30")
-    assert rc == 0 and len(rows) == 5
-    for row in rows:
-        assert row["error"] == ""
-        assert float(row["delta_closed_series"]) <= 1e-3
+    _w_block_all_modes(tmp_path, 6, 30)
 
 
 def test_eval_all_modes_on_the_p4_egg(tmp_path):

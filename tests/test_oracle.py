@@ -131,11 +131,20 @@ def _full_table(spec, cap):
     return (exponents, *oracle._monomial_norms(spec, exponents))
 
 
+def _pinned_rows(spec, cap):
+    """NormTable.build's rows, or the full-dimension rows when a w block is
+    one series variable and the table has no row per full index."""
+    if len(oracle.series_variables(spec)) < spec.dim:
+        return _full_table(spec, cap)
+    table = NormTable.build(spec, cap)
+    return table.exponents, table.norms, table.errors
+
+
 @pytest.mark.parametrize("name", PINNED_NORMS)
 def test_norm_and_error_pinned_bitwise(name):
     spec, idx, value, error = PINNED_NORMS[name]
     assert monomial_norm_full(spec, idx) == (value, error)
-    exponents, norms, errors = _full_table(spec, sum(idx))
+    exponents, norms, errors = _pinned_rows(spec, sum(idx))
     row = exponents.tolist().index(list(idx))
     assert (norms[row], errors[row]) == (value, error)
 
@@ -149,7 +158,7 @@ def test_norm_and_error_pinned_bitwise(name):
 def test_norm_table_digest_pinned(spec, cap, digest):
     # every norm and error of the table; v_wdim3, stage6 and egg_inflated_p2
     # have base exponents above 1, whose factors u^c with c < 0 go into v = u^(c+1)
-    _, norms, errors = _full_table(spec, cap)
+    _, norms, errors = _pinned_rows(spec, cap)
     got = hashlib.sha256(norms.tobytes() + errors.tobytes()).hexdigest()
     assert got[:16] == digest
 
