@@ -5,9 +5,10 @@ Monomials form a complete orthogonal system on every constructible domain
 with squared-norm denominators.  A w block that every later lift weights
 equally enters the domain only through its squared norm, so the domain is
 unitarily invariant in it and the block's degree-j terms sum to
-<w, eta-bar>^j / ||z^a w_1^j||^2: the series runs over one variable per
-base coordinate and per such block (``series_variables``), with no lift
-identity involved.  Norms are computed by polar reduction to
+<w, eta-bar>^j / ||z^a w_1^j||^2, and so do base ellipsoid coordinates of
+exponent 1 that every lift weights alike: the series runs over one variable
+per such group and per other coordinate (``series_variables``), with no
+lift identity involved.  Norms are computed by polar reduction to
 the shadow (each coordinate contributes pi and a radial factor) and honest
 quadrature of the reduced integrals.  Every reduced integral (the weighted
 simplex blocks of disk-fibered lift steps, the ellipsoid base, each
@@ -255,11 +256,18 @@ def exponent_matrix(dim: int, degree_cap: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def series_variables(spec: DomainSpec) -> tuple:
     """The coordinates each series variable sums p_l q-bar_l over, in
-    coordinate order: one per base coordinate, one per lift's w block whose
-    coordinates every later lift weights equally, and one per coordinate of
-    any other block.  With no such block of two or more coordinates the
-    variables are the coordinate products themselves."""
-    groups = [(j,) for j in range(spec.base.dim)]
+    coordinate order: one per group of base ellipsoid coordinates of exponent
+    1 that every lift weights alike (a passive coordinate weighs 0), one per
+    other base coordinate, one per lift's w block whose coordinates every
+    later lift weights equally, and one per coordinate of any other block.
+    With no group of two or more coordinates the variables are the
+    coordinate products themselves."""
+    base, keys = spec.base, {}
+    for j in range(base.dim):
+        ball = base.kind != KIND_POLYDISK and base.exponents[j] == 1.0
+        keys.setdefault(tuple(s.weights[j] if j < base.n_star else 0.0 for s in spec.lifts)
+                        if ball else j, []).append(j)
+    groups = sorted(tuple(g) for g in keys.values())
     for i in range(len(spec.lifts)):
         block = range(spec.dim)[spec.w_slice(i)]
         if all(len({wt for j, wt in zip(spec.star_indices(k), spec.lifts[k].weights)
@@ -284,9 +292,9 @@ class NormTable:
     degree-sorted (n, n_vars) ``exponents`` matrix with its ``norms`` and
     ``errors`` vectors (a row's norm is that of its ``_representative_rows``
     monomial), the first row ``offsets[d]`` of each degree shell d, and
-    ``gather``, each exponent's flat index into a (n_vars, cap + 1) array of
-    powers.  ``entries``, the same table as a dict of (value, error) pairs,
-    is built only when read."""
+    ``columns``, the exponents transposed so that each variable's column is
+    contiguous.  ``entries``, the same table as a dict of (value, error)
+    pairs, is built only when read."""
 
     def __init__(self, spec: DomainSpec | None, exponents, norms, errors):
         self.spec = spec
@@ -303,7 +311,7 @@ class NormTable:
         if any(b - a != math.comb(d + dim - 1, dim - 1)
                for d, (a, b) in enumerate(zip(self.offsets, self.offsets[1:]))):
             raise SpecError("norm table misses monomials below its largest degree")
-        self.gather = self.exponents + np.arange(dim) * (self.degree_cap() + 1)
+        self.columns = np.ascontiguousarray(self.exponents.T)
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
@@ -341,6 +349,7 @@ class SeriesValue:
     tail_bound: float
     cap_used: int
     shells: list
+    converged: bool     # False: the cap came before two shells below SHELL_TOL
 
 
 def _fsum(re, im) -> complex:
@@ -360,12 +369,14 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     spec's ``series_variables`` v, each the sum of p_l q-bar_l over its
     coordinates, and the table's representative norms.
 
-    Terms are computed SHELL_BLOCK degree shells at a time, each block one
-    numpy gather of the table's cumulative powers; each degree shell is
-    summed with math.fsum, up to two shells in a row below SHELL_TOL of the
-    running sum, and later blocks are never computed.  The tail bound
+    Terms are computed SHELL_BLOCK degree shells at a time, each block a
+    product of contiguous gathers of cumulative powers, one per variable,
+    whose shells one np.add.reduceat per real and imaginary part sums (off
+    by at most gamma_n times a shell's absolute sum, Higham 2002, ch. 4), up
+    to two shells in a row below SHELL_TOL of the running sum; later blocks
+    are never computed, and math.fsum sums the shells.  The tail bound
     extrapolates the last two shells geometrically.  Shells that stop
-    decaying raise ConvergenceError, an overflowing sum NonFiniteError.
+    decaying raise ConvergenceError, a non-finite shell or sum NonFiniteError.
     """
     p = tuple(complex(c) for c in p)
     q = tuple(complex(c) for c in q)
@@ -376,7 +387,8 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     if table is None:
         table = get_norm_table(spec, degree_cap)
     groups = series_variables(spec)
-    if table.exponents.shape[1] != len(groups) or table.degree_cap() < degree_cap:
+    if table.spec not in (None, spec) or table.exponents.shape[1] != len(groups) \
+            or table.degree_cap() < degree_cap:
         raise SpecError(f"norm table ({table.exponents.shape[1]} series variables, degree "
                         f"cap {table.degree_cap()}) does not cover this series")
     u = [pj * qj.conjugate() for pj, qj in zip(p, q)]
@@ -384,24 +396,27 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     pows[:, 1:] = np.array([sum((u[j] for j in g[1:]), u[g[0]]) for g in groups])[:, None]
     shells = []
     running = 0j
-    cap_used = degree_cap
+    cap_used, converged = degree_cap, False
     with np.errstate(over="ignore", invalid="ignore"):
-        pows = np.cumprod(pows, axis=1).ravel()
+        pows = np.cumprod(pows, axis=1)
         for deg in range(degree_cap + 1):
             if deg % SHELL_BLOCK == 0:
-                a = table.offsets[deg]
-                b = table.offsets[min(deg + SHELL_BLOCK, degree_cap + 1)]
-                terms = np.take(pows, table.gather[a:b]).prod(axis=1)
-                # memoryview slices give fsum Python floats without a list copy
-                re = memoryview(terms.real / table.norms[a:b])
-                im = memoryview(terms.imag / table.norms[a:b])
-            lo, hi = table.offsets[deg] - a, table.offsets[deg + 1] - a
-            shell = _fsum(re[lo:hi], im[lo:hi])
+                cuts = table.offsets[deg:min(deg + SHELL_BLOCK, degree_cap + 1) + 1]
+                a, b, starts = cuts[0], cuts[-1], np.subtract(cuts[:-1], cuts[0])
+                terms = pows[0, table.columns[0, a:b]]
+                # not `*`, which reuses a large temporary in place and rounds differently
+                for row, col in zip(pows[1:], table.columns[1:]):
+                    terms = np.multiply(terms, row[col[a:b]])
+                re, im = (np.add.reduceat(x / table.norms[a:b], starts).tolist()
+                          for x in (terms.real, terms.imag))
+            shell = complex(re[deg % SHELL_BLOCK], im[deg % SHELL_BLOCK])
+            if not cmath.isfinite(shell):
+                raise NonFiniteError("series sum overflowed")
             shells.append(shell)
             running += shell
             if deg >= 2 and abs(shells[-1]) < SHELL_TOL * abs(running) \
                     and abs(shells[-2]) < SHELL_TOL * abs(running):
-                cap_used = deg
+                cap_used, converged = deg, True
                 break
     mags = [abs(s) for s in shells]
     tail = 0.0
@@ -416,7 +431,7 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
             tail = mags[-1]
     value = _fsum([s.real for s in shells], [s.imag for s in shells])
     return SeriesValue(value=value, tail_bound=tail, cap_used=cap_used,
-                       shells=shells)
+                       shells=shells, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -650,10 +650,16 @@ def test_series_shell_overflow_is_non_finite():
     table = NormTable(disk_spec(), [(0,), (1,)], [1.0, 1e-320], [0.0, 0.0])
     with pytest.raises(NonFiniteError):
         series_kernel(disk_spec(), (0.5,), (0.5,), 1, table=table)
+    # two infinite degree-1 terms of opposite signs: the shell is inf - inf = NaN
+    table = NormTable(polydisk_spec(2), [(0, 0), (1, 0), (0, 1)], [1.0, 1e-320, 1e-320], [0.0] * 3)
+    with pytest.raises(NonFiniteError):
+        series_kernel(polydisk_spec(2), (0.5, -0.5), (0.5, 0.5), 1, table=table)
 
 
-def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9):
-    """series_kernel as one numpy pass over every term up to the cap."""
+def _one_pass_terms(spec, p, q, degree_cap, table):
+    """Real and imaginary parts of every series term up to the cap, built as
+    series_kernel builds them: products of contiguous column gathers by
+    np.multiply, whose bits differ from a 2-D gather's row products."""
     p = tuple(complex(c) for c in p)
     q = tuple(complex(c) for c in q)
     n = table.offsets[degree_cap + 1]
@@ -663,20 +669,37 @@ def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9):
     pows[:, 1:] = np.array([sum((u[j] for j in g[1:]), u[g[0]]) for g in groups])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         pows = np.cumprod(pows, axis=1)
-        terms = pows[np.arange(len(groups)), table.exponents[:n]].prod(axis=1)
-        re = memoryview(terms.real / table.norms[:n])
-        im = memoryview(terms.imag / table.norms[:n])
+        terms = pows[0, table.exponents[:n, 0]]
+        for i in range(1, len(groups)):
+            terms = np.multiply(terms, pows[i, table.exponents[:n, i]])
+        return terms.real / table.norms[:n], terms.imag / table.norms[:n]
+
+
+def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9, exact=False):
+    """series_kernel as one numpy pass over every term up to the cap, its
+    shells summed by one reduceat as series_kernel sums them (np.add.reduce
+    rounds differently), or with exact=True each by math.fsum."""
+    re, im = _one_pass_terms(spec, p, q, degree_cap, table)
+    cuts = table.offsets[:degree_cap + 2]
+    if exact:
+        re, im = memoryview(re), memoryview(im)   # fsum reads Python floats from these
+        all_shells = [oracle._fsum(re[a:b], im[a:b]) for a, b in zip(cuts, cuts[1:])]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            all_shells = [complex(r, i) for r, i in zip(np.add.reduceat(re, cuts[:-1]).tolist(),
+                                                        np.add.reduceat(im, cuts[:-1]).tolist())]
     shells = []
     running = 0j
-    cap_used = degree_cap
+    cap_used, converged = degree_cap, False
     for deg in range(degree_cap + 1):
-        a, b = table.offsets[deg], table.offsets[deg + 1]
-        shell = oracle._fsum(re[a:b], im[a:b])
+        shell = all_shells[deg]
+        if not cmath.isfinite(shell):
+            raise NonFiniteError("series sum overflowed")
         shells.append(shell)
         running += shell
         if deg >= 2 and abs(shells[-1]) < shell_tol * abs(running) \
                 and abs(shells[-2]) < shell_tol * abs(running):
-            cap_used = deg
+            cap_used, converged = deg, True
             break
     mags = [abs(s) for s in shells]
     tail = 0.0
@@ -691,7 +714,7 @@ def _series_one_pass(spec, p, q, degree_cap, table, shell_tol=1e-9):
             tail = mags[-1]
     value = oracle._fsum([s.real for s in shells], [s.imag for s in shells])
     return oracle.SeriesValue(value=value, tail_bound=tail, cap_used=cap_used,
-                              shells=shells)
+                              shells=shells, converged=converged)
 
 
 def _outcome(fn, *args, **kw):
@@ -700,7 +723,7 @@ def _outcome(fn, *args, **kw):
         sv = fn(*args, **kw)
     except (ConvergenceError, NonFiniteError) as e:
         return repr((type(e), str(e)))
-    return repr((sv.value, sv.tail_bound, sv.cap_used, sv.shells))
+    return repr((sv.value, sv.tail_bound, sv.cap_used, sv.shells, sv.converged))
 
 
 def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
@@ -745,6 +768,51 @@ def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
         _outcome(_series_one_pass, disk_spec(), (0.5,), (0.5,), 30, table)
 
 
+def test_series_within_the_summation_bound_of_exact_shells():
+    # Against shells summed exactly (math.fsum, correctly rounded) from the
+    # same terms t.  Summed in any order, n floats are off by at most
+    # gamma_{n-1} times the sum of their moduli (Higham 2002, ch. 4), with
+    # gamma_n = n u / (1 - n u), u = 2^-53; summing the real and imaginary
+    # parts so, a shell is off by at most gamma_{n-1} A, A = sum |t|
+    # (Minkowski), and the fsum shell by u A, so the two differ by at most
+    # (gamma_{n-1} + u) A <= gamma_n A.  Each value is the correctly rounded
+    # fsum of its own shells: that adds u / (1 - u) |value| per side.
+    u = 2.0 ** -53
+    specs = {name: spec for name, (spec, _) in closed_form_families().items()}
+    specs.update({f"stage{k}": chain_stage_spec(k) for k in range(2, 7)})
+    for name, spec in specs.items():
+        cap = {"stage5": 20, "stage6": 16}.get(name, 30)     # tables of 53,130 and 74,613
+        table = get_norm_table(spec, cap)
+        for p, q in (interior_pairs(spec, 8, seed=31)
+                     + interior_pairs(spec, 8, seed=32, box_radius=None)):
+            try:
+                ref = _series_one_pass(spec, p, q, cap, table, exact=True)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    series_kernel(spec, p, q, cap, table=table)
+                continue
+            sv = series_kernel(spec, p, q, cap, table=table)
+            assert sv.cap_used == ref.cap_used, name
+            re, im = _one_pass_terms(spec, p, q, sv.cap_used, table)
+            moduli, cuts = memoryview(np.hypot(re, im)), table.offsets[:sv.cap_used + 2]
+            bound = sum((b - a) * u / (1 - (b - a) * u) * math.fsum(moduli[a:b])
+                        for a, b in zip(cuts, cuts[1:]))
+            bound += u / (1 - u) * (abs(sv.value) + abs(ref.value))
+            assert abs(sv.value - ref.value) <= bound, name
+
+
+def test_series_reports_whether_it_converged():
+    # near the origin two shells fall below SHELL_TOL long before the cap
+    sv = series_kernel(disk_spec(), (0.1,), (0.1,), 40)
+    assert sv.converged and sv.cap_used < 40
+    # at relative distance 0.03 from the boundary the shells still decay,
+    # by 0.97^2 per degree, but not below SHELL_TOL by degree 40
+    sv = series_kernel(disk_spec(), (0.97,), (0.97,), 40)
+    assert not sv.converged and sv.cap_used == 40
+    assert 0.0 < sv.tail_bound < math.inf
+    assert not series_kernel(ball_spec(2), (0, 0), (0, 0), 0).converged
+
+
 # a 2-ball whose U-step block of two is weighted (0.7, 1.1) by the next
 # V-step: no longer unitarily invariant, so it must stay two series variables
 UNEQUAL_LATER_WEIGHTS = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
@@ -760,19 +828,23 @@ def _full_series(spec, p, q, cap, monkeypatch):
         return series_kernel(spec, p, q, cap, table=NormTable(spec, *_full_table(spec, cap)))
 
 
-@pytest.mark.parametrize("spec, cap", [
-    (closed_form_families()["egg_inflated_p2"][0], 30),
-    (V_WDIM3, 18),
+@pytest.mark.parametrize("spec, cap, n_vars", [
+    (closed_form_families()["egg_inflated_p2"][0], 30, 2),
+    (V_WDIM3, 18, 3),
     (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
-                (LiftStep("V", (0.5, 1.2), 2),)), 22),
+                (LiftStep("V", (0.5, 1.2), 2),)), 22, 3),
     (DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (1.0, 1.0)),
-                (LiftStep("U", (0.7, 0.4), 3),)), 18),
-], ids=["egg_inflated_p2", "v_wdim3", "V-w2", "U-w3"])
-def test_block_series_matches_the_full_series(spec, cap, monkeypatch):
-    # one variable <w, eta-bar> per w block: the degree-j shell is the full
-    # series' degree-j shell, so only round-off and the stopping shell differ
+                (LiftStep("U", (0.7, 0.4), 3),)), 18, 3),
+    (ball_spec(2), 30, 1),
+    (ball_disk_lift_spec(1, 2), 24, 3),
+    (egg_spec(2, 2.0, 1), 30, 2),
+], ids=["egg_inflated_p2", "v_wdim3", "V-w2", "U-w3", "ball2", "ball_disk_lift_12", "egg_2_p2"])
+def test_block_series_matches_the_full_series(spec, cap, n_vars, monkeypatch):
+    # one variable <w, eta-bar> per w block, and one <z, zeta-bar> per group
+    # of base ball coordinates: the degree-j shell is the full series'
+    # degree-j shell, so only round-off and the stopping shell differ
     groups = oracle.series_variables(spec)
-    assert len(groups) == spec.base.dim + len(spec.lifts) < spec.dim
+    assert len(groups) == n_vars < spec.dim
     table = get_norm_table(spec, cap)
     assert len(table.norms) == math.comb(cap + len(groups), len(groups))
     for p, q in interior_pairs(spec, 5, seed=67, box_radius=0.35):
@@ -784,6 +856,12 @@ def test_block_series_matches_the_full_series(spec, cap, monkeypatch):
 def test_block_series_table_sizes():
     assert len(get_norm_table(egg_spec(1, 2.0, 4), 22).norms) <= 300
     assert len(get_norm_table(closed_form_families()["egg_inflated_p2"][0], 30).norms) == 496
+    assert len(get_norm_table(ball_spec(2), 30).norms) == 31
+    assert len(get_norm_table(ball_disk_lift_spec(1, 2), 30).norms) == 5_456
+    assert oracle.series_variables(egg_spec(2, 2.0, 3)) == ((0, 1), (2, 3, 4))
+    # a polydisk, an ellipsoid exponent other than 1 and unequal weights keep their coordinates
+    for spec in (polydisk_spec(2), V_WDIM3, ball_exp_lift_spec(2, 0, (1.0, 2.0))):
+        assert oracle.series_variables(spec)[:spec.base.dim] == ((0,), (1,)), spec
     # chain stages have blocks of one: the table is the full-dimension table
     for k in (2, 4, 6):
         spec = chain_stage_spec(k)
@@ -806,8 +884,9 @@ def test_block_series_on_a_w_block_of_six():
 
 
 def test_block_with_unequal_later_weights_keeps_one_variable_per_coordinate(monkeypatch):
+    # the base ball's coordinates, weighted alike by both lifts, stay one variable
     spec, cap = UNEQUAL_LATER_WEIGHTS, 14
-    assert oracle.series_variables(spec) == tuple((j,) for j in range(5))
+    assert oracle.series_variables(spec) == ((0, 1), (2,), (3,), (4,))
     K = compose_pipeline(spec)
     pairs = interior_pairs(spec, 5, seed=71, box_radius=0.35)
     table = get_norm_table(spec, cap)
@@ -815,7 +894,7 @@ def test_block_with_unequal_later_weights_keeps_one_variable_per_coordinate(monk
         v = complex(K(p, q))
         assert abs(series_kernel(spec, p, q, cap, table=table).value - v) <= 1e-3 * abs(v)
     # the same block reduced anyway misses the gate
-    monkeypatch.setattr(oracle, "series_variables", lambda s: ((0,), (1,), (2, 3), (4,)))
+    monkeypatch.setattr(oracle, "series_variables", lambda s: ((0, 1), (2, 3), (4,)))
     table = NormTable.build(spec, cap)
     worst = max(abs(series_kernel(spec, p, q, cap, table=table).value - complex(K(p, q)))
                 / abs(complex(K(p, q))) for p, q in pairs)
@@ -826,6 +905,9 @@ def test_series_rejects_short_or_incomplete_table():
     table = get_norm_table(disk_spec(), 6)
     with pytest.raises(SpecError):
         series_kernel(disk_spec(), (0.1,), (0.1,), 7, table=table)
+    with pytest.raises(SpecError):
+        series_kernel(polydisk_spec(2), (0.1, 0.0), (0.1, 0.0), 6, table=table)
+    # ball_spec(2) has one series variable, as the disk, but not the disk's norms
     with pytest.raises(SpecError):
         series_kernel(ball_spec(2), (0.1, 0.0), (0.1, 0.0), 6, table=table)
     full = get_norm_table(polydisk_spec(2), 3)
