@@ -6,6 +6,8 @@ points only through the coordinate products u_j = p_j q-bar_j, which the
 call forms once; each formula is written on u.  Formulas use the generic
 scalar helpers, so the same code path evaluates plain complex numbers,
 numpy arrays (vectorised panels) and jets (derivative extraction).
+A kernel's coordinate layout is that of its ``domain``, the DomainSpec
+it reproduces on; no kernel keeps a copy of it.
 """
 
 from __future__ import annotations
@@ -33,31 +35,19 @@ class Kernel:
 
     The domain is complete Reinhardt, so K(p; q-bar) is a function of the
     coordinate products alone: ``fn(u)`` takes the tuple u_j = p_j q-bar_j,
-    which the call forms.  Coordinates are n star, m passive, then one
-    block per entry of ``w_dims``; lifts act on ``star_indices()``.
-    ``domain`` is the DomainSpec the evaluator reproduces on, when known.
+    which the call forms.  ``domain`` is the DomainSpec the evaluator
+    reproduces on and the only record of its coordinate layout; ``dim`` is
+    read from it.  Only a kernel no spec describes passes ``dim`` instead.
     """
 
-    def __init__(self, fn, n: int, m: int = 0, w_dims=(), domain: DomainSpec | None = None,
-                 name: str = "kernel"):
+    def __init__(self, fn, domain: DomainSpec | None = None, name: str = "kernel",
+                 dim: int | None = None):
+        if (domain is None) == (dim is None):
+            raise ValueError("give a kernel its domain, or its dim when no spec describes it")
         self.fn = fn
-        self.n = int(n)
-        self.m = int(m)
-        self.w_dims = tuple(int(k) for k in w_dims)
         self.domain = domain
         self.name = name
-
-    @property
-    def dim(self) -> int:
-        return self.n + self.m + sum(self.w_dims)
-
-    def star_indices(self) -> list:
-        idx = list(range(self.n))
-        start = self.n + self.m
-        for k in self.w_dims:
-            idx.extend(range(start, start + k))
-            start += k
-        return idx
+        self.dim = domain.dim if domain is not None else int(dim)
 
     def __call__(self, p, q, q_conjugated: bool = False):
         p = tuple(p)
@@ -83,11 +73,11 @@ class Kernel:
 
     def scaled(self, factor: float) -> "Kernel":
         """Pointwise multiple (test probe for reproducing-property drift)."""
-        return Kernel(lambda u: factor * self.fn(u), self.n, self.m,
-                      self.w_dims, domain=self.domain, name=f"{factor}*{self.name}")
+        return Kernel(lambda u: factor * self.fn(u), self.domain, f"{factor}*{self.name}",
+                      self.dim if self.domain is None else None)
 
     def __repr__(self):  # pragma: no cover
-        return f"Kernel({self.name}, n={self.n}, m={self.m}, w_dims={self.w_dims})"
+        return f"Kernel({self.name}, dim={self.dim}, domain={self.domain})"
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +99,7 @@ def kernel_ball(dim: int, n_star: int | None = None) -> Kernel:
     def fn(u):
         return c * apow(1.0 - sum(u), e)
 
-    n = dim if n_star is None else n_star
-    return Kernel(fn, n=n, m=dim - n, domain=ball_spec(dim, n_star),
-                  name=f"ball{dim}")
+    return Kernel(fn, ball_spec(dim, n_star), f"ball{dim}")
 
 
 def egg_spec(n: int, p: float, m: int = 1) -> DomainSpec:
@@ -152,8 +140,7 @@ def kernel_egg_inflated(n: int, m: int, p: float) -> Kernel:
             raise NonFiniteError("inflation jet collapsed unexpectedly")
         return pref * jet.derivative(m - 1)
 
-    return Kernel(fn, n=n, m=0, w_dims=(m,), domain=egg_spec(n, p, m),
-                  name=f"egg(n={n},m={m},p={p})")
+    return Kernel(fn, egg_spec(n, p, m), f"egg(n={n},m={m},p={p})")
 
 
 def kernel_egg(n: int, p: float) -> Kernel:
@@ -182,8 +169,7 @@ def kernel_ball_disk_lift(n: int, m: int) -> Kernel:
         num = apow(1.0 - t, m) * ((n + 1) - (n + 1) * sp + m * sz * apow(1.0 - t, -1))
         return c * num * apow(den, e)
 
-    return Kernel(fn, n=n, m=m, w_dims=(1,), domain=ball_disk_lift_spec(n, m),
-                  name=f"ball_disk_lift(n={n},m={m})")
+    return Kernel(fn, ball_disk_lift_spec(n, m), f"ball_disk_lift(n={n},m={m})")
 
 
 def ball_exp_lift_spec(n: int, m: int, gamma) -> DomainSpec:
@@ -213,8 +199,8 @@ def kernel_ball_exp_lift(n: int, m: int, gamma) -> Kernel:
         r1 = apow(inv, m + n + 1)       # rho^-(m+n+1); times inv, rho^-(m+n+2)
         return c * eG * (G * r1 + (m + n + 1) * cross * (r1 * inv))
 
-    return Kernel(fn, n=n, m=m, w_dims=(1,), domain=ball_exp_lift_spec(n, m, gamma),
-                  name=f"ball_exp_lift(n={n},m={m},gamma={gamma})")
+    return Kernel(fn, ball_exp_lift_spec(n, m, gamma),
+                  f"ball_exp_lift(n={n},m={m},gamma={gamma})")
 
 
 def chain_stage_spec(stage: int, p: float = 2.0, p2: float = 1.5, p3: float = 2.5) -> DomainSpec:
@@ -260,8 +246,7 @@ def kernel_chain_stage3(p: float = 2.0) -> Kernel:
               * apow(1.0 - x, -(3.0 - 2.0 * ip)) * (d3 * inv))
         return ew / (pi ** 3 * p) * (t1 + t2 + t3)
 
-    return Kernel(fn, n=1, m=0, w_dims=(1, 1), domain=chain_stage_spec(3, p),
-                  name=f"chain_stage3(p={p})")
+    return Kernel(fn, chain_stage_spec(3, p), f"chain_stage3(p={p})")
 
 
 def polydisk_spec(dim: int) -> DomainSpec:
@@ -277,7 +262,7 @@ def kernel_polydisk(dim: int) -> Kernel:
             out = out * apow(1.0 - uj, -2)
         return out
 
-    return Kernel(fn, n=dim, m=0, domain=polydisk_spec(dim), name=f"polydisk{dim}")
+    return Kernel(fn, polydisk_spec(dim), f"polydisk{dim}")
 
 
 def kernel_product(a: Kernel, b: Kernel) -> Kernel:
@@ -291,9 +276,8 @@ def kernel_product(a: Kernel, b: Kernel) -> Kernel:
     doms = (a.domain, b.domain)
     flat = all(k is not None and not k.lifts and (k.base.kind == KIND_POLYDISK or k.base.dim == 1)
                for k in doms)
-    domain = polydisk_spec(sum(k.base.dim for k in doms)) if flat else None
-    return Kernel(fn, n=a.dim + b.dim, m=0, domain=domain,
-                  name=f"({a.name})x({b.name})")
+    domain = polydisk_spec(a.dim + b.dim) if flat else None
+    return Kernel(fn, domain, f"({a.name})x({b.name})", None if flat else a.dim + b.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +285,26 @@ def kernel_product(a: Kernel, b: Kernel) -> Kernel:
 
 
 def closed_form_for(spec: DomainSpec) -> Kernel | None:
-    """Return the hand-coded kernel for specs whose kernel has a hand-coded closed form."""
+    """Return the hand-coded kernel for specs whose kernel has a hand-coded
+    closed form, labelled with ``spec``: the family's own spec may write the
+    same set another way (a disk exponent, or a weight rebuilt as 1/(1/w))."""
+    k = _family_kernel(spec)
+    return None if k is None else Kernel(k.fn, spec, k.name)
+
+
+def _family_kernel(spec: DomainSpec) -> Kernel | None:
     b = spec.base
     if not spec.lifts:
         if b.kind == KIND_POLYDISK:
-            k = kernel_polydisk(b.dim)
-            return Kernel(k.fn, b.n_star, b.m_passive, domain=spec, name=k.name)
+            return kernel_polydisk(b.dim)
         non_unit = [(j, p) for j, p in enumerate(b.exponents) if p != 1.0]
         if not non_unit:
             return kernel_ball(b.dim, b.n_star)
         if b.dim == 1:
             # any exponent describes the same set, the unit disk
-            k = kernel_ball(1)
-            return Kernel(k.fn, b.n_star, b.m_passive, domain=spec, name=k.name)
+            return kernel_ball(1)
         if len(non_unit) == 1 and non_unit[0][0] == 0:
-            k = kernel_egg_inflated(1, b.dim - 1, non_unit[0][1])
-            return Kernel(k.fn, b.n_star, b.m_passive, domain=spec, name=k.name)
+            return kernel_egg_inflated(1, b.dim - 1, non_unit[0][1])
         return None
     if len(spec.lifts) == 1 and b.kind == KIND_ELLIPSOID:
         step = spec.lifts[0]
@@ -331,8 +319,7 @@ def closed_form_for(spec: DomainSpec) -> Kernel | None:
                 return kernel_egg_inflated(b.n_star, step.w_dim,
                                                1.0 / step.weights[0])
             if (b.dim == 1 and uniform and b.exponents[0] == 1.0 / step.weights[0]):
-                k = kernel_egg_inflated(1, step.w_dim, b.exponents[0])
-                return Kernel(k.fn, k.n, k.m, k.w_dims, domain=spec, name=k.name)
+                return kernel_egg_inflated(1, step.w_dim, b.exponents[0])
     if len(spec.lifts) == 2 and b.kind == KIND_ELLIPSOID and b.dim == 1:
         s1, s2 = spec.lifts
         if (s1.kind == "U" and s1.w_dim == 1 and s2.kind == "V" and s2.w_dim == 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import factorial, pi
 
-from .domains import DomainSpec, LiftStep, slice_scales
+from .domains import DomainSpec, LiftStep, SpecError, slice_scales
 from .jets import Jet, aexp, apow, fresh_tag
 from .kernels import Kernel, closed_form_for
 
@@ -39,9 +39,8 @@ def slice_kernel(base: Kernel, step: LiftStep, w) -> Kernel:
     Jacobian of that scaling, and each acted product u_j the square of its
     coordinate scale.
     """
-    stars = base.star_indices()
-    if len(step.weights) != len(stars):
-        raise LiftError(f"{len(step.weights)} weights for {len(stars)} star coordinates")
+    _lifted_domain(base, step)
+    stars = base.domain.star_indices()
     if len(w) != step.w_dim:
         raise LiftError(f"w has {len(w)} coordinates, the step's block has {step.w_dim}")
     scales, factor = slice_scales(step, sum(abs(c) ** 2 for c in w))
@@ -53,8 +52,7 @@ def slice_kernel(base: Kernel, step: LiftStep, w) -> Kernel:
                 u[j] = u[j] * (s * s)
         return factor * base.fn(tuple(u))
 
-    return Kernel(fn, base.n, base.m, base.w_dims, domain=None,
-                  name=f"slice[{base.name}]")
+    return Kernel(fn, name=f"slice[{base.name}]", dim=base.dim)
 
 
 def _operator_weights(consts):
@@ -66,19 +64,20 @@ def _operator_weights(consts):
     return [factorial(j) * v for j, v in enumerate(poly)]
 
 
-def _lifted_domain(base: Kernel, step: LiftStep) -> DomainSpec | None:
+def _lifted_domain(base: Kernel, step: LiftStep) -> DomainSpec:
+    """The spec one lift up, whose check is the only weight-count check."""
     if base.domain is None:
-        return None
-    return DomainSpec(base.domain.base, base.domain.lifts + (step,))
+        raise LiftError(f"{base.name} has no DomainSpec to lift")
+    try:
+        return DomainSpec(base.domain.base, base.domain.lifts + (step,))
+    except SpecError as e:
+        raise LiftError(str(e)) from None
 
 
 def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
     k = step.w_dim
-    stars = base.star_indices()
-    if len(step.weights) != len(stars):
-        raise LiftError(
-            f"lift carries {len(step.weights)} weights but the evaluator has "
-            f"{len(stars)} star coordinates")
+    domain = _lifted_domain(base, step)
+    stars = base.domain.star_indices()
     acted = [(j, a) for j, a in zip(stars, step.weights) if a > 0.0]
     wsum = sum(step.weights)
     d_in = base.dim
@@ -102,9 +101,7 @@ def _make_lift(base: Kernel, step: LiftStep) -> Kernel:
         pref = apow(1.0 - t, -(k + 1 + wsum)) if is_u else aexp(wsum * t)
         return pref / pi ** k * acc
 
-    return Kernel(fn, base.n, base.m, base.w_dims + (k,),
-                  domain=_lifted_domain(base, step),
-                  name=f"lift{step.kind}[{base.name}]")
+    return Kernel(fn, domain, f"lift{step.kind}[{base.name}]")
 
 
 def lift_U(base: Kernel, alpha, k: int = 1) -> Kernel:

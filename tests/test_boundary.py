@@ -364,7 +364,7 @@ def test_nonfinite_levels_end_the_probe():
     # 1-8, where the one-point loop stopped, and is marked diverged
     base = kernel_ball_disk_lift(1, 1)
     K = Kernel(lambda u: np.where(np.arange(len(u[0])) < 8, base.fn(u), np.inf),
-               base.n, base.m, base.w_dims)
+               base.domain)
     path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
     rep = weighted_limit(K, path, "r")
     assert rep.ts == path.grid()[:8]
@@ -383,7 +383,7 @@ def test_probe_makes_one_kernel_call(spec, target, stratum):
         calls.append(len(u[0]))
         return base.fn(u)
 
-    K = Kernel(fn, base.n, base.m, base.w_dims)
+    K = Kernel(fn, base.domain)
     weighted_limit(K, default_path(spec, target, stratum), expected_weight(spec, stratum))
     assert calls == [12]
 

@@ -213,7 +213,7 @@ def test_eval_non_finite_row_flagged_alone(disk_files, tmp_path, monkeypatch, ca
         return np.where(u[0] == pole, np.divide(1.0, u[0] - pole), disk.fn(u))
 
     monkeypatch.setattr(cli, "closed_form_for",
-                        lambda spec: Kernel(fn, n=1, domain=spec, name="poles"))
+                        lambda spec: Kernel(fn, domain=spec, name="poles"))
     ps = [0.1, 0.3j, 0.25, -0.2, 0.05 + 0.1j]
     entries = [{"p": _wire((p,)), "q": _wire((0.2 - 0.1j,))} for p in ps]
     with warnings.catch_warnings():
@@ -247,7 +247,7 @@ def test_eval_row_blocks_match_one_call(tmp_path, monkeypatch):
         return np.where(hit, np.divide(1.0, np.where(hit, 0.0, 1.0)), lifted.fn(u))
 
     monkeypatch.setattr(cli, "compose_pipeline",
-                        lambda s: Kernel(fn, lifted.n, lifted.m, lifted.w_dims, s, "poles"))
+                        lambda s: Kernel(fn, s, "poles"))
     entries = [{"p": _wire(p), "q": _wire(q)} for p, q in pairs]
     entries[3]["q"] = [[2.0, 0.0]] + entries[3]["q"][1:]
     runs = []
@@ -777,7 +777,7 @@ def test_eval_error_row_bytes_match_csv_writer(tmp_path, monkeypatch):
     def fn(u):
         return np.where(u[0] == pole, np.divide(1.0, u[0] - pole), disk.fn(u))
 
-    closed = Kernel(fn, n=1, domain=spec, name="poles")
+    closed = Kernel(fn, domain=spec, name="poles")
     monkeypatch.setattr(cli, "closed_form_for", lambda s: closed)
     ps, q = [0.1 + 0.05j, 1.5, 0.25, 0.995], 0.2 - 0.1j
     entries = [{"p": _wire((ps[0],)), "q": _wire((q,))}, _wire((ps[1],)),

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bergman.catalog import closed_form_families, egg_spec, interior_pairs, interior_points
-from bergman.domains import KIND_ELLIPSOID, BaseDomain, DomainSpec
+from bergman.catalog import (ball_spec, closed_form_families, egg_spec, interior_pairs,
+                             interior_points)
+from bergman.domains import KIND_ELLIPSOID, BaseDomain, DomainSpec, LiftStep
 from bergman.jets import Jet, NonFiniteError, aexp, apow, fresh_tag
 from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_egg,
                              kernel_egg_inflated, kernel_ball_disk_lift, kernel_ball_exp_lift,
@@ -186,7 +187,7 @@ def _chain_stage3_apow(p):
 def test_shared_inverse_powers_are_bitwise(K, ref):
     # the larger inverse power is the smaller one times the inverse, which
     # is how apow's left-to-right product builds it: no value moves
-    R = Kernel(ref, K.n, K.m, K.w_dims, domain=K.domain)
+    R = Kernel(ref, domain=K.domain)
     pairs = interior_pairs(K.domain, 1000, seed=23)
     P, Q = (tuple(np.array(side).T) for side in zip(*pairs))
     got = K(P, Q)
@@ -296,3 +297,32 @@ def test_closed_form_recognition():
     # stage-4 has no hand-coded closed form
     from bergman.catalog import chain_stage_spec
     assert closed_form_for(chain_stage_spec(4, 2.0, 1.5)) is None
+
+
+# the U weights 0.01 ... 2.99; at 0.11 and 0.19 1/(1/w) lands an ulp off w
+WEIGHTS = [round(0.01 * i, 2) for i in range(1, 300)]
+ELL = KIND_ELLIPSOID
+
+
+@pytest.mark.parametrize("spec_of", [
+    lambda w: DomainSpec(BaseDomain(ELL, 1, 0, (1.0,)), (LiftStep("U", (w,), 1),)),
+    lambda w: DomainSpec(BaseDomain(ELL, 2, 0, (1.0, 1.0)), (LiftStep("U", (w, w), 2),)),
+    lambda w: DomainSpec(BaseDomain(ELL, 1, 0, (1.0 / w,)),
+                         (LiftStep("U", (w,), 1), LiftStep("V", (0.0, 1.0), 1))),
+], ids=["disk_U", "ball2_egg_k2", "stage3_base_1_over_w"])
+def test_closed_form_is_labelled_with_the_spec_it_was_asked_about(spec_of):
+    # the family's own spec may write the same set another way; the kernel
+    # closed_form_for returns carries the spec it was given, layout and all
+    for w in WEIGHTS:
+        spec = spec_of(w)
+        found = closed_form_for(spec)
+        assert found is not None and found.domain == spec and found.dim == spec.dim, w
+
+
+def test_kernel_layout_comes_from_its_domain_or_its_dim_alone():
+    fn = kernel_ball(2).fn
+    assert Kernel(fn, ball_spec(2)).dim == 2
+    assert Kernel(fn, dim=2).dim == 2 and Kernel(fn, dim=2).domain is None
+    for kwargs in ({}, {"domain": ball_spec(2), "dim": 2}):
+        with pytest.raises(ValueError):
+            Kernel(fn, **kwargs)

@@ -395,3 +395,25 @@ def test_lifted_reproducing_property():
     for idx in idxs:
         target = p[0] ** idx[0] * p[1] ** idx[1]
         assert abs(vals[idx] - target) / max(abs(target), 1e-6) < 1e-3, idx
+
+
+def test_lift_and_slice_need_a_spec():
+    # the product of a 2-ball and a disk is no DomainSpec: its star
+    # coordinates are recorded nowhere, so it cannot be lifted or sliced
+    prod = kernel_product(kernel_ball(2), kernel_ball(1))
+    assert prod.domain is None and prod.dim == 3
+    with pytest.raises(LiftError):
+        lift_U(prod, (1.0, 1.0, 1.0), 1)
+    with pytest.raises(LiftError):
+        slice_kernel(prod, LiftStep("U", (1.0, 1.0, 1.0), 1), (0.3,))
+    # nor can a slice kernel, which no spec describes either
+    sl = slice_kernel(kernel_ball(1), LiftStep("U", (1.0,), 1), (0.3,))
+    with pytest.raises(LiftError):
+        lift_U(sl, (1.0,), 1)
+
+
+@pytest.mark.parametrize("stage", range(2, 7))
+def test_pipeline_is_labelled_with_its_spec(stage):
+    spec = chain_stage_spec(stage)
+    K = compose_pipeline(spec)
+    assert K.domain == spec and K.dim == spec.dim

@@ -286,7 +286,7 @@ def _counted(K, log, record=lambda u: 1):
     def fn(u):
         log.append(record(u))
         return K.fn(u)
-    return Kernel(fn, K.n, K.m, K.w_dims, domain=K.domain)
+    return Kernel(fn, domain=K.domain)
 
 
 def test_reproducing_check_above_four_coordinates_raises_at_once():
@@ -578,7 +578,7 @@ def test_reproducing_integral_raises_on_non_finite_kernel_values(bad, monkeypatc
 
     _grid(monkeypatch, 32)
     with pytest.raises(NonFiniteError):
-        reproducing_integral(Kernel(fn, K.n, K.m, K.w_dims, domain=K.domain), K.domain,
+        reproducing_integral(Kernel(fn, domain=K.domain), K.domain,
                              [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
     assert len(calls) == 1
 
