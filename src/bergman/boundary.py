@@ -315,14 +315,13 @@ def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
     P = path.panel if path.panel is not None else path.points(path.grid())
     diverged = False
     with np.errstate(all="ignore"):
-        while len(P) >= 3:
-            try:
-                raw = K.diagonal(tuple(P.T))
-                break
-            except NonFiniteError as e:
-                P = P[:0 if e.rows is None else e.rows[0]]
-                diverged = True
-        else:
+        try:
+            raw = K.diagonal(tuple(P.T))
+        except NonFiniteError as e:
+            v = np.broadcast_to(np.nan if e.values is None else e.values, len(P))
+            P = P[:int(np.argmin(np.isfinite(v)))]
+            raw, diverged = np.real(v[:len(P)]), True
+        if len(P) < 3:
             raise BoundaryError("probe needs at least three usable levels")
         f = raw * weight(tuple(P.T))
     ts = path.grid()[:len(P)]

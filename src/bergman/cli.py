@@ -122,19 +122,17 @@ def _panel_values(K, P, Q, rows, out, errors):
     """Set out[i] to K(p_i, q_i) for the given rows of the panels P and Q
     (shape (dim, N)), one call per block of EVAL_BLOCK rows; rows whose value
     is not finite get the error NonFiniteError, and the other rows of their
-    block are evaluated again."""
+    block keep their values from the same call."""
     for start in range(0, len(rows), EVAL_BLOCK):
         block = np.array(rows[start:start + EVAL_BLOCK], dtype=int)
-        while len(block):
-            try:
-                out[block] = K(tuple(P[:, block]), tuple(Q[:, block]))
-            except NonFiniteError as e:
-                bad = np.arange(len(block)) if e.rows is None else e.rows
-                for i in block[bad].tolist():
-                    errors[i] = type(e).__name__
-                block = np.delete(block, bad)
-                continue
-            break
+        try:
+            out[block] = K(tuple(P[:, block]), tuple(Q[:, block]))
+        except NonFiniteError as e:
+            v = np.broadcast_to(np.nan if e.values is None else e.values, block.shape)
+            ok = np.isfinite(v)
+            out[block[ok]] = v[ok]
+            for i in block[~ok].tolist():
+                errors[i] = type(e).__name__
 
 
 def cmd_eval(args) -> int:
@@ -227,28 +225,22 @@ def _suite_symmetry(tol, seed):
 
 
 def _suite_lift_equivalence(tol, seed):
-    from .kernels import (kernel_ball, kernel_egg, kernel_egg_inflated,
-                          kernel_ball_disk_lift, kernel_ball_exp_lift)
-    from .lifting import lift_U, lift_V
+    from .kernels import (kernel_egg, kernel_egg_inflated, kernel_ball_disk_lift,
+                          kernel_ball_exp_lift)
     fams = [
-        ("egg", kernel_egg(1, 2.0),
-         lambda: lift_U(kernel_ball(1), (0.5,), 1)),
-        ("ball_disk_lift", kernel_ball_disk_lift(1, 1),
-         lambda: lift_U(kernel_ball(2, n_star=1), (1.0,), 1)),
-        ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,)),
-         lambda: lift_V(kernel_ball(2, n_star=1), (1.0,), 1)),
+        ("egg", kernel_egg(1, 2.0)),
+        ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
+        ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,))),
         # two acted coordinates
-        ("egg_inflated_w3", kernel_egg_inflated(2, 3, 2.0),
-         lambda: lift_U(kernel_ball(2), (0.5, 0.5), 3)),
-        ("ball_exp_lift_2star", kernel_ball_exp_lift(2, 1, (0.7, 1.3)),
-         lambda: lift_V(kernel_ball(3, n_star=2), (0.7, 1.3), 1)),
+        ("egg_inflated_w3", kernel_egg_inflated(2, 3, 2.0)),
+        ("ball_exp_lift_2star", kernel_ball_exp_lift(2, 1, (0.7, 1.3))),
     ]
     cases = []
-    for name, closed, build in fams:
-        def case(name=name, closed=closed, build=build):
+    for name, closed in fams:
+        def case(name=name, closed=closed):
             P, Q = (tuple(np.array(side).T) for side in
                     zip(*catalog.interior_pairs(closed.domain, 200, seed, box_radius=0.6)))
-            a, b = closed(P, Q), build()(P, Q)
+            a, b = closed(P, Q), compose_pipeline(closed.domain)(P, Q)
             worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
             return _case(name, worst, tol)
         cases.append(case)
@@ -443,14 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("closed", "lifted", "series", "all"))
     pe.add_argument("--cap", type=_nonnegative, default=40, help="series degree cap")
     pe.add_argument("--out", default=None, help="output CSV path")
-    pe.set_defaults(fn=cmd_eval)
+    pe.set_defaults(handler=cmd_eval)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=tuple(_SUITE_BUILDERS))
     pv.add_argument("--seed", type=_seed, default=2024)
     pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", default=None)
-    pv.set_defaults(fn=cmd_verify)
+    pv.set_defaults(handler=cmd_verify)
 
     pb = sub.add_parser("boundary", help="weighted boundary-limit probe")
     pb.add_argument("--spec", required=True)
@@ -459,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--stratum", required=True, choices=("S2", "S3", "S4"))
     pb.add_argument("--weight", required=True, choices=WEIGHT_NAMES)
     pb.add_argument("--out", default=None)
-    pb.set_defaults(fn=cmd_boundary)
+    pb.set_defaults(handler=cmd_boundary)
 
     ps = sub.add_parser("sample", help="draw uniform interior points")
     ps.add_argument("--spec", required=True)
@@ -467,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--box-radius", type=_positive, default=None)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=cmd_sample)
+    ps.set_defaults(handler=cmd_sample)
     return ap
 
 
@@ -478,7 +470,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.handler(args)
     except (SamplingError, IntegrationError, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -335,7 +335,7 @@ def _chain_shadow(spec: DomainSpec, rng: np.random.Generator, n: int) -> np.ndar
         split = rng.dirichlet(np.ones(k), n) if k > 1 else 1.0
         for j, a in zip(spec._star_sets[i], step.weights):
             if a:
-                x[:, j] *= (1.0 - t) ** a if step.kind == "U" else lift_factor("V", -a, t)
+                x[:, j] *= lift_factor(step.kind, -a, t)
         x[:, spec._w_slices[i]] = t[:, None] * split
     return x
 

@@ -34,9 +34,9 @@ class BranchCutError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A numeric operation produced NaN or an infinity.  ``rows`` holds the
-    indices of the non-finite rows of a panel, None when not known."""
-    rows = None
+    """A numeric operation produced NaN or an infinity.  ``values`` holds the
+    value a kernel call judged not finite, None when its arithmetic raised."""
+    values = None
 
 
 class JetOrderError(ValueError):

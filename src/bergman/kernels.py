@@ -61,8 +61,7 @@ class Kernel:
             raise NonFiniteError(f"{self.name} overflowed: {e}") from None
         if not _all_finite(val):
             err = NonFiniteError(f"{self.name} overflowed (value not finite)")
-            if isinstance(val, np.ndarray) and val.ndim == 1:
-                err.rows = np.flatnonzero(~np.isfinite(val))
+            err.values = val
             raise err
         return val
 

@@ -21,7 +21,7 @@ with; a plane-fibered block's radial moments are the factorials c!/s^(c+1).
 not modelled.)
 
 By orthogonality, int K(p, q) q^a dV(q) = c_a ||z^a||^2 p^a, c_a the Taylor
-coefficient of the kernel's ``fn`` at u^a: up to 4 coordinates, a Cauchy
+coefficient of the kernel at u^a: up to 4 coordinates, a Cauchy
 integral by a rank-1 lattice rule on one torus taken from the spec, times
 the norms of the requested indices alone.
 """
@@ -45,7 +45,7 @@ SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share
 N_ANG = 2048             # Cauchy lattice points, a power of 2 up to 2048
 TORUS_TOL = 1e-4         # the torus shrinks while its estimate exceeds a tenth of the 1e-3 gate
 TORUS_LEVELS = 6         # tori at most: s = 1/2, 1/4, ..., 1/64
-ROUND_OFF = 2.0 ** -46   # round-off floor of a coefficient, relative to the lattice mean of |fn|
+ROUND_OFF = 2.0 ** -46   # round-off floor of a coefficient, relative to the lattice mean of |K|
 
 
 class IntegrationError(RuntimeError):
@@ -289,12 +289,11 @@ def _representative_rows(spec: DomainSpec, R) -> np.ndarray:
 
 class NormTable:
     """Monomial squared norms for one spec over its series variables: the
-    degree-sorted (n, n_vars) ``exponents`` matrix with its ``norms`` and
-    ``errors`` vectors (a row's norm is that of its ``_representative_rows``
-    monomial), the first row ``offsets[d]`` of each degree shell d, and
-    ``columns``, the exponents transposed so that each variable's column is
-    contiguous.  ``entries``, the same table as a dict of (value, error)
-    pairs, is built only when read."""
+    degree-sorted exponents as the (n_vars, n) matrix ``columns``, each
+    variable's exponents contiguous, with the ``norms`` and ``errors`` vectors
+    (an exponent's norm is that of its ``_representative_rows`` monomial) and
+    the first exponent ``offsets[d]`` of each degree shell d.  ``entries``, the
+    same table as a dict of (value, error) pairs, is built only when read."""
 
     def __init__(self, spec: DomainSpec | None, exponents, norms, errors):
         self.spec = spec
@@ -303,7 +302,7 @@ class NormTable:
             raise SpecError("norm table needs nonnegative monomial indices")
         degrees = exps.sum(axis=1)
         order = np.argsort(degrees, kind="stable")
-        self.exponents, degrees = exps[order], degrees[order]
+        exps, degrees = exps[order], degrees[order]
         self.norms = np.asarray(norms, dtype=float)[order]
         self.errors = np.asarray(errors, dtype=float)[order]
         self.offsets = np.searchsorted(degrees, np.arange(degrees[-1] + 2)).tolist()
@@ -311,7 +310,7 @@ class NormTable:
         if any(b - a != math.comb(d + dim - 1, dim - 1)
                for d, (a, b) in enumerate(zip(self.offsets, self.offsets[1:]))):
             raise SpecError("norm table misses monomials below its largest degree")
-        self.columns = np.ascontiguousarray(self.exponents.T)
+        self.columns = np.ascontiguousarray(exps.T)
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
@@ -327,7 +326,7 @@ class NormTable:
 
     @cached_property
     def entries(self) -> dict:
-        return dict(zip(map(tuple, self.exponents.tolist()),
+        return dict(zip(map(tuple, self.columns.T.tolist()),
                         zip(self.norms.tolist(), self.errors.tolist())))
 
     def degree_cap(self) -> int:
@@ -387,9 +386,9 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     if table is None:
         table = get_norm_table(spec, degree_cap)
     groups = series_variables(spec)
-    if table.spec not in (None, spec) or table.exponents.shape[1] != len(groups) \
+    if table.spec not in (None, spec) or len(table.columns) != len(groups) \
             or table.degree_cap() < degree_cap:
-        raise SpecError(f"norm table ({table.exponents.shape[1]} series variables, degree "
+        raise SpecError(f"norm table ({len(table.columns)} series variables, degree "
                         f"cap {table.degree_cap()}) does not cover this series")
     u = [pj * qj.conjugate() for pj, qj in zip(p, q)]
     pows = np.ones((len(groups), table.degree_cap() + 1), dtype=complex)
@@ -448,7 +447,7 @@ LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912), 4: (1, 1111, 1425,
 
 def reproducing_integral(K, spec: DomainSpec, indices, p):
     """({idx: value}, {idx: err}) of int K(p; q-bar) q^idx dV(q), K a ``Kernel``
-    whose ``fn`` takes u_j = p_j q-bar_j: c ||z^idx||^2 p^idx, c from
+    (a function of u_j = p_j q-bar_j): c ||z^idx||^2 p^idx, c from
     ``_cauchy_coefficients``, the norm and its error from ``_monomial_norms``
     on the requested indices alone.  err: c's torus estimate and floor times
     the norm, plus |c| times the norm's error, times |p^idx|.  Up to 4
@@ -491,14 +490,14 @@ def _diagonal_crossing(spec: DomainSpec) -> float:
 
 def _cauchy_coefficients(K, spec: DomainSpec, norms: dict) -> dict:
     """{idx: (c, |c(r) - c(r/2)|, floor)} for every idx of ``norms`` (idx ->
-    ||z^idx||^2): c(r), K.fn's Taylor coefficient at u^idx, is the mean of
-    fn e^(-i idx.theta) / r^|idx| on the torus |u_j| = r over the lattice
+    ||z^idx||^2): c(r), K's Taylor coefficient at u^idx, is the mean of
+    K(e^(i theta), r) e^(-i idx.theta) / r^|idx|, on the torus |u_j| = r, over
     theta_i = 2 pi ((i z) mod N_ANG) / N_ANG, exact but for modes of the alias
     degree or more.  r = (s b)^2, b where the diagonal ray leaves the domain;
     s = 1/2 halves, per index, while |c(r) - c(r/2)| ||z^idx||^2 > TORUS_TOL
-    and that estimate falls, at most TORUS_LEVELS tori of one fn call each;
-    floor = ROUND_OFF mean|fn| / r^|idx|.  Two indices of one lattice residue
-    raise IntegrationError before any call; a non-finite value NonFiniteError."""
+    and that estimate falls, at most TORUS_LEVELS tori of one K call each;
+    floor = ROUND_OFF mean|K| / r^|idx|.  Two indices of one lattice residue
+    raise IntegrationError before any call; a non-finite torus NonFiniteError."""
     z, i = np.array(LATTICE_GENERATORS[spec.dim]) % N_ANG, np.arange(N_ANG)
     residues = {idx: sum(e * zc for e, zc in zip(idx, z.tolist())) % N_ANG for idx in norms}
     if len(set(residues.values())) < len(residues):
@@ -512,11 +511,9 @@ def _cauchy_coefficients(K, spec: DomainSpec, norms: dict) -> dict:
         for level in range(TORUS_LEVELS):
             if level == len(tori):
                 radii = _diagonal_crossing(spec) * 0.25 ** (level + 1) * np.array([1.0, 0.5])
-                with np.errstate(all="ignore"):     # a non-finite value raises below
-                    kv = np.broadcast_to(K.fn(tuple(radii[:, None] * e for e in lattice)),
+                with np.errstate(all="ignore"):     # K raises on a non-finite value
+                    kv = np.broadcast_to(K(tuple(lattice), (radii[:, None],) * spec.dim),
                                          (2, N_ANG))
-                if not np.isfinite(kv).all():
-                    raise NonFiniteError(f"{K.name} overflowed (value not finite)")
                 tori.append((radii, kv, float(np.abs(kv[0]).mean())))
             radii, kv, size = tori[level]
             c, c_half = (kv @ phases) / N_ANG / radii ** sum(idx)

@@ -372,6 +372,23 @@ def test_nonfinite_levels_end_the_probe():
     assert rep.kernel_values == weighted_limit(base, path, "r").kernel_values[:8]
 
 
+def test_nonfinite_levels_cost_no_second_call():
+    # the probe keeps the finite levels of its one diagonal call
+    class Counted(Kernel):
+        diagonals = 0
+
+        def diagonal(self, p):
+            Counted.diagonals += 1
+            return super().diagonal(p)
+
+    base = kernel_ball_disk_lift(1, 1)
+    K = Counted(lambda u: np.where(np.arange(len(u[0])) < 8, base.fn(u), np.nan),
+                base.domain)
+    rep = weighted_limit(K, default_path(SPEC, (0, 1.0, 0.0), Stratum.S2), "r")
+    assert rep.diverged and len(rep.ts) == 8
+    assert Counted.diagonals == 1
+
+
 @pytest.mark.parametrize("spec,target,stratum", [
     (SPEC, (0, 1.0, 0.5), Stratum.S2), (SPEC, (0, 0.5, 1.0), Stratum.S3),
     (SPEC, (0, 1.0, 1j), Stratum.S4), (VSPEC, (0, 1.0, 0.4), Stratum.S2)])

@@ -231,6 +231,31 @@ def test_eval_non_finite_row_flagged_alone(disk_files, tmp_path, monkeypatch, ca
             assert abs(_value(row, "closed") - want) <= 4e-15 * abs(want)
 
 
+def test_eval_non_finite_row_costs_no_second_call(tmp_path, monkeypatch):
+    # five rows in blocks of 3, one of them a pole: one kernel call per
+    # block, the pole's block keeping its finite rows from that call
+    disk = kernel_ball(1)
+    pole = 0.25 * (0.2 + 0.1j)
+    calls = []
+
+    def fn(u):
+        calls.append(len(u[0]))
+        return np.where(u[0] == pole, np.divide(1.0, u[0] - pole), disk.fn(u))
+
+    monkeypatch.setattr(cli, "closed_form_for",
+                        lambda spec: Kernel(fn, domain=spec, name="poles"))
+    monkeypatch.setattr(cli, "EVAL_BLOCK", 3)
+    ps = [0.1, 0.25, -0.2, 0.3j, 0.05 + 0.1j]
+    entries = [{"p": _wire((p,)), "q": _wire((0.2 - 0.1j,))} for p in ps]
+    rc, rows = _eval_rows(tmp_path, disk_spec(), entries, "closed")
+    assert rc == 2 and calls == [3, 2]
+    assert [r["error"] for r in rows] == ["", "NonFiniteError", "", "", ""]
+    for row, p in zip(rows, ps):
+        if p != 0.25:
+            want = complex(disk((p,), (0.2 - 0.1j,)))
+            assert abs(_value(row, "closed") - want) <= 4e-15 * abs(want)
+
+
 def test_eval_row_blocks_match_one_call(tmp_path, monkeypatch):
     # blocks of 3 interior rows: the exterior row (3) and the non-finite
     # row (7) fall in different blocks, and the CSV is byte for byte the

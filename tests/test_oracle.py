@@ -137,7 +137,7 @@ def _pinned_rows(spec, cap):
     if len(oracle.series_variables(spec)) < spec.dim:
         return _full_table(spec, cap)
     table = NormTable.build(spec, cap)
-    return table.exponents, table.norms, table.errors
+    return table.columns.T, table.norms, table.errors
 
 
 @pytest.mark.parametrize("name", PINNED_NORMS)
@@ -169,7 +169,7 @@ def test_norm_table_of_the_p1_ellipsoid_matches_gamma_closed_form(p):
     # q = (a+1)/p; the base factor u^(q-1) is singular at u = 0 for a + 1 < p
     spec = DomainSpec(BaseDomain("GeneralizedComplexEllipsoid", 2, 0, (p, 1.0)))
     table = NormTable.build(spec, 12)
-    for (a, b), norm in zip(table.exponents.tolist(), table.norms):
+    for (a, b), norm in zip(table.columns.T.tolist(), table.norms):
         q = (a + 1) / p
         want = PI ** 2 / p * math.exp(math.lgamma(q) + math.lgamma(b + 1) - math.lgamma(q + b + 2))
         assert abs(norm - want) <= 1e-12 * want, (a, b)
@@ -180,8 +180,8 @@ def test_norm_table_of_the_p1_ellipsoid_matches_gamma_closed_form(p):
                          ids=["polydisk2", "egg_inflated_p2", "ball_exp_lift_11", "stage4"])
 def test_norm_table_rows_equal_one_row_norms(spec):
     table = NormTable.build(spec, 12)
-    full = oracle._representative_rows(spec, table.exponents).tolist()
-    for idx, rep, value, error in zip(table.exponents.tolist(), full, table.norms, table.errors):
+    full = oracle._representative_rows(spec, table.columns.T).tolist()
+    for idx, rep, value, error in zip(table.columns.T.tolist(), full, table.norms, table.errors):
         e = monomial_norm_full(spec, rep)
         assert e == (value, error), idx
         assert table.entries[tuple(idx)] == e
@@ -190,7 +190,7 @@ def test_norm_table_rows_equal_one_row_norms(spec):
     big = NormTable.build(spec, 20)
     n = len(table.norms)
     assert big.offsets[:14] == table.offsets
-    assert big.exponents[:n].tobytes() == table.exponents.tobytes()
+    assert big.columns.T[:n].tobytes() == table.columns.T.tobytes()
     assert big.norms[:n].tobytes() == table.norms.tobytes()
     assert big.errors[:n].tobytes() == table.errors.tobytes()
 
@@ -287,6 +287,23 @@ def _counted(K, log, record=lambda u: 1):
         log.append(record(u))
         return K.fn(u)
     return Kernel(fn, domain=K.domain)
+
+
+def test_reproducing_integral_evaluates_every_torus_through_the_call():
+    # Kernel.__call__ forms and judges every kernel value: a subclass
+    # counting its calls sees each torus the pass evaluates
+    class Counted(Kernel):
+        calls = 0
+
+        def __call__(self, p, q, q_conjugated=False):
+            Counted.calls += 1
+            return super().__call__(p, q, q_conjugated)
+
+    tori = []
+    K = _counted(kernel_ball_disk_lift(1, 1), tori)
+    reproducing_integral(Counted(K.fn, K.domain), K.domain,
+                         oracle.exponent_matrix(3, 2).tolist(), (0.2, 0.1, 0.3))
+    assert tori and Counted.calls == len(tori)
 
 
 def test_reproducing_check_above_four_coordinates_raises_at_once():
@@ -529,8 +546,8 @@ def test_reproducing_integral_rejects_bad_arguments():
         reproducing_integral(K, spec, [(-1, 0, 0)], p)
     with pytest.raises(SpecError):
         reproducing_integral(K, spec, [(0, 0, 0), (0, -2, 1)], p)
-    # the pass feeds K.fn directly, so a point or kernel of another arity
-    # is refused before any kernel value is computed
+    # the pass checks both arities itself, so a point or kernel of another
+    # arity is refused before any kernel value is computed
     with pytest.raises(SpecError):
         reproducing_integral(K, spec, [(0, 0, 0)], p[:2])
     with pytest.raises(SpecError):
@@ -669,9 +686,9 @@ def _one_pass_terms(spec, p, q, degree_cap, table):
     pows[:, 1:] = np.array([sum((u[j] for j in g[1:]), u[g[0]]) for g in groups])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         pows = np.cumprod(pows, axis=1)
-        terms = pows[0, table.exponents[:n, 0]]
+        terms = pows[0, table.columns.T[:n, 0]]
         for i in range(1, len(groups)):
-            terms = np.multiply(terms, pows[i, table.exponents[:n, i]])
+            terms = np.multiply(terms, pows[i, table.columns.T[:n, i]])
         return terms.real / table.norms[:n], terms.imag / table.norms[:n]
 
 
@@ -867,7 +884,7 @@ def test_block_series_table_sizes():
         spec = chain_stage_spec(k)
         table = NormTable.build(spec, 8)
         exponents, norms, errors = _full_table(spec, 8)
-        assert table.exponents.tobytes() == exponents.tobytes()
+        assert table.columns.T.tobytes() == exponents.tobytes()
         assert table.norms.tobytes() + table.errors.tobytes() == norms.tobytes() + errors.tobytes()
 
 
@@ -911,6 +928,6 @@ def test_series_rejects_short_or_incomplete_table():
     with pytest.raises(SpecError):
         series_kernel(ball_spec(2), (0.1, 0.0), (0.1, 0.0), 6, table=table)
     full = get_norm_table(polydisk_spec(2), 3)
-    keep = [i for i, a in enumerate(full.exponents.tolist()) if a != [1, 1]]
+    keep = [i for i, a in enumerate(full.columns.T.tolist()) if a != [1, 1]]
     with pytest.raises(SpecError):
-        NormTable(polydisk_spec(2), full.exponents[keep], full.norms[keep], full.errors[keep])
+        NormTable(polydisk_spec(2), full.columns.T[keep], full.norms[keep], full.errors[keep])

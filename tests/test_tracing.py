@@ -58,6 +58,24 @@ def test_traced_kernels_return_untraced_values():
         assert a.shape == (64,) and np.array_equal(a, b) and np.array_equal(da, db)
 
 
+def test_traced_reproducing_counts_kernel_rows():
+    # the reproducing pass evaluates its tori through Kernel.__call__, the
+    # method a traced kernel wraps, so the traced row counter sees them
+    import bergman.cli as cli
+    from bergman.catalog import ball_disk_lift_spec
+
+    spec = ball_disk_lift_spec(1, 1)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(time.perf_counter())
+    restore, _ = tracing.install(tracer)
+    try:
+        cli.reproducing_integral(cli.closed_form_for(spec), spec,
+                                 [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
+    finally:
+        restore()
+    assert tracer.counters["kernels.array.rows"] > 0
+
+
 def test_benchmark_argv_parse():
     from bergman.cli import build_parser
 
