@@ -26,7 +26,8 @@ from .boundary import (Stratum, WEIGHT_NAMES, default_path, expected_weight,
                        levi_min_eigenvalue, predicted_limit, weighted_limit)
 from .domains import SamplingError, SpecError, contains, load_spec, sample_interior
 from .jets import NonFiniteError
-from .kernels import closed_form_for
+from .kernels import (closed_form_for, kernel_ball_disk_lift, kernel_ball_exp_lift,
+                      kernel_chain_stage3, kernel_egg, kernel_egg_inflated)
 from .lifting import compose_pipeline
 # reproducing_integral stays a cli name: perfbench/tracing.py wraps it here
 from .oracle import (ConvergenceError, IntegrationError,  # noqa: F401
@@ -41,17 +42,6 @@ EVAL_BLOCK = 4096       # rows per eval kernel call: memory does not grow with t
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _run_cases(cases, workers: int):
-    """Evaluate independent case callables; results ordered by case index
-    regardless of completion order."""
-    if workers <= 1:
-        return [fn() for fn in cases]
-    from concurrent.futures import ThreadPoolExecutor   # imported only for a pool
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn) for fn in cases]
-        return [f.result() for f in futures]
 
 
 def _write_csv(path, header, rows=(), text=(), comment=""):
@@ -203,30 +193,20 @@ def _case(name, measured, tol, passed=None) -> dict:
             "passed": measured < tol if passed is None else passed}
 
 
-def _dirichlet_grid():
-    cs = {1: [(0,), (1,), (2,)], 2: [(0, 0), (1, 1), (2, 0)],
-          3: [(0, 0, 0), (1, 0, 1)]}
-    grid = [(s, k, c) for s in (0.5, 1.0, 1.7, 3.0)
-            for k in (1, 2, 3) for c in cs[k]]
-    return grid[:30]
+def _pair_columns(pairs):
+    """The P and Q column tuples of a list of (p, q) point pairs."""
+    return (tuple(np.array(side).T) for side in zip(*pairs))
 
 
 def _suite_symmetry(tol, seed):
-    cases = []
     for name, (spec, K) in catalog.closed_form_families().items():
-        def case(name=name, spec=spec, K=K):
-            P, Q = (tuple(np.array(side).T) for side in
-                    zip(*catalog.interior_pairs(spec, 1000, seed, box_radius=0.6)))
-            a, b = K(P, Q), K(Q, P)
-            worst = float(np.max(np.abs(np.conj(a) - b) / np.maximum(np.abs(a), 1e-300)))
-            return _case(name, worst, tol)
-        cases.append(case)
-    return cases
+        P, Q = _pair_columns(catalog.interior_pairs(spec, 1000, seed, box_radius=0.6))
+        a, b = K(P, Q), K(Q, P)
+        worst = float(np.max(np.abs(np.conj(a) - b) / np.maximum(np.abs(a), 1e-300)))
+        yield _case(name, worst, tol)
 
 
 def _suite_lift_equivalence(tol, seed):
-    from .kernels import (kernel_egg, kernel_egg_inflated, kernel_ball_disk_lift,
-                          kernel_ball_exp_lift)
     fams = [
         ("egg", kernel_egg(1, 2.0)),
         ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
@@ -235,84 +215,57 @@ def _suite_lift_equivalence(tol, seed):
         ("egg_inflated_w3", kernel_egg_inflated(2, 3, 2.0)),
         ("ball_exp_lift_2star", kernel_ball_exp_lift(2, 1, (0.7, 1.3))),
     ]
-    cases = []
     for name, closed in fams:
-        def case(name=name, closed=closed):
-            P, Q = (tuple(np.array(side).T) for side in
-                    zip(*catalog.interior_pairs(closed.domain, 200, seed, box_radius=0.6)))
-            a, b = closed(P, Q), compose_pipeline(closed.domain)(P, Q)
-            worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
-            return _case(name, worst, tol)
-        cases.append(case)
-    return cases
+        P, Q = _pair_columns(catalog.interior_pairs(closed.domain, 200, seed, box_radius=0.6))
+        a, b = closed(P, Q), compose_pipeline(closed.domain)(P, Q)
+        worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
+        yield _case(name, worst, tol)
 
 
 def _suite_series(tol, seed):
-    cases = []
     for name, (spec, K) in catalog.closed_form_families().items():
-        def case(name=name, spec=spec, K=K):
-            table = get_norm_table(spec, 30)
-            worst = 0.0
-            worst_tail = 0.0
-            for p, q in catalog.interior_pairs(spec, 20, seed):
-                sv = series_kernel(spec, p, q, 30, table=table)
-                v = complex(K(p, q))
-                worst = max(worst, abs(v - sv.value) / max(abs(v), 1e-300))
-                worst_tail = max(worst_tail, sv.tail_bound)
-            return _case(name, worst, tol, worst < tol and worst_tail < 1e-4)
-        cases.append(case)
-    return cases
+        table = get_norm_table(spec, 30)
+        worst = worst_tail = 0.0
+        for p, q in catalog.interior_pairs(spec, 20, seed):
+            sv = series_kernel(spec, p, q, 30, table=table)
+            v = complex(K(p, q))
+            worst = max(worst, abs(v - sv.value) / max(abs(v), 1e-300))
+            worst_tail = max(worst_tail, sv.tail_bound)
+        yield _case(name, worst, tol, worst < tol and worst_tail < 1e-4)
 
 
 def _suite_dirichlet(tol, seed):
-    cases = []
-    for s, k, c in _dirichlet_grid():
-        def case(s=s, k=k, c=c):
-            quad, closed = dirichlet_identity_check(s, c)
-            err = abs(quad - closed) / max(abs(closed), 1e-300)
-            return _case(f"s={s},k={k},c={c}", err, tol)
-        cases.append(case)
-    return cases
+    cs = {1: [(0,), (1,), (2,)], 2: [(0, 0), (1, 1), (2, 0)],
+          3: [(0, 0, 0), (1, 0, 1)]}
+    grid = [(s, k, c) for s in (0.5, 1.0, 1.7, 3.0)
+            for k in (1, 2, 3) for c in cs[k]]
+    for s, k, c in grid[:30]:
+        quad, closed = dirichlet_identity_check(s, c)
+        yield _case(f"s={s},k={k},c={c}", abs(quad - closed) / max(abs(closed), 1e-300), tol)
 
 
 def _suite_reproducing(tol, seed):
-    from .kernels import kernel_ball_disk_lift, kernel_ball_exp_lift, kernel_chain_stage3
     fixtures = [
         ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
         ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,))),
         ("chain_stage3", kernel_chain_stage3(2.0)),
         ("chain_stage4", compose_pipeline(catalog.chain_stage_spec(4))),
     ]
-    cases = []
     for name, K in fixtures:
         idxs = [tuple(idx) for idx in exponent_matrix(K.dim, 2).tolist()]
         for p in catalog.interior_points(K.domain, 3, seed, box_radius=0.4):
-            def case(name=name, K=K, idxs=idxs, p=p):
-                worst = max(reproducing_check(K, K.domain, idxs, p).values())
-                return _case(f"{name}@{_fmt(abs(p[0]))}", worst, tol)
-            cases.append(case)
-    return cases
+            worst = max(reproducing_check(K, K.domain, idxs, p).values())
+            yield _case(f"{name}@{_fmt(abs(p[0]))}", worst, tol)
 
 
 def _suite_levi(tol, seed):
-    from .catalog import ball_spec, ball_disk_lift_spec, ball_exp_lift_spec
-
-    def ball_case():
-        v = levi_min_eigenvalue(ball_spec(2), (1.0, 0.0))
-        return _case("ball2", abs(v - 1.0), 1e-4)
-
-    def s1_case():
-        spec = ball_disk_lift_spec(1, 1)
-        z = math.sqrt((1 - 0.09) * (1 - 0.25))
-        v = levi_min_eigenvalue(spec, (z, 0.5, 0.3))
-        return _case("ball-disk-lift-S1", v, 0.0, v > 0.0)
-
-    def weak_case():
-        spec = ball_exp_lift_spec(1, 1, (1.0,))
-        v = levi_min_eigenvalue(spec, (0.0, 1.0, 0.4))
-        return _case("ball-exp-lift-weak", abs(v), tol)
-
-    return [ball_case, s1_case, weak_case]
+    v = levi_min_eigenvalue(catalog.ball_spec(2), (1.0, 0.0))
+    yield _case("ball2", abs(v - 1.0), 1e-4)
+    z = math.sqrt((1 - 0.09) * (1 - 0.25))
+    v = levi_min_eigenvalue(catalog.ball_disk_lift_spec(1, 1), (z, 0.5, 0.3))
+    yield _case("ball-disk-lift-S1", v, 0.0, v > 0.0)
+    v = levi_min_eigenvalue(catalog.ball_exp_lift_spec(1, 1, (1.0,)), (0.0, 1.0, 0.4))
+    yield _case("ball-exp-lift-weak", abs(v), tol)
 
 
 _SUITE_BUILDERS = {
@@ -327,8 +280,7 @@ _SUITE_BUILDERS = {
 
 def cmd_verify(args) -> int:
     builder, tol = _SUITE_BUILDERS[args.suite]
-    cases = builder(tol, args.seed)
-    results = _run_cases(cases, args.workers)
+    results = list(builder(tol, args.seed))   # every case runs before the first line
     n_fail = sum(not r["passed"] for r in results)
     rows = []
     for r in results:
@@ -440,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=tuple(_SUITE_BUILDERS))
     pv.add_argument("--seed", type=_seed, default=2024)
-    pv.add_argument("--workers", type=int, default=1)
+    # accepts only 1, the value perfbench's argv passes: the cases run in order
+    pv.add_argument("--workers", type=int, default=1, choices=(1,))
     pv.add_argument("--out", default=None)
     pv.set_defaults(handler=cmd_verify)
 

@@ -359,7 +359,8 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     the cut volume.  ``draws`` counts the rows drawn.  SamplingError for a
     count above SAMPLE_MAX_DRAWS, before any draw, or when the chunks that
     could hold SAMPLE_MAX_DRAWS rows fall short (a V-step whose t
-    overflows); ValueError for a seed outside [0, 2**64).
+    overflows); ValueError for a seed outside [0, 2**64), or a box_radius
+    whose squared proposal radius overflows.
     """
     if count < 1:
         raise SpecError("sample count must be at least 1")
@@ -379,8 +380,12 @@ def sample_interior(spec: DomainSpec, count: int, seed: int = 0,
     else:
         # the disk around the square [-b, b]^2, whose corners reach b sqrt 2
         cap = float(box_radius) * math.sqrt(2.0)
-        rad2 = np.square([cap if j in spec.v_w_indices() else min(1.0, cap)
-                          for j in range(spec.dim)])
+        with np.errstate(over="ignore"):
+            rad2 = np.square([cap if j in spec.v_w_indices() else min(1.0, cap)
+                              for j in range(spec.dim)])
+        if not np.isfinite(rad2).all():
+            raise ValueError(f"box_radius must be finite and positive, and {box_radius!r} "
+                             "makes the proposal disk's squared radius overflow")
         # one reused chunk buffer, so peak memory does not follow the heap layout
         buf = np.empty((SAMPLE_CHUNK, spec.dim))
 

@@ -295,7 +295,7 @@ class NormTable:
     the first exponent ``offsets[d]`` of each degree shell d.  ``entries``, the
     same table as a dict of (value, error) pairs, is built only when read."""
 
-    def __init__(self, spec: DomainSpec | None, exponents, norms, errors):
+    def __init__(self, spec: DomainSpec, exponents, norms, errors):
         self.spec = spec
         exps = np.array(exponents, dtype=np.intp, ndmin=2)
         if exps.size == 0 or exps.min() < 0:
@@ -386,7 +386,7 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     if table is None:
         table = get_norm_table(spec, degree_cap)
     groups = series_variables(spec)
-    if table.spec not in (None, spec) or len(table.columns) != len(groups) \
+    if table.spec != spec or len(table.columns) != len(groups) \
             or table.degree_cap() < degree_cap:
         raise SpecError(f"norm table ({len(table.columns)} series variables, degree "
                         f"cap {table.degree_cap()}) does not cover this series")

@@ -416,10 +416,9 @@ def test_verify_oracle_suites_pass(suite, n_cases, tmp_path, capsys):
     assert all(line.startswith(f"{suite},") and line.endswith(",PASS") for line in lines[1:])
 
 
-def test_verify_symmetry_with_workers(capsys, tmp_path):
+def test_verify_symmetry_passes(capsys, tmp_path):
     out = tmp_path / "sym.csv"
-    rc = main(["verify", "--suite", "symmetry", "--workers", "4",
-               "--out", str(out)])
+    rc = main(["verify", "--suite", "symmetry", "--out", str(out)])
     assert rc == 0
     assert "FAIL" not in capsys.readouterr().out
     lines = out.read_text().strip().splitlines()
@@ -428,11 +427,11 @@ def test_verify_symmetry_with_workers(capsys, tmp_path):
 
 
 def test_verify_worker_count_does_not_change_output(tmp_path):
+    # --workers accepts only 1, kept for perfbench's argv: it must not change a byte
     outs = []
-    for workers, name in ((1, "w1.csv"), (4, "w4.csv")):
+    for flag, name in ((["--workers", "1"], "w1.csv"), ([], "default.csv")):
         out = tmp_path / name
-        rc = main(["verify", "--suite", "lift-equivalence",
-                   "--workers", str(workers), "--out", str(out)])
+        rc = main(["verify", "--suite", "lift-equivalence", *flag, "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -673,9 +672,10 @@ def _exit_code(argv):
     ["verify", "--suite", "symmetry", "--seed", "-1"],
     ["verify", "--suite", "dirichlet", "--seed", "-1"],
     ["verify", "--suite", "levi", "--seed", str(1 << 64)],
+    ["verify", "--suite", "symmetry", "--workers", "4"],
 ], ids=["box-radius-nan", "box-radius-inf", "cap-negative", "cap-too-large",
         "sample-seed-negative", "sample-seed-too-large", "verify-seed-negative",
-        "dirichlet-seed-negative", "levi-seed-too-large"])
+        "dirichlet-seed-negative", "levi-seed-too-large", "verify-workers-4"])
 def test_bad_numeric_flag_exits_2(lifted_ball_file, tmp_path, capsys, argv):
     pts = tmp_path / "p.json"
     pts.write_text(json.dumps([[[0.1, 0.0], [0.2, 0.0], [0.1, 0.0]]]))

@@ -121,10 +121,10 @@ def test_sample_count_zero_rejected():
 
 
 @pytest.mark.parametrize("radius", ["box_radius"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e300])
 def test_sample_rejects_bad_radius(radius, value):
-    # -1 mirrored the box, and nan or inf made SAMPLE_MAX_DRAWS draws
-    # before failing
+    # -1 mirrored the box, nan or inf made SAMPLE_MAX_DRAWS draws before
+    # failing, and 1e300 squared the V-step w's disk to inf
     with pytest.raises(ValueError, match="finite and positive"):
         sample_interior(ball_exp_lift_spec(1, 1, (1.0,)), 10, seed=1, **{radius: value})
 
