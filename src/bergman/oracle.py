@@ -28,6 +28,7 @@ the norms of the requested indices alone.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .jets import NonFiniteError, pochhammer
 
 # largest norm table built, in series variables; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
-SHELL_BLOCK = 8          # degree shells per numpy pass of series_kernel
+BLOCK_TERMS = 1024       # least terms per numpy pass of series_kernel, short of the cap
 SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
 N_ANG = 2048             # Cauchy lattice points, a power of 2 up to 2048
 TORUS_TOL = 1e-4         # the torus shrinks while its estimate exceeds a tenth of the 1e-3 gate
@@ -90,7 +91,7 @@ def _de_integrate(f):
     prev = None
     for level in range(3, 9):
         u, um1, w = _de_rule(level)
-        val = float(np.sum(w * f(u, um1)))
+        val = float(np.add.reduce(w * f(u, um1)))
         if prev is not None:
             err = abs(val - prev)
             if err <= 1e-11 * max(abs(val), 1e-300):
@@ -362,18 +363,25 @@ def _fsum(re, im) -> complex:
     return total
 
 
+def _block_end(offsets, deg: int, degree_cap: int) -> int:
+    """One past the last shell of the series_kernel block from shell deg."""
+    need = offsets[deg] + max(BLOCK_TERMS, offsets[deg])
+    return min(bisect.bisect_left(offsets, need, deg + 1), degree_cap + 1)
+
+
 def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                   table: NormTable | None = None) -> SeriesValue:
     """Kernel value as the monomial series sum v^a / ||z^a||^2 over the
     spec's ``series_variables`` v, each the sum of p_l q-bar_l over its
     coordinates, and the table's representative norms.
 
-    Terms are computed SHELL_BLOCK degree shells at a time, each block a
-    product of contiguous gathers of cumulative powers, one per variable,
-    whose shells one np.add.reduceat per real and imaginary part sums (off
-    by at most gamma_n times a shell's absolute sum, Higham 2002, ch. 4), up
-    to two shells in a row below SHELL_TOL of the running sum; later blocks
-    are never computed, and math.fsum sums the shells.  The tail bound
+    Terms are computed a block at a time: the fewest whole degree shells
+    holding max(BLOCK_TERMS, the terms before them) terms, or up to the cap.
+    A block is a product of contiguous gathers of cumulative powers, one per
+    variable, whose shells one np.add.reduceat per real and imaginary part
+    sums (off by at most gamma_n times a shell's absolute sum, Higham 2002,
+    ch. 4), up to two shells in a row below SHELL_TOL of the running sum;
+    later blocks are never computed, and math.fsum sums the shells.  The tail bound
     extrapolates the last two shells geometrically.  Shells that stop
     decaying raise ConvergenceError, a non-finite shell or sum NonFiniteError.
     """
@@ -386,7 +394,7 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     if table is None:
         table = get_norm_table(spec, degree_cap)
     groups = series_variables(spec)
-    if table.spec != spec or len(table.columns) != len(groups) \
+    if (table.spec is not spec and table.spec != spec) or len(table.columns) != len(groups) \
             or table.degree_cap() < degree_cap:
         raise SpecError(f"norm table ({len(table.columns)} series variables, degree "
                         f"cap {table.degree_cap()}) does not cover this series")
@@ -396,11 +404,13 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     shells = []
     running = 0j
     cap_used, converged = degree_cap, False
+    start = end = 0
     with np.errstate(over="ignore", invalid="ignore"):
         pows = np.cumprod(pows, axis=1)
         for deg in range(degree_cap + 1):
-            if deg % SHELL_BLOCK == 0:
-                cuts = table.offsets[deg:min(deg + SHELL_BLOCK, degree_cap + 1) + 1]
+            if deg == end:
+                start, end = deg, _block_end(table.offsets, deg, degree_cap)
+                cuts = table.offsets[start:end + 1]
                 a, b, starts = cuts[0], cuts[-1], np.subtract(cuts[:-1], cuts[0])
                 terms = pows[0, table.columns[0, a:b]]
                 # not `*`, which reuses a large temporary in place and rounds differently
@@ -408,7 +418,7 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                     terms = np.multiply(terms, row[col[a:b]])
                 re, im = (np.add.reduceat(x / table.norms[a:b], starts).tolist()
                           for x in (terms.real, terms.imag))
-            shell = complex(re[deg % SHELL_BLOCK], im[deg % SHELL_BLOCK])
+            shell = complex(re[deg - start], im[deg - start])
             if not cmath.isfinite(shell):
                 raise NonFiniteError("series sum overflowed")
             shells.append(shell)

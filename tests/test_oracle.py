@@ -746,7 +746,6 @@ def _outcome(fn, *args, **kw):
 def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
     specs = dict(closed_form_families())
     specs.update({f"stage{k}": (chain_stage_spec(k), None) for k in (2, 3, 4)})
-    caps = set()
     for name, (spec, _) in specs.items():
         table = get_norm_table(spec, 30)
         pairs = (interior_pairs(spec, 8, seed=31)
@@ -762,27 +761,104 @@ def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
             want = _outcome(_series_one_pass, spec, p, q, cap, table)
             got = _outcome(series_kernel, spec, p, q, cap, table=table)
             assert got == want, (name, cap)
-    # early exits on both sides of the first two block edges
-    edge = oracle.SHELL_BLOCK
-    for spec, base in ((disk_spec(), (1,)), (specs["stage3"][0], (1, 0.5j, -0.3))):
+    # stages 5 and 6 at their largest caps, where a block spans the most shells
+    for k, cap in ((5, 24), (6, 18)):
+        spec = chain_stage_spec(k)
+        table = get_norm_table(spec, cap)
+        for (p, q), tol in product(interior_pairs(spec, 4, seed=31), (1e-9, 0.0)):
+            want = _outcome(_series_one_pass, spec, p, q, cap, table, shell_tol=tol)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "SHELL_TOL", tol)
+                got = _outcome(series_kernel, spec, p, q, cap, table=table)
+            assert got == want, (k, cap)
+    # early exits on both sides of the first two block edges, with blocks
+    # shrunk so that those edges fall among the degrees the exits reach
+    for spec, base, block in ((disk_spec(), (1,), 8), (specs["stage3"][0], (1, 0.5j, -0.3), 56)):
+        monkeypatch.setattr(oracle, "BLOCK_TERMS", block)
         table = get_norm_table(spec, 30)
+        first = oracle._block_end(table.offsets, 0, 30)
+        second = oracle._block_end(table.offsets, first, 30)
+        caps = set()
         for t in np.linspace(0.01, 0.5, 50):
             p = tuple(t * b for b in base)
             got = _outcome(series_kernel, spec, p, p, 30, table=table)
             assert got == _outcome(_series_one_pass, spec, p, p, 30, table)
             caps.add(series_kernel(spec, p, p, 30, table=table).cap_used)
-    assert {edge - 1, edge, 2 * edge - 1, 2 * edge} <= caps
+        assert {first - 1, first, second - 1, second} <= caps, spec
     # a huge degree-0 term makes the sum exit at degree 2; the terms of
     # degrees 7 (same block as the exit) and 20 (a later block) overflow to inf
+    monkeypatch.setattr(oracle, "BLOCK_TERMS", 8)
     norms = {0: 1e-12, 7: 5e-324, 20: 5e-324}
     table = NormTable(disk_spec(), [(d,) for d in range(31)],
                       [norms.get(d, 1.0) for d in range(31)], [0.0] * 31)
+    assert _block_plan(table.offsets, 30) == [0, 8, 16, 31]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sv = series_kernel(disk_spec(), (0.5,), (0.5,), 30, table=table)
     assert sv.cap_used == 2
     assert _outcome(series_kernel, disk_spec(), (0.5,), (0.5,), 30, table=table) == \
         _outcome(_series_one_pass, disk_spec(), (0.5,), (0.5,), 30, table)
+
+
+def _block_plan(offsets, degree_cap):
+    ends = [0]
+    while ends[-1] <= degree_cap:
+        ends.append(oracle._block_end(offsets, ends[-1], degree_cap))
+    return ends
+
+
+def test_series_block_plan(monkeypatch):
+    # whole shells partition [0, cap]; a block holds BLOCK_TERMS terms and at
+    # least the terms before it, one shell fewer would not, or it ends at the cap
+    specs = {name: spec for name, (spec, _) in closed_form_families().items()}
+    specs.update({f"stage{k}": chain_stage_spec(k) for k in range(2, 7)})
+    for name, spec in specs.items():
+        top = {"stage5": 24, "stage6": 18}.get(name, 30)
+        offsets = get_norm_table(spec, top).offsets
+        for cap in sorted({0, 1, 5, 13, 17, top}):
+            ends = _block_plan(offsets, cap)
+            assert ends[-1] == cap + 1 and all(a < b for a, b in zip(ends, ends[1:])), name
+            for a, b in zip(ends, ends[1:]):
+                need = offsets[a] + max(oracle.BLOCK_TERMS, offsets[a])
+                assert offsets[b] >= need or b == cap + 1, (name, cap, a)
+                assert offsets[b - 1] < need, (name, cap, a)
+    # chain stage 3 has 1,140 terms up to degree 17: one pass reaches it,
+    # and a value takes the passes of the plan up to its last shell
+    spec = chain_stage_spec(3)
+    table = get_norm_table(spec, 30)
+    ends = _block_plan(table.offsets, 30)
+    assert ends[:3] == [0, 18, 23]
+    passes, caps = [], []
+    plan = oracle._block_end
+
+    def counted(offsets, deg, degree_cap):
+        passes.append(deg)
+        return plan(offsets, deg, degree_cap)
+
+    monkeypatch.setattr(oracle, "_block_end", counted)
+    for box in (0.2, 0.45):
+        for p, q in interior_pairs(spec, 8, seed=31, box_radius=box):
+            passes.clear()
+            cap_used = series_kernel(spec, p, q, 30, table=table).cap_used
+            assert passes == [e for e in ends[:-1] if e <= cap_used], cap_used
+            caps.append(cap_used)
+    assert min(caps) <= 16 and max(caps) >= 18
+
+
+def test_series_memory_is_bounded():
+    # the last block can hold as many terms as all blocks before it: stage 6
+    # run to cap 18 stays within a bounded peak
+    spec = chain_stage_spec(6)
+    table = get_norm_table(spec, 18)
+    p, q = interior_pairs(spec, 1, seed=31)[0]
+    tracemalloc.start()
+    try:
+        sv = series_kernel(spec, p, q, 18, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sv.converged and sv.cap_used == 18
+    assert peak <= 4.5e6
 
 
 def test_series_within_the_summation_bound_of_exact_shells():
