@@ -293,8 +293,9 @@ class NormTable:
     degree-sorted exponents as the (n_vars, n) matrix ``columns``, each
     variable's exponents contiguous, with the ``norms`` and ``errors`` vectors
     (an exponent's norm is that of its ``_representative_rows`` monomial) and
-    the first exponent ``offsets[d]`` of each degree shell d.  ``entries``, the
-    same table as a dict of (value, error) pairs, is built only when read."""
+    the first exponent ``offsets[d]`` of each degree shell d, and the spec's
+    ``groups`` (``series_variables``).  ``entries``, the same table as a dict
+    of (value, error) pairs, is built only when read."""
 
     def __init__(self, spec: DomainSpec, exponents, norms, errors):
         self.spec = spec
@@ -312,6 +313,8 @@ class NormTable:
                for d, (a, b) in enumerate(zip(self.offsets, self.offsets[1:]))):
             raise SpecError("norm table misses monomials below its largest degree")
         self.columns = np.ascontiguousarray(exps.T)
+        self.groups = series_variables(spec)
+        self._blocks = {}
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
@@ -332,6 +335,18 @@ class NormTable:
 
     def degree_cap(self) -> int:
         return len(self.offsets) - 2
+
+    def block(self, deg: int, degree_cap: int) -> tuple:
+        """(end shell, first term, end term, read-only shell starts) of the
+        series_kernel block from shell deg (``_block_end``), made once per
+        (BLOCK_TERMS, deg, degree_cap): no plan outlives a change of block size."""
+        key = (BLOCK_TERMS, deg, degree_cap)
+        if key not in self._blocks:
+            end = _block_end(self.offsets, deg, degree_cap)
+            starts = np.subtract(self.offsets[deg:end], self.offsets[deg])
+            starts.setflags(write=False)
+            self._blocks[key] = (end, self.offsets[deg], self.offsets[end], starts)
+        return self._blocks[key]
 
 
 @lru_cache(maxsize=64)
@@ -372,18 +387,20 @@ def _block_end(offsets, deg: int, degree_cap: int) -> int:
 def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                   table: NormTable | None = None) -> SeriesValue:
     """Kernel value as the monomial series sum v^a / ||z^a||^2 over the
-    spec's ``series_variables`` v, each the sum of p_l q-bar_l over its
-    coordinates, and the table's representative norms.
+    table's ``groups`` v (the spec's ``series_variables``), each the sum of
+    p_l q-bar_l over its coordinates, and the table's representative norms.
 
-    Terms are computed a block at a time: the fewest whole degree shells
-    holding max(BLOCK_TERMS, the terms before them) terms, or up to the cap.
-    A block is a product of contiguous gathers of cumulative powers, one per
-    variable, whose shells one np.add.reduceat per real and imaginary part
-    sums (off by at most gamma_n times a shell's absolute sum, Higham 2002,
-    ch. 4), up to two shells in a row below SHELL_TOL of the running sum;
-    later blocks are never computed, and math.fsum sums the shells.  The tail bound
-    extrapolates the last two shells geometrically.  Shells that stop
-    decaying raise ConvergenceError, a non-finite shell or sum NonFiniteError.
+    Terms are computed a block at a time (``NormTable.block``): the fewest
+    whole degree shells holding max(BLOCK_TERMS, the terms before them)
+    terms, or up to the cap.  A block is a product of contiguous ``take``
+    gathers of cumulative powers, one per variable, whose shells one
+    np.add.reduceat per real and imaginary part sums (off by at most gamma_n
+    times a shell's absolute sum, Higham 2002, ch. 4), up to two shells in a
+    row below SHELL_TOL of the running sum; later blocks are never computed,
+    and math.fsum sums the shells.  The tail bound extrapolates the last two
+    shells geometrically; one shell gives inf, or 0 where every v is 0.
+    Shells that stop decaying raise ConvergenceError, a non-finite shell or
+    sum NonFiniteError.
     """
     p = tuple(complex(c) for c in p)
     q = tuple(complex(c) for c in q)
@@ -393,32 +410,31 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
         raise SpecError("degree cap must be nonnegative")
     if table is None:
         table = get_norm_table(spec, degree_cap)
-    groups = series_variables(spec)
-    if (table.spec is not spec and table.spec != spec) or len(table.columns) != len(groups) \
+    groups, cols = table.groups, table.columns
+    if (table.spec is not spec and table.spec != spec) or len(cols) != len(groups) \
             or table.degree_cap() < degree_cap:
-        raise SpecError(f"norm table ({len(table.columns)} series variables, degree "
+        raise SpecError(f"norm table ({len(cols)} series variables, degree "
                         f"cap {table.degree_cap()}) does not cover this series")
     u = [pj * qj.conjugate() for pj, qj in zip(p, q)]
-    pows = np.ones((len(groups), table.degree_cap() + 1), dtype=complex)
-    pows[:, 1:] = np.array([sum((u[j] for j in g[1:]), u[g[0]]) for g in groups])[:, None]
-    shells = []
+    v = [sum((u[j] for j in g[1:]), u[g[0]]) for g in groups]
+    pows = np.ones((len(groups), degree_cap + 1), dtype=complex)
+    pows[:, 1:] = np.array(v)[:, None]
+    shells, shells_re, shells_im = [], [], []
     running = 0j
     cap_used, converged = degree_cap, False
-    start = end = 0
+    end = 0
     with np.errstate(over="ignore", invalid="ignore"):
         pows = np.cumprod(pows, axis=1)
         for deg in range(degree_cap + 1):
             if deg == end:
-                start, end = deg, _block_end(table.offsets, deg, degree_cap)
-                cuts = table.offsets[start:end + 1]
-                a, b, starts = cuts[0], cuts[-1], np.subtract(cuts[:-1], cuts[0])
-                terms = pows[0, table.columns[0, a:b]]
+                end, a, b, starts = table.block(deg, degree_cap)
+                terms = pows[0].take(cols[0, a:b])
                 # not `*`, which reuses a large temporary in place and rounds differently
-                for row, col in zip(pows[1:], table.columns[1:]):
-                    terms = np.multiply(terms, row[col[a:b]])
-                re, im = (np.add.reduceat(x / table.norms[a:b], starts).tolist()
-                          for x in (terms.real, terms.imag))
-            shell = complex(re[deg - start], im[deg - start])
+                for i in range(1, len(groups)):
+                    terms = np.multiply(terms, pows[i].take(cols[i, a:b]))
+                for x, out in ((terms.real, shells_re), (terms.imag, shells_im)):
+                    out.extend(np.add.reduceat(x / table.norms[a:b], starts).tolist())
+            shell = complex(shells_re[deg], shells_im[deg])
             if not cmath.isfinite(shell):
                 raise NonFiniteError("series sum overflowed")
             shells.append(shell)
@@ -427,18 +443,20 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
                     and abs(shells[-2]) < SHELL_TOL * abs(running):
                 cap_used, converged = deg, True
                 break
-    mags = [abs(s) for s in shells]
     tail = 0.0
-    if len(mags) >= 2 and mags[-1] > 0.0:
-        ratio = mags[-1] / mags[-2] if mags[-2] > 0.0 else math.inf
+    if len(shells) < 2:     # one shell bounds nothing, unless every later shell is 0
+        tail = math.inf if any(v) else 0.0
+    elif abs(shells[-1]) > 0.0:
+        prev, last = abs(shells[-2]), abs(shells[-1])
+        ratio = last / prev if prev > 0.0 else math.inf
         if ratio < 1.0:
-            tail = mags[-1] * ratio / (1.0 - ratio)
-        elif mags[-1] > SHELL_TOL * max(abs(running), 1e-300):
+            tail = last * ratio / (1.0 - ratio)
+        elif last > SHELL_TOL * max(abs(running), 1e-300):
             raise ConvergenceError(
                 "series shells are not decaying; point too close to the boundary")
         else:
-            tail = mags[-1]
-    value = _fsum([s.real for s in shells], [s.imag for s in shells])
+            tail = last
+    value = _fsum(shells_re[:len(shells)], shells_im[:len(shells)])
     return SeriesValue(value=value, tail_bound=tail, cap_used=cap_used,
                        shells=shells, converged=converged)
 

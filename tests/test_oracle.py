@@ -829,13 +829,13 @@ def test_series_block_plan(monkeypatch):
     ends = _block_plan(table.offsets, 30)
     assert ends[:3] == [0, 18, 23]
     passes, caps = [], []
-    plan = oracle._block_end
+    plan = NormTable.block
 
-    def counted(offsets, deg, degree_cap):
+    def counted(self, deg, degree_cap):
         passes.append(deg)
-        return plan(offsets, deg, degree_cap)
+        return plan(self, deg, degree_cap)
 
-    monkeypatch.setattr(oracle, "_block_end", counted)
+    monkeypatch.setattr(NormTable, "block", counted)
     for box in (0.2, 0.45):
         for p, q in interior_pairs(spec, 8, seed=31, box_radius=box):
             passes.clear()
@@ -904,6 +904,60 @@ def test_series_reports_whether_it_converged():
     assert not sv.converged and sv.cap_used == 40
     assert 0.0 < sv.tail_bound < math.inf
     assert not series_kernel(ball_spec(2), (0, 0), (0, 0), 0).converged
+
+
+def test_series_tail_bound_of_a_single_shell():
+    # at cap 0 one shell bounds nothing: the egg's degree-0 value is 0.021 off
+    spec, K = closed_form_families()["egg_p2"]
+    p = (0.1, 0.2)
+    sv = series_kernel(spec, p, p, 0)
+    assert not sv.converged and sv.cap_used == 0
+    assert abs(sv.value - complex(K(p, p))) > 0.02
+    assert sv.tail_bound == math.inf
+    # unless every series variable is 0, when every later shell is 0 too
+    p, q = (0.0, 0.2), (0.1, 0.0)
+    sv = series_kernel(spec, p, q, 0)
+    assert sv.tail_bound == 0.0 and abs(sv.value - complex(K(p, q))) <= 1e-15 * abs(sv.value)
+
+
+@pytest.mark.parametrize("name, cap, digest", [
+    ("egg_inflated_p2", 30, "15a954656c8a9e8a"),
+    ("ball_disk_lift_11", 30, "8d66d675417f92fd"),
+    ("ball_exp_lift_11", 30, "dcf517e074017f30"),
+    ("stage3", 30, "a4f1cc3c4a72883c"),
+    ("ball2", 30, "669674db970adf30"),
+    ("stage5", 24, "ac0b85bd7ba638bc"),
+    ("stage6", 18, "ba7fe1342773b60f"),
+])
+def test_series_values_pinned(name, cap, digest):
+    # every SeriesValue field, bit for bit, on the benchmark's five series
+    # families and the deepest chain stages at their largest caps
+    fams = closed_form_families()
+    spec = fams[name][0] if name in fams else chain_stage_spec(int(name[5:]))
+    table = get_norm_table(spec, cap)
+    got = "".join(_outcome(series_kernel, spec, p, q, cap, table=table)
+                  for p, q in interior_pairs(spec, 20, seed=41))
+    assert hashlib.sha256(got.encode()).hexdigest()[:16] == digest
+
+
+def test_series_reads_its_variables_and_blocks_from_the_table(monkeypatch):
+    # with a table in hand no call asks series_variables, and each block
+    # plan is made once per (first shell, cap), whatever the number of calls
+    spec = chain_stage_spec(3)
+    table = NormTable.build(spec, 30)
+    asked, plans = [], []
+    variables, block_end = oracle.series_variables, oracle._block_end
+    monkeypatch.setattr(oracle, "series_variables", lambda s: asked.append(s) or variables(s))
+
+    def counted(offsets, deg, degree_cap):
+        plans.append((deg, degree_cap))
+        return block_end(offsets, deg, degree_cap)
+
+    monkeypatch.setattr(oracle, "_block_end", counted)
+    for (p, q), cap in product(interior_pairs(spec, 50, seed=31), (30, 17)):
+        series_kernel(spec, p, q, cap, table=table)
+    assert asked == []
+    assert len(plans) == len(set(plans)) and {(0, 30), (18, 30), (0, 17)} <= set(plans)
 
 
 # a 2-ball whose U-step block of two is weighted (0.7, 1.1) by the next
