@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,26 +116,21 @@ def _region_ws_v(spec: DomainSpec, s_exps):
 @dataclass
 class ApproachPath:
     """One-parameter family t -> point approaching a boundary target inside
-    a declared admissible region; every sample is membership-checked.
+    a declared admissible region, made at the levels ``ts`` = 2^-1 ...
+    2^-PROBE_LEVELS and kept as ``panel``, one (dim,) complex row per level.
     ``point_fn`` takes one t, ``region_fn`` the coordinate columns of a
-    panel of points.  ``validate`` keeps the levels of ``grid()`` as
-    ``panel``, one row each."""
+    panel of points.  Making a path checks its levels: one membership pass,
+    one region call on the rows inside, one pass that each row nears the
+    target; the first failing row raises, naming its t."""
 
     spec: DomainSpec
     target: tuple
     stratum: Stratum
     point_fn: object
     region_fn: object
-    panel: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
-    def grid(self):
-        return [2.0 ** (-k) for k in range(1, PROBE_LEVELS + 1)]
-
-    def points(self, ts) -> np.ndarray:
-        """The path at every t of ts as a (len(ts), dim) complex panel: one
-        membership pass, one region call on the rows inside, one pass that
-        each row nears the target; the first failing row raises, naming its t."""
+    def __post_init__(self):
+        self.ts = ts = [2.0 ** (-k) for k in range(1, PROBE_LEVELS + 1)]
         dim = self.spec.dim
         pts = [tuple(complex(c) for c in self.point_fn(t)) for t in ts]
         n = next((k for k, p in enumerate(pts) if len(p) != dim), len(pts))
@@ -154,20 +149,14 @@ class ApproachPath:
             raise BoundaryError(f"path left the domain at t = {ts[n_in]}")
         if n < len(pts):
             raise SpecError(f"point has {len(pts[n])} coordinates, spec has {dim}")
-        return P
-
-    def point(self, t: float) -> tuple:
-        return tuple(complex(c) for c in self.points([t])[0])
-
-    def validate(self) -> "ApproachPath":
-        self.panel = self.points(self.grid())
-        return self
+        self.panel = P
 
 
 def default_path(spec: DomainSpec, target, stratum: Stratum) -> ApproachPath:
     """Documented default approach path for the given stratum, along the
-    direction (1, ..., 1)/sqrt(n) of the star block, validated at its
-    PROBE_LEVELS levels.
+    direction (1, ..., 1)/sqrt(n) of the star block, checked at its
+    PROBE_LEVELS levels: z_j = c_j t t^(e_j), z' scaled by 1 - t/2 except
+    on S3, w fixed at w0 on S2 and sqrt(1-t) w0/|w0| on S3 and S4.
 
     U-step domains: S2 shrinks the star block like t^2 at fixed w, S3 sends
     |w|^2 to 1 like 1-t with |z_j| = 0.5 t^(1+p_j/2), p_j = 2 alpha_j, S4
@@ -182,7 +171,7 @@ def default_path(spec: DomainSpec, target, stratum: Stratum) -> ApproachPath:
     step = _single_lift(spec, kinds=("U", "V"))
     z0, zp0, (w0,) = spec.split(target)
     n = len(z0)
-    direction = tuple(1.0 / math.sqrt(n) for _ in range(n))
+    d = 1.0 / math.sqrt(n)
     if stratum == Stratum.S2:
         _, r, valid = unwound_point(spec, target)
         if not (valid and abs(r) <= 1e-10):
@@ -191,56 +180,37 @@ def default_path(spec: DomainSpec, target, stratum: Stratum) -> ApproachPath:
         if stratum != Stratum.S2:
             raise BoundaryError("V-step probes classify their targets as S2 "
                                 "(degenerate star gradient)")
-        s_exps = tuple(0.5 for _ in range(n))
         scale = 0.25 * math.exp(-max(step.weights) * abs(w0[0]) ** 2)
-
-        def point_fn(t):
-            z = [scale * d * t ** (1.0 / s) for d, s in zip(direction, s_exps)]
-            zp = [(1.0 - t / 2.0) * c for c in zp0]
-            return tuple(z) + tuple(zp) + (w0[0],)
-
-        return ApproachPath(spec, target, stratum, point_fn,
-                            _region_ws_v(spec, s_exps)).validate()
-
-    if stratum == Stratum.S2:
-        alphas = step.weights
+        coef, exps = [scale * d] * n, [1.0] * n     # t^(1/s_j), s_j = 1/2
+        region = _region_ws_v(spec, (0.5,) * n)
+    elif stratum == Stratum.S2:
         aw2 = abs(w0[0]) ** 2
-
-        def point_fn(t):
-            z = [t * t * d * (1.0 - aw2) ** (a / 2.0)
-                 for d, a in zip(direction, alphas)]
-            zp = [(1.0 - t / 2.0) * c for c in zp0]
-            return tuple(z) + tuple(zp) + (w0[0],)
-
-        return ApproachPath(spec, target, stratum, point_fn,
-                            _region_w2(spec)).validate()
-
-    if stratum in (Stratum.S3, Stratum.S4):
+        coef = [d * (1.0 - aw2) ** (a / 2.0) for a in step.weights]
+        exps = [1.0] * n
+        region = _region_w2(spec)
+    elif stratum in (Stratum.S3, Stratum.S4):
         if abs(abs(w0[0]) - 1.0) > 1e-8:
             raise BoundaryError("S3 and S4 targets lie on the |w| = 1 face")
         p_exps = tuple(2.0 * a for a in step.weights)
         if any(pj <= a for pj, a in zip(p_exps, step.weights)):
             raise BoundaryError("S3 and S4 probes need every lift weight positive "
                                 "(region exponent 2 alpha_j > alpha_j)")
-        phase = w0[0] / abs(w0[0])
-        shrink = stratum == Stratum.S4
-
-        def point_fn(t):
-            z = [0.5 * d * t * t ** (pj / 2.0)
-                 for d, pj in zip(direction, p_exps)]
-            zp = [((1.0 - t / 2.0) if shrink else 1.0) * c for c in zp0]
-            w = math.sqrt(1.0 - t) * phase
-            return tuple(z) + tuple(zp) + (w,)
-
-        region = _region_w3(spec, p_exps)
+        coef, exps = [0.5 * d] * n, [pj / 2.0 for pj in p_exps]
+        region = w3 = _region_w3(spec, p_exps)
         if stratum == Stratum.S4:
             w2 = _region_w2(spec)
-            w3 = region
             region = lambda p: w2(p) & w3(p)
-        return ApproachPath(spec, target, stratum, point_fn, region).validate()
+    else:
+        raise BoundaryError("S1 points are smooth strongly pseudoconvex; no "
+                            "weighted probe is defined there")
 
-    raise BoundaryError("S1 points are smooth strongly pseudoconvex; no "
-                        "weighted probe is defined there")
+    def point_fn(t):
+        shrink = 1.0 if stratum == Stratum.S3 else 1.0 - t / 2.0
+        w = w0[0] if stratum == Stratum.S2 else math.sqrt(1.0 - t) * (w0[0] / abs(w0[0]))
+        return (tuple(c * t * t ** e for c, e in zip(coef, exps))
+                + tuple(shrink * c for c in zp0) + (w,))
+
+    return ApproachPath(spec, target, stratum, point_fn, region)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +272,17 @@ class ProbeReport:
 
 
 def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
-    """Diagonal kernel values times the weight along the path grid, with a
+    """Diagonal kernel values times the weight at the path's levels, with a
     Richardson-extrapolated limit (first-order model, least-squares order
     check; falls back to the last value when the order fit is poor),
     converged when the last three values spread by at most 2%.
 
-    The levels are one panel: one kernel call and one weight call on its
-    coordinate columns.  The levels from the first non-finite kernel value
-    on are dropped, and the probe is marked diverged."""
+    The levels are the path's ``panel``: one kernel call and one weight call
+    on its coordinate columns.  The levels from the first non-finite kernel
+    value on are dropped, and the probe is marked diverged."""
     if isinstance(weight, str):
         weight = make_weight(path.spec, weight)
-    P = path.panel if path.panel is not None else path.points(path.grid())
+    P = path.panel
     diverged = False
     with np.errstate(all="ignore"):
         try:
@@ -324,7 +294,7 @@ def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
         if len(P) < 3:
             raise BoundaryError("probe needs at least three usable levels")
         f = raw * weight(tuple(P.T))
-    ts = path.grid()[:len(P)]
+    ts = path.ts[:len(P)]
     half = len(f) // 2
     if (abs(f[-1]) > 10.0 * max(abs(f[half]), 1e-300)
             and abs(f[-1]) > abs(f[-2]) > abs(f[-3])):

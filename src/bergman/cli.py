@@ -145,9 +145,10 @@ def cmd_eval(args) -> int:
     with np.errstate(all="ignore"):
         inside = contains(spec, np.concatenate([P, Q]).T)
         errors = ["" if ok else "exterior" for ok in (inside[:n] & inside[n:]).tolist()]
-        vals, tails, done = {}, np.zeros(n), np.zeros(n, dtype=int)
+        # a value no mode reached stays NaN in both parts, and an error row prints it empty
+        vals, tails = {}, np.full(n, np.nan)
         for mode in modes:
-            out = vals[mode] = np.zeros(n, dtype=complex)
+            out = vals[mode] = np.full(n, complex(np.nan, np.nan))
             todo = [i for i in range(n) if not errors[i]]
             if mode != "series":
                 _panel_values(kernels[mode], P.T, Q.T, todo, out, errors)
@@ -159,22 +160,18 @@ def cmd_eval(args) -> int:
                         out[i], tails[i] = sv.value, sv.tail_bound
                     except (ConvergenceError, NonFiniteError, IntegrationError) as e:
                         errors[i] = type(e).__name__
-            done += np.array([not e for e in errors], dtype=bool)  # per row: modes with a value
         # Python's abs of a complex is libm's hypot; numpy's abs can differ in the last bit
         ref = vals[modes[0]]
         cols = ([c for m in modes for c in (vals[m].real, vals[m].imag)]
                 + [tails] * ("series" in modes)
                 + [np.hypot(d.real, d.imag) / np.maximum(np.hypot(ref.real, ref.imag), 1e-300)
                    for d in (vals[m] - ref for m in modes[1:])])
-    # the mode each column belongs to: an error row keeps the modes it passed
-    owner = ([j for j in range(len(modes)) for _ in "ri"]
-             + [len(modes) - 1] * ("series" in modes) + list(range(1, len(modes))))
     row = "%d" + ",%.17g" * len(cols) + ",\r\n"   # csv.writer's row, empty error field
 
     def line(i, xs):
         if not errors[i]:
             return row % (i, *xs)
-        return ",".join([str(i), *(_fmt(x) if j < done[i] else "" for x, j in zip(xs, owner)),
+        return ",".join([str(i), *("" if math.isnan(x) else _fmt(x) for x in xs),
                          errors[i]]) + "\r\n"
 
     _write_csv(args.out, header, text=(

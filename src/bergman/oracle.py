@@ -293,9 +293,12 @@ class NormTable:
     degree-sorted exponents as the (n_vars, n) matrix ``columns``, each
     variable's exponents contiguous, with the ``norms`` and ``errors`` vectors
     (an exponent's norm is that of its ``_representative_rows`` monomial) and
-    the first exponent ``offsets[d]`` of each degree shell d, and the spec's
-    ``groups`` (``series_variables``).  ``entries``, the same table as a dict
-    of (value, error) pairs, is built only when read."""
+    the first exponent ``offsets[d]`` of each degree shell d, the spec's
+    ``groups`` (``series_variables``) and the series_kernel block plan up to
+    the table's cap: ``blocks[d]`` is (end shell, first term, end term,
+    read-only shell starts) of the block from shell d (``_block_end``).
+    ``entries``, the same table as a dict of (value, error) pairs, is built
+    only when read."""
 
     def __init__(self, spec: DomainSpec, exponents, norms, errors):
         self.spec = spec
@@ -314,7 +317,13 @@ class NormTable:
             raise SpecError("norm table misses monomials below its largest degree")
         self.columns = np.ascontiguousarray(exps.T)
         self.groups = series_variables(spec)
-        self._blocks = {}
+        self.blocks, deg = {}, 0
+        while deg < len(self.offsets) - 1:
+            end = _block_end(self.offsets, deg)
+            starts = np.subtract(self.offsets[deg:end], self.offsets[deg])
+            starts.setflags(write=False)
+            self.blocks[deg] = (end, self.offsets[deg], self.offsets[end], starts)
+            deg = end
 
     @classmethod
     def build(cls, spec: DomainSpec, degree_cap: int) -> "NormTable":
@@ -335,18 +344,6 @@ class NormTable:
 
     def degree_cap(self) -> int:
         return len(self.offsets) - 2
-
-    def block(self, deg: int, degree_cap: int) -> tuple:
-        """(end shell, first term, end term, read-only shell starts) of the
-        series_kernel block from shell deg (``_block_end``), made once per
-        (BLOCK_TERMS, deg, degree_cap): no plan outlives a change of block size."""
-        key = (BLOCK_TERMS, deg, degree_cap)
-        if key not in self._blocks:
-            end = _block_end(self.offsets, deg, degree_cap)
-            starts = np.subtract(self.offsets[deg:end], self.offsets[deg])
-            starts.setflags(write=False)
-            self._blocks[key] = (end, self.offsets[deg], self.offsets[end], starts)
-        return self._blocks[key]
 
 
 @lru_cache(maxsize=64)
@@ -378,10 +375,10 @@ def _fsum(re, im) -> complex:
     return total
 
 
-def _block_end(offsets, deg: int, degree_cap: int) -> int:
+def _block_end(offsets, deg: int) -> int:
     """One past the last shell of the series_kernel block from shell deg."""
     need = offsets[deg] + max(BLOCK_TERMS, offsets[deg])
-    return min(bisect.bisect_left(offsets, need, deg + 1), degree_cap + 1)
+    return min(bisect.bisect_left(offsets, need, deg + 1), len(offsets) - 1)
 
 
 def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
@@ -390,14 +387,14 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
     table's ``groups`` v (the spec's ``series_variables``), each the sum of
     p_l q-bar_l over its coordinates, and the table's representative norms.
 
-    Terms are computed a block at a time (``NormTable.block``): the fewest
-    whole degree shells holding max(BLOCK_TERMS, the terms before them)
-    terms, or up to the cap.  A block is a product of contiguous ``take``
-    gathers of cumulative powers, one per variable, whose shells one
-    np.add.reduceat per real and imaginary part sums (off by at most gamma_n
-    times a shell's absolute sum, Higham 2002, ch. 4), up to two shells in a
-    row below SHELL_TOL of the running sum; later blocks are never computed,
-    and math.fsum sums the shells.  The tail bound extrapolates the last two
+    Terms are computed a block at a time (``NormTable.blocks``, the last one
+    cut at the cap): the fewest whole degree shells holding max(BLOCK_TERMS,
+    the terms before them) terms, or up to the cap.  A block is a product of
+    contiguous ``take`` gathers of cumulative powers, one per variable, whose
+    shells one np.add.reduceat per real and imaginary part sums (off by at
+    most gamma_n times a shell's absolute sum, Higham 2002, ch. 4), up to two
+    shells in a row below SHELL_TOL of the running sum; later blocks are
+    never computed, and math.fsum sums the shells.  The tail bound extrapolates the last two
     shells geometrically; one shell gives inf, or 0 where every v is 0.
     Shells that stop decaying raise ConvergenceError, a non-finite shell or
     sum NonFiniteError.
@@ -427,7 +424,10 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
         pows = np.cumprod(pows, axis=1)
         for deg in range(degree_cap + 1):
             if deg == end:
-                end, a, b, starts = table.block(deg, degree_cap)
+                end, a, b, starts = table.blocks[deg]
+                if end > degree_cap + 1:
+                    end = degree_cap + 1
+                    b, starts = table.offsets[end], starts[:end - deg]
                 terms = pows[0].take(cols[0, a:b])
                 # not `*`, which reuses a large temporary in place and rounds differently
                 for i in range(1, len(groups)):

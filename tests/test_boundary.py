@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -80,9 +81,11 @@ def test_default_path_stays_inside():
                             (Stratum.S3, (0, 0.5, 1.0)),
                             (Stratum.S4, (0, 1.0, 1.0))):
         path = default_path(SPEC, target, stratum)
-        for t in path.grid():
-            p = path.point(t)
-            assert contains(SPEC, p)
+        assert path.ts == [2.0 ** -k for k in range(1, 13)]
+        assert path.panel.shape == (len(path.ts), SPEC.dim)
+        for t, p in zip(path.ts, path.panel.tolist()):
+            assert tuple(p) == tuple(complex(c) for c in path.point_fn(t))
+            assert contains(SPEC, tuple(p))
 
 
 def test_default_path_rejects_bad_region_exponents():
@@ -232,6 +235,53 @@ def test_probe_report_csv(tmp_path, capsys):
         zip(rep.ts, rep.kernel_values, rep.weighted, rep.extrapolated), start=1)]
 
 
+PROBE_FAMILIES = {"ball_disk_lift_11": ball_disk_lift_spec(1, 1),
+                  "ball_disk_lift_12": ball_disk_lift_spec(1, 2)}
+PROBE_FAMILIES.update({f"ball_exp_lift_1{m}_g{g}": ball_exp_lift_spec(1, m, (g,))
+                       for m in (1, 2) for g in (0.5, 1.0, 2.0)})
+
+
+def _boundary_bytes(tmp_path, capsys, fam):
+    """Exit code, stdout, stderr and --out CSV of `boundary` at three seeded
+    targets per stratum: S2, S3 and S4 on a U-step lift, S2 on a V-step."""
+    spec = PROBE_FAMILIES[fam]
+    u = spec.lifts[0].kind == "U"
+    m = spec.base.m_passive
+    rng = np.random.default_rng(35)
+    specf, out = tmp_path / "spec.json", tmp_path / "probe.csv"
+    specf.write_text(json.dumps(spec_to_dict(spec)))
+    blob = []
+    for stratum in ("S2", "S3", "S4") if u else ("S2",):
+        for _ in range(3):
+            zp = rng.normal(size=m) + 1j * rng.normal(size=m)
+            zp /= np.linalg.norm(zp)
+            if stratum == "S3":
+                zp *= 0.7 * math.sqrt(rng.random())
+            phase = np.exp(2j * PI * rng.random())
+            w = (0.7 if u else 1.0) * math.sqrt(rng.random()) * phase if stratum == "S2" else phase
+            target = [[0.0, 0.0]] + [[c.real, c.imag] for c in (*zp, w)]
+            out.unlink(missing_ok=True)
+            rc = main(["boundary", "--spec", str(specf), "--target", json.dumps(target),
+                       "--stratum", stratum, "--weight", expected_weight(spec, Stratum[stratum]),
+                       "--out", str(out)])
+            got = capsys.readouterr()
+            csv = out.read_bytes() if out.exists() else b""
+            blob.append(f"{stratum} {rc}\n{got.out}{got.err}".encode() + csv)
+    return b"".join(blob)
+
+
+@pytest.mark.parametrize("fam, digest", [
+    ("ball_disk_lift_11", "89913d2878dffc3e"), ("ball_disk_lift_12", "72d73fb810c692a1"),
+    ("ball_exp_lift_11_g0.5", "19e3aa3219aa76f7"), ("ball_exp_lift_11_g1.0", "2b78f6b0a4397059"),
+    ("ball_exp_lift_11_g2.0", "9dfa96302f14ccf8"), ("ball_exp_lift_12_g0.5", "81fc67604fbc6c9b"),
+    ("ball_exp_lift_12_g1.0", "82653c6423abd209"), ("ball_exp_lift_12_g2.0", "b11a7c91076d0cbf")])
+def test_boundary_output_pinned(tmp_path, capsys, fam, digest):
+    # `boundary` stdout and --out CSV stay byte-identical for fixed targets,
+    # on every family and stratum the geometry benchmark probes
+    got = _boundary_bytes(tmp_path, capsys, fam)
+    assert hashlib.sha256(got).hexdigest()[:16] == digest
+
+
 def test_levi_ball():
     v = levi_min_eigenvalue(ball_spec(2), (1.0, 0.0))
     assert abs(v - 1.0) < 1e-4
@@ -280,7 +330,7 @@ def _one_point_probe(K, path, name):
     """K.diagonal and the weight of one level at a time; weighted_limit's
     statistics then run on the values collected."""
     weight = _one_point_weight(path.spec, name)
-    pts = [path.point(t) for t in path.grid()]
+    pts = [tuple(complex(c) for c in path.point_fn(t)) for t in path.ts]
     kv = np.array([K.diagonal(p) for p in pts])
     return weighted_limit(_Given(kv), path, lambda cols: np.array([weight(p) for p in pts]))
 
@@ -307,7 +357,7 @@ def test_panel_probe_matches_one_point_loop():
         path = default_path(spec, target, stratum)
         rep = weighted_limit(kernels[spec], path, name)
         ref = _one_point_probe(kernels[spec], path, name)
-        assert rep.ts == ref.ts == path.grid()
+        assert rep.ts == ref.ts == path.ts
         assert (rep.converged, rep.diverged) == (ref.converged, ref.diverged)
         np.testing.assert_allclose(rep.kernel_values, ref.kernel_values, rtol=1e-11, atol=0)
         assert abs(rep.limit - ref.limit) <= 1e-10 * abs(ref.limit), (target, stratum)
@@ -316,9 +366,10 @@ def test_panel_probe_matches_one_point_loop():
 @pytest.mark.parametrize("k", [2, 7, 12])
 def test_path_failure_names_the_first_failing_level(k):
     # a path that leaves the domain, its region or its approach at level k
-    # raises there, with the message and t of the one-point loop; the first
-    # path also moves away at level k, and the domain check comes first; a
-    # region that is singular outside the domain only sees the rows inside
+    # raises when it is made, with the message and t of the one-point loop;
+    # the first path also moves away at level k, and the domain check comes
+    # first; a region that is singular outside the domain only sees the rows
+    # inside
     tk = 2.0 ** -k
     inside = lambda t: (0.0, 1.0 - t, 0.0)
     cases = [(lambda t: inside(t) if t > tk else (0.0, 1.0 + 3.0 * t, 0.0), lambda p: True,
@@ -331,23 +382,13 @@ def test_path_failure_names_the_first_failing_level(k):
              (lambda t: inside(t if t > tk else 3.0 * t), lambda p: True,
               "path does not approach the target")]
     for point_fn, region_fn, message in cases:
-        path = ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2, point_fn, region_fn)
-        with pytest.raises(BoundaryError) as e:
-            path.validate()
-        assert str(e.value) == message
-        assert path.panel is None
         with pytest.raises(BoundaryError, match=f"^{re.escape(message)}$"):
-            weighted_limit(kernel_ball_disk_lift(1, 1), path, "r")
-        path.point(2 * tk)
-        if "t =" in message:
-            with pytest.raises(BoundaryError, match=f"^{re.escape(message)}$"):
-                path.point(tk)
+            ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2, point_fn, region_fn)
     # a point with the wrong number of coordinates at level k: the
     # SpecError of contains, after the checks of the levels before it
-    short = ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2,
-                         lambda t: inside(t) if t > tk else (0.0, 1.0 - t), lambda p: True)
     with pytest.raises(SpecError, match="^point has 2 coordinates, spec has 3$"):
-        short.validate()
+        ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2,
+                     lambda t: inside(t) if t > tk else (0.0, 1.0 - t), lambda p: True)
 
 
 def test_validated_paths_compare_without_their_panels():
@@ -367,7 +408,7 @@ def test_nonfinite_levels_end_the_probe():
                base.domain)
     path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
     rep = weighted_limit(K, path, "r")
-    assert rep.ts == path.grid()[:8]
+    assert rep.ts == path.ts[:8]
     assert rep.diverged and not rep.converged
     assert rep.kernel_values == weighted_limit(base, path, "r").kernel_values[:8]
 

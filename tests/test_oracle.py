@@ -775,9 +775,9 @@ def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
     # shrunk so that those edges fall among the degrees the exits reach
     for spec, base, block in ((disk_spec(), (1,), 8), (specs["stage3"][0], (1, 0.5j, -0.3), 56)):
         monkeypatch.setattr(oracle, "BLOCK_TERMS", block)
-        table = get_norm_table(spec, 30)
-        first = oracle._block_end(table.offsets, 0, 30)
-        second = oracle._block_end(table.offsets, first, 30)
+        table = NormTable.build(spec, 30)
+        first = table.blocks[0][0]
+        second = table.blocks[first][0]
         caps = set()
         for t in np.linspace(0.01, 0.5, 50):
             p = tuple(t * b for b in base)
@@ -791,7 +791,7 @@ def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
     norms = {0: 1e-12, 7: 5e-324, 20: 5e-324}
     table = NormTable(disk_spec(), [(d,) for d in range(31)],
                       [norms.get(d, 1.0) for d in range(31)], [0.0] * 31)
-    assert _block_plan(table.offsets, 30) == [0, 8, 16, 31]
+    assert _block_plan(table, 30) == [0, 8, 16, 31]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sv = series_kernel(disk_spec(), (0.5,), (0.5,), 30, table=table)
@@ -800,23 +800,26 @@ def test_series_blocks_bitwise_equal_one_pass(monkeypatch):
         _outcome(_series_one_pass, disk_spec(), (0.5,), (0.5,), 30, table)
 
 
-def _block_plan(offsets, degree_cap):
+def _block_plan(table, degree_cap):
+    """The block ends series_kernel reads at this cap: the table's plan, its
+    last block cut at degree_cap + 1."""
     ends = [0]
     while ends[-1] <= degree_cap:
-        ends.append(oracle._block_end(offsets, ends[-1], degree_cap))
+        ends.append(min(table.blocks[ends[-1]][0], degree_cap + 1))
     return ends
 
 
-def test_series_block_plan(monkeypatch):
+def test_series_block_plan():
     # whole shells partition [0, cap]; a block holds BLOCK_TERMS terms and at
     # least the terms before it, one shell fewer would not, or it ends at the cap
     specs = {name: spec for name, (spec, _) in closed_form_families().items()}
     specs.update({f"stage{k}": chain_stage_spec(k) for k in range(2, 7)})
     for name, spec in specs.items():
         top = {"stage5": 24, "stage6": 18}.get(name, 30)
-        offsets = get_norm_table(spec, top).offsets
+        table = get_norm_table(spec, top)
+        offsets = table.offsets
         for cap in sorted({0, 1, 5, 13, 17, top}):
-            ends = _block_plan(offsets, cap)
+            ends = _block_plan(table, cap)
             assert ends[-1] == cap + 1 and all(a < b for a, b in zip(ends, ends[1:])), name
             for a, b in zip(ends, ends[1:]):
                 need = offsets[a] + max(oracle.BLOCK_TERMS, offsets[a])
@@ -825,17 +828,17 @@ def test_series_block_plan(monkeypatch):
     # chain stage 3 has 1,140 terms up to degree 17: one pass reaches it,
     # and a value takes the passes of the plan up to its last shell
     spec = chain_stage_spec(3)
-    table = get_norm_table(spec, 30)
-    ends = _block_plan(table.offsets, 30)
+    table = NormTable.build(spec, 30)
+    ends = _block_plan(table, 30)
     assert ends[:3] == [0, 18, 23]
     passes, caps = [], []
-    plan = NormTable.block
 
-    def counted(self, deg, degree_cap):
-        passes.append(deg)
-        return plan(self, deg, degree_cap)
+    class Counted(dict):
+        def __getitem__(self, deg):
+            passes.append(deg)
+            return dict.__getitem__(self, deg)
 
-    monkeypatch.setattr(NormTable, "block", counted)
+    table.blocks = Counted(table.blocks)
     for box in (0.2, 0.45):
         for p, q in interior_pairs(spec, 8, seed=31, box_radius=box):
             passes.clear()
@@ -942,22 +945,26 @@ def test_series_values_pinned(name, cap, digest):
 
 def test_series_reads_its_variables_and_blocks_from_the_table(monkeypatch):
     # with a table in hand no call asks series_variables, and each block
-    # plan is made once per (first shell, cap), whatever the number of calls
+    # plan is made once, when the table is built, whatever the number of
+    # calls and caps; a lower cap reads the same plan, cut at the cap
     spec = chain_stage_spec(3)
-    table = NormTable.build(spec, 30)
     asked, plans = [], []
     variables, block_end = oracle.series_variables, oracle._block_end
-    monkeypatch.setattr(oracle, "series_variables", lambda s: asked.append(s) or variables(s))
 
-    def counted(offsets, deg, degree_cap):
-        plans.append((deg, degree_cap))
-        return block_end(offsets, deg, degree_cap)
+    def counted(offsets, deg):
+        plans.append(deg)
+        return block_end(offsets, deg)
 
     monkeypatch.setattr(oracle, "_block_end", counted)
+    table = NormTable.build(spec, 30)
+    built = list(plans)
+    assert built == sorted(set(built)) == sorted(table.blocks) and built[:2] == [0, 18]
+    monkeypatch.setattr(oracle, "series_variables", lambda s: asked.append(s) or variables(s))
     for (p, q), cap in product(interior_pairs(spec, 50, seed=31), (30, 17)):
         series_kernel(spec, p, q, cap, table=table)
     assert asked == []
-    assert len(plans) == len(set(plans)) and {(0, 30), (18, 30), (0, 17)} <= set(plans)
+    assert plans == built
+    assert _block_plan(table, 17) == [0, 18] and _block_plan(table, 30)[:2] == [0, 18]
 
 
 # a 2-ball whose U-step block of two is weighted (0.7, 1.1) by the next
