@@ -246,8 +246,9 @@ def _suite_reproducing(tol, seed):
         ("ball_disk_lift", kernel_ball_disk_lift(1, 1)),
         ("ball_exp_lift", kernel_ball_exp_lift(1, 1, (1.0,))),
         ("chain_stage3", kernel_chain_stage3(2.0)),
-        ("chain_stage4", compose_pipeline(catalog.chain_stage_spec(4))),
     ]
+    fixtures += [(f"chain_stage{s}" + ("_lifted" if s == 3 else ""),
+                  compose_pipeline(catalog.chain_stage_spec(s))) for s in range(2, 7)]
     for name, K in fixtures:
         idxs = [tuple(idx) for idx in exponent_matrix(K.dim, 2).tolist()]
         for p in catalog.interior_points(K.domain, 3, seed, box_radius=0.4):

@@ -21,9 +21,9 @@ with; a plane-fibered block's radial moments are the factorials c!/s^(c+1).
 not modelled.)
 
 By orthogonality, int K(p, q) q^a dV(q) = c_a ||z^a||^2 p^a, c_a the Taylor
-coefficient of the kernel at u^a: up to 4 coordinates, a Cauchy
-integral by a rank-1 lattice rule on one torus taken from the spec, times
-the norms of the requested indices alone.
+coefficient of the kernel at u^a: in any dimension, read off one kernel
+call on jets along (k+1)^(d-1) root-of-unity directions (k the largest
+requested degree), times the norms of the requested indices alone.
 """
 
 from __future__ import annotations
@@ -36,17 +36,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domains import KIND_POLYDISK, DomainSpec, SpecError, contains, shadow_contains
-from .jets import NonFiniteError, pochhammer
+# shadow_contains stays an oracle name: perfbench/tracing.py wraps it here
+from .domains import KIND_POLYDISK, DomainSpec, SpecError, contains, shadow_contains  # noqa: F401
+from .jets import Jet, NonFiniteError, fresh_tag, pochhammer
 
 # largest norm table built, in series variables; chain stage 4 at cap 24 needs 20,475 norms
 MAX_TABLE_ENTRIES = 200_000
 BLOCK_TERMS = 1024       # least terms per numpy pass of series_kernel, short of the cap
 SHELL_TOL = 1e-9         # series_kernel stops after two shells below this share of the sum
-N_ANG = 2048             # Cauchy lattice points, a power of 2 up to 2048
-TORUS_TOL = 1e-4         # the torus shrinks while its estimate exceeds a tenth of the 1e-3 gate
-TORUS_LEVELS = 6         # tori at most: s = 1/2, 1/4, ..., 1/64
-ROUND_OFF = 2.0 ** -46   # round-off floor of a coefficient, relative to the lattice mean of |K|
 
 
 class IntegrationError(RuntimeError):
@@ -465,26 +462,22 @@ def series_kernel(spec: DomainSpec, p, q, degree_cap: int,
 # reproducing-property integral
 
 
-# Korobov generators z (z_1 = 1) of the 2048-point rank-1 lattice per
-# dimension; a smaller power-of-2 N_ANG uses z mod N_ANG, the embedded
-# lattice.  From an exact search, the smallest degree of a mode a >= 0 that
-# aliases onto a bin of degree <= 2 (<= 4 for d = 2) is, at N = 2048/512/256,
-# 293/74/37 for d = 2, 128/32/16 for d = 3 and 21/6/5 for d = 4 (g = 1111).
-LATTICE_GENERATORS = {1: (1,), 2: (1, 586), 3: (1, 684, 912), 4: (1, 1111, 1425, 71)}
-
-
 def reproducing_integral(K, spec: DomainSpec, indices, p):
     """({idx: value}, {idx: err}) of int K(p; q-bar) q^idx dV(q), K a ``Kernel``
-    (a function of u_j = p_j q-bar_j): c ||z^idx||^2 p^idx, c from
-    ``_cauchy_coefficients``, the norm and its error from ``_monomial_norms``
-    on the requested indices alone.  err: c's torus estimate and floor times
-    the norm, plus |c| times the norm's error, times |p^idx|.  Up to 4
-    coordinates.
+    (a function of u_j = p_j q-bar_j): c ||z^idx||^2 p^idx, the norm and its
+    error from ``_monomial_norms`` on the requested indices alone.  c, K's
+    Taylor coefficient at u^idx, comes from one call of K on jets of order
+    k = max |idx| (univariate Taylor propagation and interpolation, Griewank,
+    Utke & Walther, Math. Comp. 69, 2000): u_j = s v_j over the (k+1)^(d-1)
+    directions v = (1, w^i_2, ..., w^i_d), w = e^(2 pi i/(k+1)), so the s^m
+    coefficient is the degree-m part of K at v, and its mean against
+    w^-(idx_2 i_2 + ... + idx_d i_d) is c, for no exponent reaches k+1.
+    err: the round-off bound eps (k+1)^2 mean_v |s^m coefficient| times the
+    norm, plus |c| times the norm's error, times |p^idx|.
     Repeated indices count once; negative ones raise ``SpecError``; no
-    indices return ({}, {}) without calling K."""
+    indices return ({}, {}) without calling K; a non-finite coefficient
+    raises ``NonFiniteError``."""
     d = spec.dim
-    if d > 4:
-        raise IntegrationError("Cauchy lattice supported up to 4 coordinates")
     if len(p) != d or K.dim != d:
         raise SpecError("point or kernel arity mismatch")
     indices = list(dict.fromkeys(tuple(int(i) for i in idx) for idx in indices))
@@ -492,72 +485,29 @@ def reproducing_integral(K, spec: DomainSpec, indices, p):
         raise SpecError(f"reproducing indices need {d} non-negative exponents")
     if not indices:
         return {}, {}
-    norms, norm_errs = (a.tolist() for a in _monomial_norms(spec, np.array(indices)))
-    coeffs = _cauchy_coefficients(K, spec, dict(zip(indices, norms)))
-    vals, errs = {}, {}
-    for idx, norm, norm_err in zip(indices, norms, norm_errs):
-        c, angular, floor = coeffs[idx]
-        target = math.prod(complex(pj) ** e for pj, e in zip(p, idx))
-        vals[idx] = c * norm * target
-        errs[idx] = ((angular + floor) * norm + abs(c) * norm_err) * abs(target)
-    return vals, errs
-
-
-@lru_cache(maxsize=64)
-def _diagonal_crossing(spec: DomainSpec) -> float:
-    """Largest v found inside on the diagonal shadow v (1, ..., 1), to 2^-32:
-    the base confines v to (0, 1) and lifts only shrink it, and membership
-    is monotone, so each ``shadow_contains`` panel narrows it to one cell."""
-    lo, hi = 0.0, 1.0
-    for _ in range(4):
-        v = np.linspace(lo, hi, 257)
-        k = int(np.argmin(shadow_contains(spec, np.repeat(v[:, None], spec.dim, axis=1))))
-        lo, hi = v[k - 1], v[k]
-    return float(lo)
-
-
-def _cauchy_coefficients(K, spec: DomainSpec, norms: dict) -> dict:
-    """{idx: (c, |c(r) - c(r/2)|, floor)} for every idx of ``norms`` (idx ->
-    ||z^idx||^2): c(r), K's Taylor coefficient at u^idx, is the mean of
-    K(e^(i theta), r) e^(-i idx.theta) / r^|idx|, on the torus |u_j| = r, over
-    theta_i = 2 pi ((i z) mod N_ANG) / N_ANG, exact but for modes of the alias
-    degree or more.  r = (s b)^2, b where the diagonal ray leaves the domain;
-    s = 1/2 halves, per index, while |c(r) - c(r/2)| ||z^idx||^2 > TORUS_TOL
-    and that estimate falls, at most TORUS_LEVELS tori of one K call each;
-    floor = ROUND_OFF mean|K| / r^|idx|.  Two indices of one lattice residue
-    raise IntegrationError before any call; a non-finite torus NonFiniteError."""
-    z, i = np.array(LATTICE_GENERATORS[spec.dim]) % N_ANG, np.arange(N_ANG)
-    residues = {idx: sum(e * zc for e, zc in zip(idx, z.tolist())) % N_ANG for idx in norms}
-    if len(set(residues.values())) < len(residues):
-        raise IntegrationError("two requested indices alias on the angular lattice; raise N_ANG")
-    # residues index one table of roots of unity: each phase is exact up to it
-    roots = np.exp((2j * math.pi / N_ANG) * i)
-    lattice = roots[np.outer(z, i) % N_ANG]
-    tori, out = [], {}
-    for idx, norm in norms.items():
-        phases = np.conj(roots[i * residues[idx] % N_ANG])
-        for level in range(TORUS_LEVELS):
-            if level == len(tori):
-                radii = _diagonal_crossing(spec) * 0.25 ** (level + 1) * np.array([1.0, 0.5])
-                with np.errstate(all="ignore"):     # K raises on a non-finite value
-                    kv = np.broadcast_to(K(tuple(lattice), (radii[:, None],) * spec.dim),
-                                         (2, N_ANG))
-                tori.append((radii, kv, float(np.abs(kv[0]).mean())))
-            radii, kv, size = tori[level]
-            c, c_half = (kv @ phases) / N_ANG / radii ** sum(idx)
-            # round-off grows as r^-|idx|: once the estimate grows, the last torus stays
-            if idx in out and abs(c - c_half) >= out[idx][1]:
-                break
-            out[idx] = (complex(c), abs(c - c_half), ROUND_OFF * size / radii[0] ** sum(idx))
-            if abs(c - c_half) * norm <= TORUS_TOL:
-                break
-    return out
+    A = np.array(indices)
+    norms, norm_errs = _monomial_norms(spec, A)
+    degrees = A.sum(axis=1)
+    n = int(degrees.max()) + 1
+    grid = np.indices((n,) * (d - 1)).reshape(d - 1, n ** (d - 1))
+    roots = np.exp((2j * math.pi / n) * np.arange(n))
+    tag = fresh_tag()
+    s = [Jet(([0.0, v] + [0.0] * n)[:n], tag) for v in [np.ones(grid.shape[1]), *roots[grid]]]
+    with np.errstate(all="ignore"):     # K raises on a non-finite value
+        G = K(s, (1.0,) * d, q_conjugated=True)
+    g = np.array([np.broadcast_to(gm, grid.shape[1:]) for gm in G.coeffs])
+    c = np.einsum("ij,ij->i", g[degrees], np.conj(roots[A[:, 1:] @ grid % n])) / grid.shape[1]
+    round_off = np.finfo(float).eps * n * n * np.abs(g).mean(axis=1)[degrees]
+    targets = [math.prod(complex(pj) ** e for pj, e in zip(p, idx)) for idx in indices]
+    vals = [ci * norm * t for ci, norm, t in zip(c.tolist(), norms.tolist(), targets)]
+    errs = (round_off * norms + np.abs(c) * norm_errs) * np.abs(targets)
+    return dict(zip(indices, vals)), dict(zip(indices, errs.tolist()))
 
 
 def reproducing_check(K, spec: DomainSpec, indices, p) -> dict:
     """{idx: relative residual |int K(p; q-bar) q^idx dV - p^idx| /
     max(|p^idx|, 1e-6)} for every index in ``indices``, the integrals from
-    one ``reproducing_integral`` call (so up to 4 coordinates)."""
+    one ``reproducing_integral`` call, so one kernel call."""
     p = tuple(complex(c) for c in p)
     if not contains(spec, p):
         raise SpecError("reproducing check needs an interior point")

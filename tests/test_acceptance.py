@@ -76,7 +76,8 @@ def test_criterion_2_series_oracle_agreement():
 def test_criterion_3_reproducing_property():
     t0 = time.perf_counter()
     fixtures = [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
-                kernel_chain_stage3(2.0), compose_pipeline(chain_stage_spec(4))]
+                kernel_chain_stage3(2.0)]
+    fixtures += [compose_pipeline(chain_stage_spec(s)) for s in range(2, 7)]
     worst = 0.0
     for K in fixtures:
         spec = K.domain

@@ -421,7 +421,7 @@ def test_verify_levi_passes(capsys):
     assert "3/3 passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("suite, n_cases", [("series", 8), ("reproducing", 12)])
+@pytest.mark.parametrize("suite, n_cases", [("series", 8), ("reproducing", 24)])
 def test_verify_oracle_suites_pass(suite, n_cases, tmp_path, capsys):
     out = tmp_path / f"{suite}.csv"
     rc = main(["verify", "--suite", suite, "--out", str(out)])

@@ -17,7 +17,7 @@ from bergman.domains import BaseDomain, DomainSpec, LiftStep, SpecError, spec_fr
 from bergman.kernels import (Kernel, closed_form_for, kernel_ball, kernel_ball_disk_lift,
                              kernel_ball_exp_lift, kernel_chain_stage3, kernel_egg,
                              kernel_egg_inflated)
-from bergman.jets import NonFiniteError, pochhammer
+from bergman.jets import Jet, NonFiniteError, fresh_tag, pochhammer
 from bergman.lifting import compose_pipeline, lift_U
 from bergman.oracle import (ConvergenceError, IntegrationError, NormTable,
                             _de_integrate, dirichlet_identity_check,
@@ -289,9 +289,9 @@ def _counted(K, log, record=lambda u: 1):
     return Kernel(fn, domain=K.domain)
 
 
-def test_reproducing_integral_evaluates_every_torus_through_the_call():
+def test_reproducing_integral_makes_one_kernel_call():
     # Kernel.__call__ forms and judges every kernel value: a subclass
-    # counting its calls sees each torus the pass evaluates
+    # counting its calls sees the pass's one jet-valued call
     class Counted(Kernel):
         calls = 0
 
@@ -299,80 +299,120 @@ def test_reproducing_integral_evaluates_every_torus_through_the_call():
             Counted.calls += 1
             return super().__call__(p, q, q_conjugated)
 
-    tori = []
-    K = _counted(kernel_ball_disk_lift(1, 1), tori)
+    log = []
+    K = _counted(kernel_ball_disk_lift(1, 1), log)
     reproducing_integral(Counted(K.fn, K.domain), K.domain,
                          oracle.exponent_matrix(3, 2).tolist(), (0.2, 0.1, 0.3))
-    assert tori and Counted.calls == len(tori)
+    assert Counted.calls == len(log) == 1
 
 
-def test_reproducing_check_above_four_coordinates_raises_at_once():
-    # a 5-coordinate spec is beyond the Cauchy lattices: the check raises
-    # before any kernel value is computed
+@pytest.mark.parametrize("stage", [5, 6])
+def test_reproducing_check_on_five_and_six_coordinates(stage):
+    # no dimension limit: the lifted chain stages 5 and 6 reproduce every
+    # monomial of degree <= 2 from one kernel call on 3^(d-1) directions
     calls = []
-    spec = chain_stage_spec(5)
+    spec = chain_stage_spec(stage)
     counted = _counted(compose_pipeline(spec), calls)
-    with pytest.raises(IntegrationError, match="up to 4 coordinates"):
-        reproducing_check(counted, spec, [(1, 0, 0, 0, 1)], (0.2, 0.1, 0.1, 0.1, 0.3))
-    assert not calls
+    idxs = [tuple(i) for i in oracle.exponent_matrix(spec.dim, 2).tolist()]
+    for p in interior_points(spec, 2, seed=17, box_radius=0.4):
+        calls.clear()
+        for idx, res in reproducing_check(counted, spec, idxs, p).items():
+            assert res < 1e-12, idx
+        assert len(calls) == 1
 
 
-def _cauchy_sum(K, spec, idx, r):
-    """Brute-force Cauchy mean of K.fn(u) e^(-i idx.theta) / r^|idx| on the
-    lattice points of the torus |u_j| = r, one point at a time: angles from
-    Python integers, phases from cmath, sums by math.fsum."""
-    n = oracle.N_ANG
-    z = [zc % n for zc in oracle.LATTICE_GENERATORS[spec.dim]]
+def _taylor_sum(K, idx, k):
+    """Brute-force coefficient of K at u^idx, one direction at a time: along
+    v = (1, w^i_2, ..., w^i_d), w = e^(2 pi i/(k+1)), a scalar jet of order k
+    gives the degree-|idx| part of K at v, whose mean against w^-(idx.i) is
+    the coefficient; angles from Python integers, phases from cmath, sums by
+    math.fsum."""
+    d, n = len(idx), k + 1
     terms = []
-    for i in range(n):
-        theta = [2 * PI * ((i * zc) % n) / n for zc in z]
-        kv = complex(K(tuple(r * cmath.exp(1j * t) for t in theta), (1.0,) * spec.dim))
-        terms.append(kv * cmath.exp(-1j * sum(e * t for e, t in zip(idx, theta))))
+    for i in product(range(n), repeat=d - 1):
+        tag = fresh_tag()
+        s = [Jet(([0.0, cmath.exp(2j * PI * ij / n)] + [0.0] * k)[:n], tag) for ij in (0,) + i]
+        g = K(s, (1.0,) * d, q_conjugated=True).coeffs[sum(idx)]
+        phase = sum(e * ij for e, ij in zip(idx[1:], i)) % n
+        terms.append(g * cmath.exp(-2j * PI * phase / n))
     total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    return total / n / r ** sum(idx)
-
-
-def _grid(monkeypatch, n_ang):
-    """Set a smaller Cauchy lattice; monkeypatch undoes it."""
-    monkeypatch.setattr(oracle, "N_ANG", n_ang)
+    return total / n ** (d - 1)
 
 
 def test_reproducing_integral_matches_brute_force_lattice_sum():
-    # value c(r) ||z^idx||^2 p^idx on the torus r = (b/2)^2, whose estimate
-    # |c(r) - c(r/2)| ||z^idx||^2 passes here, the norm from the norm route
+    # value c ||z^idx||^2 p^idx, c the coefficient on the lattice of k + 1
+    # roots of unity per coordinate, the norm from the norm route; the two
+    # sums agree within the pass's estimate
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
     idxs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     vals, errs = reproducing_integral(K, spec, idxs, p)
-    b2 = oracle._diagonal_crossing(spec)
     for idx in idxs:
         norm = monomial_norm_full(spec, idx)[0]
-        c, c_half = _cauchy_sum(K, spec, idx, b2 / 4), _cauchy_sum(K, spec, idx, b2 / 8)
-        assert abs(c - c_half) * norm <= oracle.TORUS_TOL, idx
-        want = c * norm * math.prod(pj ** e for pj, e in zip(p, idx))
-        assert abs(vals[idx] - want) <= 1e-13, idx
-        assert errs[idx] >= abs(c - c_half) * norm * abs(want / c), idx
+        want = _taylor_sum(K, idx, 3) * norm * math.prod(pj ** e for pj, e in zip(p, idx))
+        assert abs(vals[idx] - want) <= min(1e-13, errs[idx]), idx
 
 
 def test_cauchy_coefficients_of_the_disk_kernel():
-    # K = 1 / (pi (1 - u)^2) = sum (k + 1) u^k / pi, and ||z^k||^2 = pi / (k + 1);
-    # on the torus r = 1/4 round-off grows as 4^k, and the estimate with it,
-    # so from k = 16 on a smaller torus would only be worse: r = 1/4 stays
-    spec = disk_spec()
-    norms = {(k,): PI / (k + 1) for k in range(24)}
-    for (k,), (c, angular, floor) in oracle._cauchy_coefficients(kernel_ball(1), spec,
-                                                                  norms).items():
-        err = abs(c - (k + 1) / PI)
-        assert err <= angular + floor, k
-        assert err <= (1e-13 if k <= 5 else 1e-3) * (k + 1) / PI, k
-        assert (angular * norms[(k,)] <= oracle.TORUS_TOL) == (k < 16), k
-    # on the disk the diagonal ray leaves at |z|^2 = 1
-    assert 1.0 - 2.0 ** -32 <= oracle._diagonal_crossing(spec) < 1.0
+    # K = 1 / (pi (1 - u)^2) = sum (k + 1) u^k / pi, and ||z^k||^2 = pi / (k + 1):
+    # at p = 1 every value is c ||z^k||^2 = 1.  On one coordinate there is one
+    # direction, and the coefficient of s^k is c itself, at any degree
+    idxs = [(k,) for k in range(24)]
+    vals, errs = reproducing_integral(kernel_ball(1), disk_spec(), idxs, (1.0,))
+    for (k,) in idxs:
+        assert abs(vals[(k,)] - 1.0) <= min(1e-13, errs[(k,)]), k
+
+
+def test_reproducing_directions_alias_no_requested_index():
+    # a polynomial kernel with a distinct coefficient at every u^b of degree
+    # <= 4: each index reads its own coefficient, requested all at once, alone
+    # at the top degree, or beside an index of another degree
+    spec = ball_disk_lift_spec(1, 1)
+    coef = {tuple(b): 1.0 + b[0] + 10.0 * b[1] + 100.0 * b[2]
+            for b in oracle.exponent_matrix(3, 4).tolist()}
+    K = Kernel(lambda u: sum(math.prod((uj ** bj for uj, bj in zip(u, b)), start=c)
+                             for b, c in coef.items()), dim=3)
+    p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
+    for idxs in (list(coef), [(0, 0, 4)], [(0, 3, 0), (4, 0, 0)]):
+        vals = reproducing_integral(K, spec, idxs, p)[0]
+        for idx in idxs:
+            want = coef[idx] * monomial_norm_full(spec, idx)[0] * math.prod(
+                pj ** e for pj, e in zip(p, idx))
+            assert abs(vals[idx] - want) <= 1e-13 * abs(want), idx
+
+
+@pytest.mark.parametrize("name", ["ball_disk_lift_11", "chain_stage3_p2"])
+def test_reproducing_degree_four_on_the_diagonal_ray(name):
+    # at degree 4 an angular rule that lets one index alias onto another
+    # returns residuals near 1 here, with no error raised
+    spec, K = closed_form_families()[name]
+    res = reproducing_check(K, spec, [(4, 0, 0), (0, 4, 0), (0, 0, 4)], (0.2 + 0.05j,) * 3)
+    assert max(res.values()) <= 1e-12, res
+
+
+# every closed form to degree 8, and the lifted chain stages 4 and 5 to
+# degrees 6 and 5
+@pytest.mark.parametrize("K, degree", [
+    pytest.param(K, 8, id=name) for name, (_, K) in closed_form_families().items()] + [
+    pytest.param(compose_pipeline(chain_stage_spec(s)), k, id=f"stage{s}")
+    for s, k in ((4, 6), (5, 5))])
+def test_reproducing_estimates_bound_every_residual(K, degree):
+    # the round-off bound covers each residual above 1e-12, and every degree
+    # passes the 1e-3 gate
+    idxs = [tuple(i) for i in oracle.exponent_matrix(K.dim, degree).tolist()]
+    for p in interior_points(K.domain, 3, seed=303, box_radius=0.4):
+        vals, errs = reproducing_integral(K, K.domain, idxs, p)
+        for idx in idxs:
+            target = math.prod(complex(pj) ** e for pj, e in zip(p, idx))
+            res = abs(vals[idx] - target)
+            assert res / max(abs(target), 1e-6) < 1e-3, idx
+            if res > 1e-12 * max(abs(target), 1e-6):
+                assert errs[idx] >= res, idx
 
 
 def test_reproducing_at_a_point_with_a_tiny_coordinate():
-    # the torus comes from the spec, not from the point: a tiny |p_j| costs nothing
+    # the coefficients come from the kernel, not from the point: a tiny |p_j| costs nothing
     for K in (kernel_ball_disk_lift(1, 1), kernel_chain_stage3(2.0)):
         idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
         p = (0.3, 1e-4, 0.2)
@@ -383,47 +423,45 @@ def test_reproducing_at_a_point_with_a_tiny_coordinate():
             assert errs[idx] >= abs(vals[idx] - target), (K.name, idx)
 
 
-def _one_sided_alias_degree(z, n, max_degree, bound=400):
-    """Smallest total degree of a mode a >= 0 with a.z = alpha.z (mod n) and
-    a != alpha, over the bins alpha of degree <= max_degree.  With z_1 = 1,
-    each tail (a_2, ..., a_d) fixes the least a_1; every tail of degree up
-    to bound is scanned, so a result <= bound is exact."""
-    d = len(z)
-    z = np.array(z) % n
-    tails = [t for t in product(range(bound + 1), repeat=d - 1) if sum(t) <= bound]
-    tails = np.array(tails, dtype=np.int64).reshape(len(tails), d - 1)
-    best = None
-    for alpha in product(range(max_degree + 1), repeat=d):
-        if sum(alpha) > max_degree:
-            continue
-        a1 = (int(np.dot(alpha, z)) - tails @ z[1:]) % n
-        a1[(a1 == alpha[0]) & np.all(tails == alpha[1:], axis=1)] += n
-        deg = int((a1 + tails.sum(axis=1)).min())
-        best = deg if best is None else min(best, deg)
-    return best
+def _alias_degree(d, n, bound):
+    """Smallest degree m <= bound at which two distinct exponents of degree m
+    share a phase residue (a_2, ..., a_d) mod n on the n-th roots of unity,
+    or None: the s^m coefficient of the pass mixes exactly such exponents."""
+    for m in range(bound + 1):
+        rows = [tuple(b) for b in oracle.exponent_matrix(d, m).tolist() if sum(b) == m]
+        if len({tuple(e % n for e in b[1:]) for b in rows}) < len(rows):
+            return m
+    return None
 
 
 def test_lattice_generators_alias_degrees():
-    gens = oracle.LATTICE_GENERATORS
-    assert all(z[0] == 1 for z in gens.values())
-    want = {1: (2, {2048: 2048, 512: 512, 256: 256}),
-            2: (4, {2048: 293, 512: 74, 256: 37}),
-            3: (2, {2048: 128, 512: 32, 256: 16}),
-            4: (2, {2048: 21, 512: 6, 256: 5})}
-    assert oracle.N_ANG in want[4][1]
-    assert gens[4] == tuple(1111 ** j % 2048 for j in range(4))
-    for d, (max_degree, degrees) in want.items():
-        # a scan bound at least each degree found, so that every result is exact
-        bound = 400 if d < 4 else 24
-        for n, deg in degrees.items():
-            assert _one_sided_alias_degree(gens[d], n, max_degree, bound) == deg, (d, n)
+    # the directions (1, w^i_2, ..., w^i_d), w = e^(2 pi i/(k+1)), are
+    # generated by the (k+1)-th roots of unity per coordinate: two exponents
+    # of one degree first share a phase at degree k + 1, one past the jets'
+    # order, and on one coordinate never
+    for d in range(1, 5):
+        for k in range(5):
+            assert _alias_degree(d, k + 1, k + 3) == (k + 1 if d > 1 else None), (d, k)
+    # large coefficients at degree 3, each on the phase of requested indices
+    # of degree <= 2, leave every requested value exact
+    spec = ball_disk_lift_spec(1, 1)
+    coef = {tuple(b): 1.0 + b[0] + 10.0 * b[1] + 100.0 * b[2]
+            for b in oracle.exponent_matrix(3, 2).tolist()}
+    high = {(3, 0, 0): 1e6, (0, 3, 0): -1e6, (0, 0, 3): 1e6, (1, 2, 0): -1e6}
+    K = Kernel(lambda u: sum(math.prod((uj ** bj for uj, bj in zip(u, b)), start=c)
+                             for b, c in {**coef, **high}.items()), dim=3)
+    p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
+    vals = reproducing_integral(K, spec, list(coef), p)[0]
+    for idx, c in coef.items():
+        want = c * monomial_norm_full(spec, idx)[0] * math.prod(
+            pj ** e for pj, e in zip(p, idx))
+        assert abs(vals[idx] - want) <= 1e-13 * abs(want), idx
 
 
-def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
+def test_reproducing_integral_repeated_index_counts_once():
     spec = ball_disk_lift_spec(1, 1)
     K = kernel_ball_disk_lift(1, 1)
     p = (0.2, 0.1, 0.3)
-    _grid(monkeypatch, 8)
     once = reproducing_integral(K, spec, [(1, 0, 0)], p)
     twice = reproducing_integral(K, spec, [(1, 0, 0), (0, 0, 1), (1, 0, 0)], p)
     assert twice[0][(1, 0, 0)] == once[0][(1, 0, 0)]
@@ -432,30 +470,32 @@ def test_reproducing_integral_repeated_index_counts_once(monkeypatch):
 
 
 # the index set in blocks of one and of three (the last one partial) gives
-# every value and estimate of the whole set in one call: the torus is chosen
-# per index, never on the requested set
+# every value of the whole set, one call per block: the other indices enter
+# only through the largest requested degree k, which sets the jet order and
+# the (k+1)^(d-1) directions.  A block of the whole set's k gives its values
+# and estimates bit for bit; any other block agrees within both estimates
 @pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
                                kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
 def test_reproducing_blocks_match_default_pass(K):
     idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
     p = (0.2 + 0.1j, 0.1, 0.3 - 0.2j)
     vals, errs = reproducing_integral(K, K.domain, idxs, p)
-    shapes = []
-    counted = _counted(K, shapes, lambda u: np.broadcast_shapes(*(x.shape for x in u)))
+    orders = []
+    counted = _counted(K, orders, lambda u: len(u[0].coeffs) - 1)
     for size in (1, 3):
-        shapes.clear()
-        got, got_errs = {}, {}
+        orders.clear()
+        got, got_errs, top = {}, {}, {}
         for start in range(0, len(idxs), size):
             block = reproducing_integral(counted, K.domain, idxs[start:start + size], p)
             got.update(block[0])
             got_errs.update(block[1])
+            top.update(dict.fromkeys(block[0], max(map(sum, block[0]))))
         assert list(got) == idxs
-        # one (2, N_ANG) torus pair per fn call, at most TORUS_LEVELS per block
-        assert set(shapes) == {(2, oracle.N_ANG)}
-        assert len(shapes) <= -(-len(idxs) // size) * oracle.TORUS_LEVELS
+        assert orders == [max(map(sum, idxs[i:i + size])) for i in range(0, len(idxs), size)]
         for idx in idxs:
-            assert got[idx] == vals[idx], (size, idx)
-            assert got_errs[idx] == errs[idx], (size, idx)
+            if top[idx] == 2:
+                assert (got[idx], got_errs[idx]) == (vals[idx], errs[idx]), (size, idx)
+            assert abs(got[idx] - vals[idx]) <= min(errs[idx], got_errs[idx]), (size, idx)
 
 
 def test_reproducing_fallback_on_an_irrational_weight():
@@ -507,7 +547,7 @@ def test_reproducing_integral_builds_no_norm_table():
 @pytest.mark.parametrize("K", [kernel_ball_disk_lift(1, 1), kernel_ball_exp_lift(1, 1, (1.0,)),
                                kernel_chain_stage3(2.0)], ids=["disk", "exp", "chain3"])
 def test_lift_pipeline_through_the_pass_matches_closed_form(K):
-    # the pipeline's jets take the torus arrays
+    # the pipeline's jets nest the pass's direction jets
     idxs = [tuple(i) for i in oracle.exponent_matrix(3, 2).tolist()]
     for p in interior_points(K.domain, 3, seed=303, box_radius=0.4):
         want, want_errs = reproducing_integral(K, K.domain, idxs, p)
@@ -525,8 +565,8 @@ def test_cached_rules_are_read_only():
 
 
 def test_reproducing_pass_memory_is_bounded():
-    # each fn call takes one (2, N_ANG) torus, and the norm table stops at
-    # the largest requested degree: the peak stays small
+    # one fn call on jets over (k+1)^(d-1) directions, and norms of the
+    # requested indices alone: the peak stays small
     for K in (kernel_ball_disk_lift(1, 1), kernel_chain_stage3(2.0),
               lift_U(kernel_ball(2, n_star=1), (math.sqrt(0.5),), 1)):
         tracemalloc.start()
@@ -554,46 +594,52 @@ def test_reproducing_integral_rejects_bad_arguments():
         reproducing_integral(kernel_ball(2), spec, [(0, 0, 0)], p)
 
 
-def test_reproducing_integral_rejects_aliased_indices(monkeypatch):
-    K = kernel_ball_disk_lift(1, 1)
+def test_reproducing_integral_rejects_aliased_indices():
+    # no requested pair shares a phase, so the pass refuses none: (0, 0, 0)
+    # and (0, 0, 1), which share one residue on a 16-point rank-1 lattice
+    # with generator (1, 12, 0), come from one kernel call, and neither's
+    # coefficient enters the other's value
+    spec = ball_disk_lift_spec(1, 1)
+    p = (0.2, 0.1, 0.3)
+    pair = [(0, 0, 0), (0, 0, 1)]
     calls = []
-    counted = _counted(K, calls)
-    # on 16 points the 3-d generator is (1, 12, 0): bin (0, 0, 1) lands on (0, 0, 0)
-    _grid(monkeypatch, 16)
-    with pytest.raises(IntegrationError):
-        reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3))
-    assert not calls
-    _grid(monkeypatch, 32)
-    reproducing_integral(counted, K.domain, [(0, 0, 0), (0, 0, 1)], (0.2, 0.1, 0.3))
-    assert calls
+    counted = _counted(Kernel(lambda u: 1.0 + 7.0 * u[2], domain=spec), calls)
+    vals = reproducing_integral(counted, spec, pair, p)[0]
+    assert len(calls) == 1
+    for idx, want in zip(pair, (1.0, 7.0 * p[2])):
+        want *= monomial_norm_full(spec, idx)[0]
+        assert abs(vals[idx] - want) <= 1e-13 * abs(want), idx
+    # on the kernel the pair agrees with each index requested alone
+    K = kernel_ball_disk_lift(1, 1)
+    vals, errs = reproducing_integral(K, spec, pair, p)
+    for idx in pair:
+        one, one_errs = reproducing_integral(K, spec, [idx], p)
+        assert abs(one[idx] - vals[idx]) <= min(errs[idx], one_errs[idx]), idx
 
 
-def test_reproducing_integral_empty_indices_skip_the_kernel(monkeypatch):
+def test_reproducing_integral_empty_indices_skip_the_kernel():
     calls = []
     counted = _counted(kernel_ball_disk_lift(1, 1), calls)
     assert reproducing_integral(counted, ball_disk_lift_spec(1, 1), [], (0.2, 0.1, 0.3)) == ({}, {})
     assert not calls
-    _grid(monkeypatch, 4)
     reproducing_integral(counted, ball_disk_lift_spec(1, 1), [(0, 0, 0)], (0.2, 0.1, 0.3))
     assert calls
 
 
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0)],
                          ids=["inf", "nan"])
-def test_reproducing_integral_raises_on_non_finite_kernel_values(bad, monkeypatch):
-    # the kernel is finite everywhere but on three points of its first
-    # torus: the check raises there, before a second torus
+def test_reproducing_integral_raises_on_non_finite_kernel_values(bad):
+    # the kernel's jet is finite but for one direction's degree-2
+    # coefficient: its one call raises
     K = kernel_ball_disk_lift(1, 1)
     calls = []
 
     def fn(u):
-        v = np.array(np.broadcast_to(K.fn(u), np.broadcast_shapes(*(x.shape for x in u))))
-        if not calls:
-            v.reshape(-1)[[1, 5, 9]] = bad
+        v = K.fn(u)
+        v.coeffs[2] = np.where(np.arange(9) == 5, bad, v.coeffs[2])
         calls.append(1)
         return v
 
-    _grid(monkeypatch, 32)
     with pytest.raises(NonFiniteError):
         reproducing_integral(Kernel(fn, domain=K.domain), K.domain,
                              [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))

@@ -58,9 +58,11 @@ def test_traced_kernels_return_untraced_values():
         assert a.shape == (64,) and np.array_equal(a, b) and np.array_equal(da, db)
 
 
-def test_traced_reproducing_counts_kernel_rows():
-    # the reproducing pass evaluates its tori through Kernel.__call__, the
-    # method a traced kernel wraps, so the traced row counter sees them
+def test_traced_reproducing_counts_jet_products():
+    # the reproducing pass makes its one jet-valued kernel call through
+    # Kernel.__call__, the method a traced kernel wraps: the trace opens the
+    # kernel's span inside the pass's and counts the jet products (a jet is
+    # no ndarray, so kernels.array.rows stays 0)
     import bergman.cli as cli
     from bergman.catalog import ball_disk_lift_spec
 
@@ -73,7 +75,11 @@ def test_traced_reproducing_counts_kernel_rows():
                                  [(0, 0, 0), (1, 0, 1)], (0.2, 0.1, 0.3))
     finally:
         restore()
-    assert tracer.counters["kernels.array.rows"] > 0
+    names = [s[0] for s in tracer.spans]
+    assert names.count("kernels.closed") == 1
+    parent = tracer.spans[names.index("kernels.closed")][4]
+    assert tracer.spans[parent][0] == "oracle.reproducing_integral"
+    assert tracer.counters["jets.mul.calls"] > 0
 
 
 def test_benchmark_argv_parse():
