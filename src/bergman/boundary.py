@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (KIND_ELLIPSOID, DomainSpec, SpecError, contains,
-                      defining_function, unwound_point)
+from .domains import (KIND_ELLIPSOID, DomainSpec, contains, defining_function,
+                      unwound_point)
 from .jets import NonFiniteError
 
 PROBE_LEVELS = 12       # path levels t = 2^-1 ... 2^-PROBE_LEVELS
@@ -65,7 +65,7 @@ def stratify_point(spec: DomainSpec, p) -> Stratum:
     r = defining_function(spec, p)
     if abs(r) > 1e-10:
         raise BoundaryError(f"point is not on the boundary (r = {r:.3e})")
-    g, _ = _stencil(spec, p, spec.star_indices(), 1e-6)
+    g, _ = _stencil(spec, p, spec.star_indices(), 1e-6, hessian=False)
     return Stratum.S2 if float(np.linalg.norm(g)) < 1e-8 else Stratum.S1
 
 
@@ -118,10 +118,11 @@ class ApproachPath:
     """One-parameter family t -> point approaching a boundary target inside
     a declared admissible region, made at the levels ``ts`` = 2^-1 ...
     2^-PROBE_LEVELS and kept as ``panel``, one (dim,) complex row per level.
-    ``point_fn`` takes one t, ``region_fn`` the coordinate columns of a
-    panel of points.  Making a path checks its levels: one membership pass,
-    one region call on the rows inside, one pass that each row nears the
-    target; the first failing row raises, naming its t."""
+    ``point_fn`` takes the array of levels (or one t) in generic arithmetic
+    and gives one coordinate, an array or a number, per entry; ``region_fn``
+    the coordinate columns of a panel.  Making a path checks its levels: one
+    membership pass, one region call on the rows inside, one pass that each
+    row nears the target; the first failing row raises, naming its t."""
 
     spec: DomainSpec
     target: tuple
@@ -130,25 +131,22 @@ class ApproachPath:
     region_fn: object
 
     def __post_init__(self):
-        self.ts = ts = [2.0 ** (-k) for k in range(1, PROBE_LEVELS + 1)]
-        dim = self.spec.dim
-        pts = [tuple(complex(c) for c in self.point_fn(t)) for t in ts]
-        n = next((k for k, p in enumerate(pts) if len(p) != dim), len(pts))
-        P = np.array(pts[:n], dtype=complex).reshape(n, dim)
+        t = 2.0 ** -np.arange(1.0, PROBE_LEVELS + 1)
+        self.ts = t.tolist()
+        P = np.array(np.broadcast_arrays(t, *self.point_fn(t))[1:], dtype=complex).T
         inside = contains(self.spec, P.T)
-        n_in = n if inside.all() else int(np.argmin(inside))
+        n_in = len(P) if inside.all() else int(np.argmin(inside))
         with np.errstate(all="ignore"):
             region = np.broadcast_to(self.region_fn(tuple(P[:n_in].T)), (n_in,))
         d = np.linalg.norm(P[:n_in] - np.array(self.target, dtype=complex), axis=1)
-        away = np.r_[False, d[1:] > d[:-1] + 1e-12][:n_in]
-        fail = np.select([~region, away], ["path left the approach region at t = {t}",
-                                           "path does not approach the target"], "")
-        for k in np.flatnonzero(fail != "")[:1]:
-            raise BoundaryError(fail[k].format(t=ts[k]))
-        if n_in < n:
-            raise BoundaryError(f"path left the domain at t = {ts[n_in]}")
-        if n < len(pts):
-            raise SpecError(f"point has {len(pts[n])} coordinates, spec has {dim}")
+        fail = ~region
+        fail[1:] |= d[1:] > d[:-1] + 1e-12
+        if fail.any():
+            k = int(np.argmax(fail))
+            raise BoundaryError("path does not approach the target" if region[k]
+                                else f"path left the approach region at t = {self.ts[k]}")
+        if n_in < len(P):
+            raise BoundaryError(f"path left the domain at t = {self.ts[n_in]}")
         self.panel = P
 
 
@@ -206,7 +204,7 @@ def default_path(spec: DomainSpec, target, stratum: Stratum) -> ApproachPath:
 
     def point_fn(t):
         shrink = 1.0 if stratum == Stratum.S3 else 1.0 - t / 2.0
-        w = w0[0] if stratum == Stratum.S2 else math.sqrt(1.0 - t) * (w0[0] / abs(w0[0]))
+        w = w0[0] if stratum == Stratum.S2 else np.sqrt(1.0 - t) * (w0[0] / abs(w0[0]))
         return (tuple(c * t * t ** e for c, e in zip(coef, exps))
                 + tuple(shrink * c for c in zp0) + (w,))
 
@@ -225,27 +223,14 @@ STRATUM_WEIGHT = {Stratum.S2: "r", Stratum.S3: "w", Stratum.S4: "product"}
 def make_weight(spec: DomainSpec, name: str):
     """Named weight factory on coordinate columns, one value per row;
     exponents derive from the spec layout."""
-    n = spec.base.n_star
-    m = spec.base.m_passive
     if name in ("r", "rho"):
-        e = n + m + 1
-
-        def weight(p):
-            return (-defining_function(spec, p)) ** e
-
-        return weight
+        e_r = spec.base.dim + 1
+        return lambda p: (-defining_function(spec, p)) ** e_r
     if name == "w":
-        step = _single_lift(spec)
-        e = 2.0 + sum(step.weights)
-
-        def weight(p):
-            _, _, (w,) = spec.split(p)
-            return (1.0 - abs(w[0]) ** 2) ** e
-
-        return weight
+        e_w, w = 2.0 + sum(_single_lift(spec).weights), spec.w_slice(0).start
+        return lambda p: (1.0 - abs(p[w]) ** 2) ** e_w
     if name == "product":
-        wr = make_weight(spec, "r")
-        ww = make_weight(spec, "w")
+        wr, ww = make_weight(spec, "r"), make_weight(spec, "w")
         return lambda p: wr(p) * ww(p)
     raise BoundaryError(f"unknown weight {name!r} (choose from {WEIGHT_NAMES})")
 
@@ -273,9 +258,10 @@ class ProbeReport:
 
 def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
     """Diagonal kernel values times the weight at the path's levels, with a
-    Richardson-extrapolated limit (first-order model, least-squares order
-    check; falls back to the last value when the order fit is poor),
-    converged when the last three values spread by at most 2%.
+    Richardson-extrapolated limit (first-order model), converged when the
+    last three values spread by at most 2%.  The order check, r^2 of the
+    line fit of log|diff f| on log t, is S_xy^2 / (S_xx S_yy) from centred
+    sums (1 when S_yy = 0); below 0.9 the limit is the last value.
 
     The levels are the path's ``panel``: one kernel call and one weight call
     on its coordinate columns.  The levels from the first non-finite kernel
@@ -300,24 +286,21 @@ def weighted_limit(K, path: ApproachPath, weight) -> ProbeReport:
             and abs(f[-1]) > abs(f[-2]) > abs(f[-3])):
         diverged = True
     diffs = np.abs(np.diff(f))
-    tarr = np.array(ts[:-1])
     mask = diffs > 1e-15 * np.max(np.abs(f))
     r2 = 1.0
     if mask.sum() >= 3:
-        x = np.log(tarr[mask])
-        y = np.log(diffs[mask])
-        A = np.vstack([x, np.ones_like(x)]).T
-        coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(res[0]) / ss_tot if len(res) and ss_tot > 0 else 1.0
+        x, y = np.log(np.array(ts[:-1])[mask]), np.log(diffs[mask])
+        x, y = x - x.mean(), y - y.mean()
+        syy = float(y @ y)
+        if syy > 0:
+            r2 = float(x @ y) ** 2 / (float(x @ x) * syy)
     used_rich = r2 >= 0.9
-    extr = [f[0]] + list(2.0 * f[1:] - f[:-1])
-    series = extr if used_rich else list(f)
+    extr = np.concatenate((f[:1], 2.0 * f[1:] - f[:-1]))
+    series = extr if used_rich else f
     limit = float(series[-1])
-    last = np.array(series[-3:], dtype=float)
-    spread = float(np.max(np.abs(last - limit))) / max(abs(limit), 1e-300)
+    spread = float(np.max(np.abs(series[-3:] - limit))) / max(abs(limit), 1e-300)
     return ProbeReport(ts=ts, kernel_values=raw.tolist(), weighted=f.tolist(),
-                       extrapolated=[float(e) for e in extr], limit=limit,
+                       extrapolated=extr.tolist(), limit=limit,
                        spread=spread, r_squared=float(r2),
                        used_richardson=used_rich, diverged=diverged,
                        converged=(not diverged) and spread <= 0.02)
@@ -353,23 +336,27 @@ def predicted_limit(spec: DomainSpec, target, stratum: Stratum) -> float | None:
 # Levi form probe
 
 
-def _stencil(spec: DomainSpec, p, coords, step: float):
-    """Wirtinger gradient d r / d z_j and complex Hessian d^2 r / dz_j dz-bar_k
-    of the defining function at p over the coordinates ``coords``, by
-    central differences with the given step on their real and imaginary
-    parts.  The stencil points are one panel: p, p +- e_a and p +- e_a +- e_b
-    for b < a, over the real directions a, b of ``coords``."""
+def _stencil(spec: DomainSpec, p, coords, step: float, hessian: bool = True):
+    """Wirtinger gradient d r / d z_j and, with ``hessian``, the complex
+    Hessian d^2 r / dz_j dz-bar_k (else None) of the defining function at p
+    over the coordinates ``coords``, by central differences with the given
+    step on their real and imaginary parts.  The stencil points are one
+    panel: p +- e_a, and for the Hessian p and p +- e_a +- e_b for b < a,
+    over the real directions a, b of ``coords``."""
     x0 = np.array([complex(c) for c in p]).view(float)
     real = (2 * np.asarray(coords)[:, None] + (0, 1)).ravel()
     n = len(real)
     E = np.zeros((n, len(x0)))
     E[np.arange(n), real] = step
     a, b = np.tril_indices(n, -1)
-    X = np.vstack([x0, x0 + E, x0 - E, x0 + E[a] + E[b], x0 + E[a] - E[b],
-                   x0 - E[a] + E[b], x0 - E[a] - E[b]])
-    f = defining_function(spec, X.view(complex).T)
-    f0, fp, fm, pp, pm, mp, mm = np.split(f, np.cumsum([1, n, n] + [len(a)] * 3))
+    X = [x0 + E, x0 - E]
+    if hessian:
+        X += [x0, x0 + E[a] + E[b], x0 + E[a] - E[b], x0 - E[a] + E[b], x0 - E[a] - E[b]]
+    f = defining_function(spec, np.vstack(X).view(complex).T)
+    fp, fm, f0, pp, pm, mp, mm = np.split(f, np.cumsum([n, n, 1] + [len(a)] * 3))
     dr = (fp - fm) / (2 * step)
+    if not hessian:
+        return 0.5 * (dr[0::2] - 1j * dr[1::2]), None
     hr = np.diag((fp - 2 * f0 + fm) / step ** 2)
     hr[a, b] = hr[b, a] = (pp - pm - mp + mm) / (4 * step ** 2)
     H = 0.25 * ((hr[0::2, 0::2] + hr[1::2, 1::2])

@@ -509,9 +509,17 @@ def spec_from_dict(data: dict) -> DomainSpec:
 
 
 def load_spec(path) -> DomainSpec:
+    """The spec in a JSON file, read on every call and parsed once per text
+    (a rewritten file gives its new spec); invalid JSON raises SpecError
+    naming the path."""
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"invalid JSON in {path}: {e}") from None
-    return spec_from_dict(data)
+        text = f.read()
+    try:
+        return _parse_spec(text)
+    except json.JSONDecodeError as e:
+        raise SpecError(f"invalid JSON in {path}: {e}") from None
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_spec(text: str) -> DomainSpec:
+    return spec_from_dict(json.loads(text))

@@ -20,6 +20,7 @@ coefficients of g.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, pi
 
 from .domains import DomainSpec, LiftStep, SpecError, slice_scales
@@ -137,9 +138,12 @@ def base_kernel(base_domain) -> Kernel:
     return k
 
 
+@lru_cache(maxsize=64)
 def compose_pipeline(spec: DomainSpec) -> Kernel:
     """Fold the lift transforms over a domain spec, starting from the base
-    closed form.  An empty lift stack returns the base evaluator itself."""
+    closed form.  An empty lift stack returns the base evaluator itself.
+    Built once per spec and process: equal specs share one kernel, which
+    nothing mutates (``Kernel.scaled`` returns a new one)."""
     K = base_kernel(spec.base)
     for step in spec.lifts:
         K = _make_lift(K, step)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import bergman.boundary as boundary
 from bergman.boundary import (ApproachPath, BoundaryError, Stratum, _stencil,
                               default_path, expected_weight,
                               levi_min_eigenvalue, make_weight,
@@ -241,32 +242,41 @@ PROBE_FAMILIES.update({f"ball_exp_lift_1{m}_g{g}": ball_exp_lift_spec(1, m, (g,)
                        for m in (1, 2) for g in (0.5, 1.0, 2.0)})
 
 
-def _boundary_bytes(tmp_path, capsys, fam):
-    """Exit code, stdout, stderr and --out CSV of `boundary` at three seeded
-    targets per stratum: S2, S3 and S4 on a U-step lift, S2 on a V-step."""
-    spec = PROBE_FAMILIES[fam]
+def _seeded_targets(spec, seed, per_stratum=3):
+    """(stratum, target) on every stratum the geometry benchmark probes, S2,
+    S3 and S4 on a U-step lift and S2 on a V-step, drawn as it draws them:
+    |z'| = 1 off S3, |z'| <= 0.7 on S3, |w| = 1 on S3 and S4, and on S2 w
+    uniform in the disk of radius 0.7 (U) or 1 (V)."""
     u = spec.lifts[0].kind == "U"
     m = spec.base.m_passive
-    rng = np.random.default_rng(35)
-    specf, out = tmp_path / "spec.json", tmp_path / "probe.csv"
-    specf.write_text(json.dumps(spec_to_dict(spec)))
-    blob = []
+    rng = np.random.default_rng(seed)
     for stratum in ("S2", "S3", "S4") if u else ("S2",):
-        for _ in range(3):
+        for _ in range(per_stratum):
             zp = rng.normal(size=m) + 1j * rng.normal(size=m)
             zp /= np.linalg.norm(zp)
             if stratum == "S3":
                 zp *= 0.7 * math.sqrt(rng.random())
             phase = np.exp(2j * PI * rng.random())
             w = (0.7 if u else 1.0) * math.sqrt(rng.random()) * phase if stratum == "S2" else phase
-            target = [[0.0, 0.0]] + [[c.real, c.imag] for c in (*zp, w)]
-            out.unlink(missing_ok=True)
-            rc = main(["boundary", "--spec", str(specf), "--target", json.dumps(target),
-                       "--stratum", stratum, "--weight", expected_weight(spec, Stratum[stratum]),
-                       "--out", str(out)])
-            got = capsys.readouterr()
-            csv = out.read_bytes() if out.exists() else b""
-            blob.append(f"{stratum} {rc}\n{got.out}{got.err}".encode() + csv)
+            yield stratum, (0j, *zp, w)
+
+
+def _boundary_bytes(tmp_path, capsys, fam):
+    """Exit code, stdout, stderr and --out CSV of `boundary` at three seeded
+    targets per stratum: S2, S3 and S4 on a U-step lift, S2 on a V-step."""
+    spec = PROBE_FAMILIES[fam]
+    specf, out = tmp_path / "spec.json", tmp_path / "probe.csv"
+    specf.write_text(json.dumps(spec_to_dict(spec)))
+    blob = []
+    for stratum, target in _seeded_targets(spec, 35):
+        out.unlink(missing_ok=True)
+        rc = main(["boundary", "--spec", str(specf),
+                   "--target", json.dumps([[c.real, c.imag] for c in target]),
+                   "--stratum", stratum, "--weight", expected_weight(spec, Stratum[stratum]),
+                   "--out", str(out)])
+        got = capsys.readouterr()
+        csv = out.read_bytes() if out.exists() else b""
+        blob.append(f"{stratum} {rc}\n{got.out}{got.err}".encode() + csv)
     return b"".join(blob)
 
 
@@ -369,26 +379,26 @@ def test_path_failure_names_the_first_failing_level(k):
     # raises when it is made, with the message and t of the one-point loop;
     # the first path also moves away at level k, and the domain check comes
     # first; a region that is singular outside the domain only sees the rows
-    # inside
+    # inside.  point_fn takes the array of levels, so each path switches at
+    # level k with np.where
     tk = 2.0 ** -k
     inside = lambda t: (0.0, 1.0 - t, 0.0)
-    cases = [(lambda t: inside(t) if t > tk else (0.0, 1.0 + 3.0 * t, 0.0), lambda p: True,
+    cases = [(lambda t: (0.0, np.where(t > tk, 1.0 - t, 1.0 + 3.0 * t), 0.0), lambda p: True,
               f"path left the domain at t = {tk}"),
-             (lambda t: inside(t) if t > tk else (0.0, 0.5, 1.0 + t),
+             (lambda t: (0.0, np.where(t > tk, 1.0 - t, 0.5), np.where(t > tk, 0.0, 1.0 + t)),
               lambda p: defining_function(SPEC, p) < 0,
               f"path left the domain at t = {tk}"),
              (inside, lambda p: abs(p[1]) < 1.0 - tk,
               f"path left the approach region at t = {tk}"),
-             (lambda t: inside(t if t > tk else 3.0 * t), lambda p: True,
+             (lambda t: inside(np.where(t > tk, t, 3.0 * t)), lambda p: True,
               "path does not approach the target")]
     for point_fn, region_fn, message in cases:
         with pytest.raises(BoundaryError, match=f"^{re.escape(message)}$"):
             ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2, point_fn, region_fn)
-    # a point with the wrong number of coordinates at level k: the
-    # SpecError of contains, after the checks of the levels before it
+    # a path with the wrong number of coordinates: the SpecError of
+    # contains, for the whole path at once
     with pytest.raises(SpecError, match="^point has 2 coordinates, spec has 3$"):
-        ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2,
-                     lambda t: inside(t) if t > tk else (0.0, 1.0 - t), lambda p: True)
+        ApproachPath(SPEC, (0, 1.0, 0.0), Stratum.S2, lambda t: (0.0, 1.0 - t), lambda p: True)
 
 
 def test_validated_paths_compare_without_their_panels():
@@ -446,6 +456,85 @@ def test_probe_makes_one_kernel_call(spec, target, stratum):
     assert calls == [12]
 
 
+@pytest.mark.parametrize("fam", sorted(PROBE_FAMILIES))
+def test_default_path_panel_equals_point_fn_per_level(fam):
+    # point_fn made the whole panel in one call on the array of levels;
+    # called with one t at a time it gives each row bitwise
+    spec = PROBE_FAMILIES[fam]
+    made = 0
+    for seed in (35, 36, 37):
+        for stratum, target in _seeded_targets(spec, seed, per_stratum=8):
+            try:
+                path = default_path(spec, target, Stratum[stratum])
+            except BoundaryError as e:   # the V-step limitation near |w| = 1
+                assert "path left the approach region" in str(e)
+                continue
+            rows = np.array([[complex(c) for c in path.point_fn(t)] for t in path.ts])
+            assert path.panel.shape == rows.shape
+            assert path.panel.tobytes() == rows.tobytes(), (stratum, target)
+            made += 1
+    assert made >= 20
+
+
+def _lstsq_r_squared(rep):
+    """r^2 of the order check as np.linalg.lstsq gives it, from the report."""
+    f = np.array(rep.weighted)
+    diffs = np.abs(np.diff(f))
+    mask = diffs > 1e-15 * np.max(np.abs(f))
+    if mask.sum() < 3:
+        return 1.0
+    x, y = np.log(np.array(rep.ts[:-1])[mask]), np.log(diffs[mask])
+    _, res, _, _ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return 1.0 - float(res[0]) / ss_tot if len(res) and ss_tot > 0 else 1.0
+
+
+def test_closed_form_order_check_matches_least_squares():
+    # r^2 = S_xy^2 / (S_xx S_yy) against the least-squares residual, on
+    # seeded probes of every family with their own weight and with r, and
+    # on seeded random values, whose fits are poor
+    reports = []
+    for fam, spec in sorted(PROBE_FAMILIES.items()):
+        K = compose_pipeline(spec)
+        for stratum, target in _seeded_targets(spec, 36):
+            try:
+                path = default_path(spec, target, Stratum[stratum])
+            except BoundaryError:
+                continue
+            for name in {expected_weight(spec, Stratum[stratum]), "r"}:
+                reports.append(weighted_limit(K, path, name))
+    path = default_path(SPEC, (0, 1.0, 0.0), Stratum.S2)
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        reports.append(weighted_limit(_Given(rng.uniform(1.0, 2.0, 12)), path, lambda p: 1.0))
+    # constant differences: S_yy = 0, r^2 = 1
+    flat = weighted_limit(_Given(np.arange(1.0, 13.0)), path, lambda p: 1.0)
+    assert flat.r_squared == _lstsq_r_squared(flat) == 1.0 and flat.used_richardson
+    assert {rep.used_richardson for rep in reports} == {True, False}
+    for rep in reports:
+        want = _lstsq_r_squared(rep)
+        assert abs(rep.r_squared - want) <= 1e-12
+        assert rep.used_richardson == (want >= 0.9)
+
+
+def test_stratify_point_evaluates_only_the_gradient_rows(monkeypatch):
+    # the classification panel holds the 4n gradient rows of the n stars,
+    # not the full stencil, and the gradient is the full stencil's bitwise
+    rows, real = [], boundary.defining_function
+    monkeypatch.setattr(boundary, "defining_function",
+                        lambda spec, p: rows.append(np.size(p[0])) or real(spec, p))
+    z = math.sqrt((1 - 0.09) * (1 - 0.25))
+    for p, want in (((0, 1.0, 0.5), Stratum.S2), ((0, 0.5, 1.0), Stratum.S3),
+                    ((0, 1.0, 1.0), Stratum.S4), ((z, 0.5, 0.3), Stratum.S1)):
+        rows.clear()
+        assert stratify_point(SPEC, p) is want
+        stars = SPEC.star_indices()
+        if want in (Stratum.S1, Stratum.S2):
+            assert rows == [1, 4 * len(stars)]
+            assert np.array_equal(_stencil(SPEC, p, stars, 1e-6, hessian=False)[0],
+                                  _stencil(SPEC, p, stars, 1e-6)[0])
+
+
 def _one_point_gradient(spec, p, indices, step):
     grad = []
     for j in indices:
@@ -497,5 +586,7 @@ def test_stencil_panels_equal_one_point_stencils():
     for spec, p in cases:
         assert levi_min_eigenvalue(spec, p) == _one_point_levi(spec, p)
         want = _one_point_gradient(spec, p, spec.star_indices(), 1e-6)
-        # the gradient stratify_point classifies with
-        assert np.array_equal(_stencil(spec, p, spec.star_indices(), 1e-6)[0], want)
+        # the gradient stratify_point classifies with, alone or with the Hessian
+        for hessian in (False, True):
+            assert np.array_equal(
+                _stencil(spec, p, spec.star_indices(), 1e-6, hessian)[0], want)

@@ -529,6 +529,80 @@ def test_boundary_missing_weight_usage_error(lifted_ball_file):
     assert e.value.code == 2
 
 
+# ---------------------------------------------------------------------------
+# specs and kernels built once per process
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    got = capsys.readouterr()
+    return rc, got.out, got.err
+
+
+def _probe_argv(spec, stratum="S2", weight="r", target="[[0,0],[1,0],[0.5,0]]"):
+    return ["boundary", "--spec", str(spec), "--target", target,
+            "--stratum", stratum, "--weight", weight]
+
+
+def test_rewritten_spec_file_gives_the_new_spec(tmp_path, capsys):
+    # the file is read on every call and its parse cached on the text: a
+    # spec rewritten between two in-process runs gives the new spec's output
+    specf, fresh = tmp_path / "spec.json", tmp_path / "fresh.json"
+    old = spec_to_dict(ball_disk_lift_spec(1, 1))
+    specf.write_text(json.dumps(old))
+    first = _run(_probe_argv(specf), capsys)
+    specf.write_text(json.dumps(dict(old, lifts=[dict(old["lifts"][0], weights=[2.0])])))
+    rewritten = _run(_probe_argv(specf), capsys)
+    fresh.write_text(specf.read_text())
+    assert first[0] == rewritten[0] == 0
+    assert rewritten != first
+    assert rewritten == _run(_probe_argv(fresh), capsys)
+    assert domains.load_spec(specf) is domains.load_spec(fresh)
+    assert domains.load_spec(specf).lifts[0].weights == (2.0,)
+
+
+def test_equal_specs_share_one_pipeline():
+    a = ball_disk_lift_spec(1, 1)
+    b = domains.spec_from_dict(spec_to_dict(a))
+    assert a == b and a is not b
+    assert compose_pipeline(a) is compose_pipeline(b)
+    assert compose_pipeline(ball_disk_lift_spec(1, 2)) is not compose_pipeline(a)
+
+
+def test_repeated_runs_print_the_first_runs_bytes(lifted_ball_file, tmp_path, capsys):
+    # from cold caches: the second and third in-process run of each command
+    # reuse the spec and kernel and print the bytes of the first
+    domains._parse_spec.cache_clear()
+    compose_pipeline.cache_clear()
+    pts, out = tmp_path / "pts.json", tmp_path / "out.csv"
+    pts.write_text(json.dumps([[[0.2, 0.05], [0.1, -0.1], [0.3, 0.1]],
+                               [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
+    runs = [["eval", "--spec", str(lifted_ball_file), "--points", str(pts), "--mode", "all"],
+            _probe_argv(lifted_ball_file),
+            _probe_argv(lifted_ball_file, "S3", "w", "[[0,0],[0.5,0],[0,1]]"),
+            _probe_argv(lifted_ball_file, "S4", "product", "[[0,0],[1,0],[0,1]]")]
+    for argv in runs:
+        first = None
+        for _ in range(3):
+            out.unlink(missing_ok=True)
+            got = _run(argv + ["--out", str(out)], capsys) + (out.read_bytes(),)
+            first = first or got
+            assert got[0] == 0 and got == first
+
+
+@pytest.mark.parametrize("command", ["eval", "boundary"])
+def test_malformed_spec_file_exits_2_on_every_call(tmp_path, capsys, command):
+    bad, pts = tmp_path / "bad.json", tmp_path / "p.json"
+    bad.write_text("{not json")
+    pts.write_text("[]")
+    argv = (["eval", "--spec", str(bad), "--points", str(pts)] if command == "eval"
+            else _probe_argv(bad))
+    for _ in range(3):
+        rc, out, err = _run(argv, capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: invalid JSON in {bad}: ") and err.count("\n") == 1
+
+
 def test_sample_writes_csv(disk_files, tmp_path):
     spec, _ = disk_files
     out = tmp_path / "pts.csv"
